@@ -1,8 +1,9 @@
 """Experiment runner and diagnostic subcommands.
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed,
-2 invalid arguments or configuration, 3 an exact enumeration exceeded its
-budget.  Every subcommand prints one machine-parseable summary line of
+2 invalid arguments or configuration, or an input or output file that
+cannot be read or written, 3 an exact enumeration exceeded its budget.
+Every subcommand prints one machine-parseable summary line of
 space-separated key=value pairs to standard output.
 
 Reports are byte-stable: the report JSON embeds only artifact basenames
@@ -198,6 +199,14 @@ def parse_algo_spec(text: str, class_size: int) -> AlgorithmSpec:
     return GermAlgorithm(gap=gap, initial_index=initial)
 
 
+def _config_int(value, field: str) -> int:
+    """An integer config value; booleans and fractional numbers are errors."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _algo_from_config(doc: dict, class_size: int, n_max: int) -> AlgorithmSpec:
     unknown = set(doc) - {"kind", "gap", "initial_index", "learner"}
     if unknown:
@@ -241,7 +250,7 @@ def _algo_from_config(doc: dict, class_size: int, n_max: int) -> AlgorithmSpec:
         gap = FixedDelta(float(gap_doc["value"]))
     else:
         raise ValueError(f"unknown gap variant {variant!r}")
-    return GermAlgorithm(gap=gap, initial_index=int(doc.get("initial_index", 0)))
+    return GermAlgorithm(gap=gap, initial_index=_config_int(doc.get("initial_index", 0), "algorithm.initial_index"))
 
 
 def _check_from_config(doc: dict) -> Check:
@@ -306,17 +315,19 @@ def parse_experiment_config(doc: dict, config_dir: Path) -> ExperimentConfig:
         unknown = set(engine_doc) - {"kind", "n_max"}
         if unknown:
             raise ValueError(f"unknown exact-engine fields {sorted(unknown)}")
-        n_max = int(engine_doc.get("n_max", 8))
+        n_max = _config_int(engine_doc.get("n_max", 8), "engine.n_max")
         replications = None
         grid = None
     elif kind == "mc":
         unknown = set(engine_doc) - {"kind", "n_max", "replications", "grid"}
         if unknown:
             raise ValueError(f"unknown mc-engine fields {sorted(unknown)}")
-        n_max = int(engine_doc.get("n_max", MC_DEFAULT_N_MAX))
-        replications = int(engine_doc.get("replications", MC_DEFAULT_REPLICATIONS))
+        n_max = _config_int(engine_doc.get("n_max", MC_DEFAULT_N_MAX), "engine.n_max")
+        replications = _config_int(engine_doc.get("replications", MC_DEFAULT_REPLICATIONS), "engine.replications")
         grid_doc = engine_doc.get("grid")
-        grid = MC_DEFAULT_GRID if grid_doc is None else tuple(int(n) for n in grid_doc)
+        if grid_doc is not None and not isinstance(grid_doc, list):
+            raise ValueError(f"engine.grid must be a list, got {grid_doc!r}")
+        grid = MC_DEFAULT_GRID if grid_doc is None else tuple(_config_int(n, "engine.grid entry") for n in grid_doc)
     else:
         raise ValueError(f"engine kind must be exact or mc, got {kind!r}")
 
@@ -331,14 +342,14 @@ def parse_experiment_config(doc: dict, config_dir: Path) -> ExperimentConfig:
 
     seed = doc.get("seed")
     if seed is not None:
-        seed = int(seed)
+        seed = _config_int(seed, "seed")
 
     trajectory = None
     if "trajectory" in doc:
         traj_doc = doc["trajectory"]
         if not isinstance(traj_doc, dict) or set(traj_doc) - {"n"}:
             raise ValueError("the trajectory request takes exactly the field n")
-        trajectory = TrajectoryRequest(n=int(traj_doc.get("n", n_max)))
+        trajectory = TrajectoryRequest(n=_config_int(traj_doc.get("n", n_max), "trajectory.n"))
 
     out_dir = Path(str(doc.get("out_dir", "results")))
     if not out_dir.is_absolute():
@@ -691,7 +702,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -8,10 +8,14 @@ bit-identical to running ``run_germ`` on the same derived generator.
 
 Determinism contract: replication r draws from the generator derived from
 (base_seed, r), consuming one ``random(n_max)`` block for the sample and,
-only in the EmpiricalMcDiarmid gap mode, one k-sign block per step.
-Replications are processed in fixed-size chunks and chunk results are
-reduced in chunk order, so means, standard errors, and coverage counts do
-not depend on the worker count.
+only in the EmpiricalMcDiarmid gap mode, k fresh signs for each step k in
+ascending order.  Those signs are drawn for a block of consecutive steps
+at once: one ``draw_signs`` call returns the concatenation of the per-step
+draws, so what a replication consumes is fixed by the replication alone,
+not by how its draws are split into calls, and matches the scalar loop's
+one k-sign call per step.  Replications are processed in fixed-size
+chunks and chunk results are reduced in chunk order, so means, standard
+errors, and coverage counts do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ from .rademacher import exact_rademacher, mcdiarmid_radius, rbar_massart
 from .rng import draw_signs, philox_stream
 
 CHUNK = 4096
+
+# Most signs one replication draws in one call.  A block's arrays hold
+# CHUNK x steps-in-block x (outcomes + 3) floats; a larger cap saves little
+# time and costs memory.
+SIGN_BLOCK = 4096
 
 POSITIVE_EXCESS_FLOOR = 1e-12
 
@@ -194,20 +203,59 @@ def _draw_outcome_block(problem: LearningProblem, cfg: McConfig, start: int, sto
     return outcomes, gens
 
 
-def _sign_sup_block(loss_array: np.ndarray, one_hot: np.ndarray, signs: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized sign-weighted supremum at step k, one value per row.
+def _sign_blocks(ks) -> list[tuple[int, int]]:
+    """Split positions of ``ks`` into consecutive [start, stop) blocks.
 
-    Mirrors the scalar kernel: integer signed counts per outcome, then a
-    float accumulation in ascending outcome order, max over rows, divide
-    by k.  Integer W is exact, so both paths round identically.
+    Each block holds at most SIGN_BLOCK signs in total; a single size
+    above the cap forms a block of its own.
     """
-    B = signs.shape[0]
+    blocks = []
+    start = 0
+    while start < len(ks):
+        stop = start + 1
+        total = ks[start]
+        while stop < len(ks) and total + ks[stop] <= SIGN_BLOCK:
+            total += ks[stop]
+            stop += 1
+        blocks.append((start, stop))
+        start = stop
+    return blocks
+
+
+def _sign_sups(loss_array: np.ndarray, outcomes: np.ndarray, gens, ks) -> np.ndarray:
+    """Sign-weighted supremum at each size in ``ks``, shape (B, len(ks)).
+
+    For each k in order, replication b pairs k fresh signs from its own
+    generator with its first k outcomes.  The signs of a block of sizes
+    come from one ``draw_signs`` call per replication, whose stream is the
+    concatenation of the per-size draws.  Arithmetic mirrors the scalar
+    kernel: integer signed counts per outcome, a float accumulation in
+    ascending outcome order, max over rows, divide by k.  Signed counts are
+    exact integers, so both paths round identically.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
     m = loss_array.shape[1]
-    W = np.einsum("bkm,bk->bm", one_hot[:, :k, :], signs)
-    T = np.zeros((B, loss_array.shape[0]))
-    for z in range(m):
-        T += W[:, z, np.newaxis] * loss_array[:, z]
-    return T.max(axis=1) / k
+    B = outcomes.shape[0]
+    sups = np.empty((B, len(ks)))
+    for start, stop in _sign_blocks(ks.tolist()):
+        block = ks[start:stop]
+        steps = stop - start
+        # draw j pairs with outcome pos[j] of its step, and offset[j] puts
+        # that step's counts in its row of the flattened (steps, m) block
+        offset = np.repeat(np.arange(steps) * m, block)
+        pos = np.arange(int(block.sum())) - np.repeat(np.cumsum(block) - block, block)
+        W = np.empty((B, steps, m))
+        for i, gen in enumerate(gens):
+            signs = draw_signs(gen, len(pos))
+            W[i] = np.bincount(offset + outcomes[i, pos], weights=signs, minlength=steps * m).reshape(steps, m)
+        best = np.full((B, steps), -np.inf)
+        for row in loss_array:
+            t = np.zeros((B, steps))
+            for z in range(m):
+                t += W[:, :, z] * row[z]
+            np.maximum(best, t, out=best)
+        sups[:, start:stop] = best / block
+    return sups
 
 
 def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig, start: int, stop: int, capture_rbar: bool):
@@ -251,7 +299,7 @@ def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig
     rows_idx = np.arange(B)
     S = np.zeros((B, class_size))
     counts = np.zeros((B, m), dtype=np.int64) if bernstein else None
-    one_hot = (outcomes[:, :, np.newaxis] == np.arange(m)).astype(np.int64) if empirical else None
+    sups = _sign_sups(L, outcomes, gens, range(1, cfg.n_max + 1)) if empirical else None
     if bernstein:
         # squared loss differences, indexed [candidate, incumbent, outcome]
         D2 = (L[:, np.newaxis, :] - L[np.newaxis, :, :]) ** 2
@@ -286,11 +334,7 @@ def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig
             else:
                 radius = mcdiarmid_radius(k)
                 if empirical:
-                    signs = np.empty((B, k), dtype=np.int64)
-                    for i, gen in enumerate(gens):
-                        signs[i] = draw_signs(gen, k)
-                    sup = _sign_sup_block(L, one_hot, signs, k)
-                    rbar = np.maximum(0.0, sup + radius)
+                    rbar = np.maximum(0.0, sups[:, k - 1] + radius)
                     delta = 4.0 * rbar
                     delta = delta + radius
                     delta = delta + 2.0 / k
@@ -458,19 +502,10 @@ def _excess_chunk(problem: LearningProblem, event: ExcessBoundEvent, cfg: McConf
 
 def _estimator_chunk(problem: LearningProblem, event: EstimatorDeviationEvent, cfg: McConfig, start: int, stop: int, exact_sups: dict[int, float]):
     outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, keep_generators=True)
-    m = problem.loss.outcome_count
-    L = problem.loss.as_array()
-    one_hot = (outcomes[:, :, np.newaxis] == np.arange(m)).astype(np.int64)
-    B = stop - start
-    # consumption order: each replication draws its grid sign blocks in
-    # ascending n, all from its own generator
-    sign_blocks = {n: np.empty((B, n), dtype=np.int64) for n in cfg.grid}
-    for i, gen in enumerate(gens):
-        for n in cfg.grid:
-            sign_blocks[n][i] = draw_signs(gen, n)
+    # each replication draws its grid sign blocks in ascending n
+    sups = _sign_sups(problem.loss.as_array(), outcomes, gens, cfg.grid)
     counts = []
-    for n in cfg.grid:
-        sup = _sign_sup_block(L, one_hot, sign_blocks[n], n)
+    for n, sup in zip(cfg.grid, sups.T):
         radius = math.sqrt(2.0 * math.log(2.0 / event.delta) / n)
         counts.append(int(np.count_nonzero(np.abs(sup - exact_sups[n]) <= radius)))
     return counts

@@ -44,8 +44,12 @@ def philox_stream(base_seed: int, stream: int) -> np.random.Generator:
 def draw_signs(rng: np.random.Generator, k: int) -> np.ndarray:
     """Draw k fair random signs as an int64 array of +1/-1 values.
 
-    One ``integers`` call per invocation, so stream consumption is a fixed
-    function of the call sequence.
+    Each sign consumes one 32-bit word of the stream, and a half-used
+    64-bit output carries over to the next call.  So ``draw_signs(rng, a +
+    b)`` returns exactly ``draw_signs(rng, a)`` followed by
+    ``draw_signs(rng, b)``: consumption depends on the number of signs
+    drawn, not on how they are split into calls.  The Monte Carlo engine
+    relies on this to draw a block of steps' signs at once.
     """
     if k < 1:
         raise ValueError(f"need at least one sign, got k={k}")

@@ -253,3 +253,62 @@ def test_config_defaults_echoed(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["grid"] == [10, 20, 50, 100, 200]
     assert report["config"]["n_max"] == 200
+
+
+def test_unwritable_out_dir_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file", encoding="utf-8")
+    doc = exact_config(tmp_path, out_dir="blocker/out")
+    assert main(["run", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def integer_fields_config():
+    return {
+        "scenario": "symmetric-coin",
+        "algorithm": {"kind": "germ", "gap": {"variant": "uniform", "mode": "massart"}},
+        "engine": {"kind": "mc", "replications": 20, "n_max": 8, "grid": [4, 8]},
+        "seed": 1,
+        "trajectory": {"n": 8},
+        "checks": [],
+        "out_dir": "out",
+    }
+
+
+@pytest.mark.parametrize("bad", [4.9, True, "8"])
+@pytest.mark.parametrize(
+    "where",
+    ["exact.n_max", "mc.n_max", "mc.replications", "mc.grid", "seed", "trajectory.n", "initial_index"],
+)
+def test_non_integral_config_values_exit_2(tmp_path, where, bad):
+    doc = integer_fields_config()
+    if where == "exact.n_max":
+        doc["engine"] = {"kind": "exact", "n_max": bad}
+        del doc["seed"], doc["trajectory"]
+    elif where.startswith("mc."):
+        key = where[len("mc."):]
+        doc["engine"][key] = [4, bad] if key == "grid" else bad
+    elif where == "trajectory.n":
+        doc["trajectory"]["n"] = bad
+    elif where == "initial_index":
+        doc["algorithm"]["initial_index"] = bad
+    else:
+        doc["seed"] = bad
+    assert main(["run", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_must_be_a_list(tmp_path):
+    doc = integer_fields_config()
+    doc["engine"]["grid"] = 8
+    assert main(["run", write_config(tmp_path, doc)]) == EXIT_CONFIG
+
+
+def test_integral_floats_are_accepted(tmp_path):
+    assert main(["run", write_config(tmp_path, integer_fields_config())]) == EXIT_PASS
+    doc = exact_config(tmp_path, engine={"kind": "exact", "n_max": 4.0})
+    assert main(["run", write_config(tmp_path, doc)]) == EXIT_PASS
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["n_max"] == 4

@@ -24,6 +24,7 @@ from germ.gap import (
 )
 from germ.montecarlo import (
     CHUNK,
+    SIGN_BLOCK,
     CoverageResult,
     DecayFit,
     EstimatorDeviationEvent,
@@ -33,6 +34,8 @@ from germ.montecarlo import (
     coverage_to_csv,
     excess_risk_decay,
     mc_bound_coverage,
+    _lockstep_block,
+    _sign_blocks,
     mc_risk_curve,
 )
 from germ.oracle import RiskCurve, check_monotone, curve_to_csv, exact_risk_curve, pairwise_bernstein_coverage
@@ -47,6 +50,7 @@ from germ.problem import (
 )
 from germ.rademacher import rademacher_sup
 from germ.rng import draw_signs, philox_stream
+from germ.scenarios import load_scenario
 
 
 def three_outcome_problem() -> LearningProblem:
@@ -141,6 +145,37 @@ def test_lockstep_matches_scalar_loop_bitwise():
         assert curve.kind == "mc"
         assert curve.replications == 64
         assert not curve.degenerate
+
+
+def test_lockstep_rbars_match_scalar_loop_across_sign_blocks():
+    # past n ~ 330 the randomized gap can drop below 1, so a wrong rbar
+    # could hide in the chosen indices at small n but not here
+    problem = load_scenario("three-outcome-misspecified").problem
+    n_max = 400
+    blocks = _sign_blocks(list(range(1, n_max + 1)))
+    assert len(blocks) > 2
+    # every step is on the grid, so the first and last step of each block are
+    cfg = McConfig(replications=12, n_max=n_max, base_seed=2024, grid=tuple(range(1, n_max + 1)))
+    algo = GermAlgorithm(gap=GapSpec(UniformConvergence(EmpiricalMcDiarmid()), problem.class_size))
+    chosen, rbars = _lockstep_block(problem, algo, cfg, 0, cfg.replications, capture_rbar=True)
+    for r in range(cfg.replications):
+        gen = philox_stream(cfg.base_seed, r)
+        sample = draw_sample(problem, n_max, gen)
+        trajectory = run_germ(problem, sample, algo.gap, rng=gen)
+        for n in cfg.grid:
+            step = trajectory.steps[n - 1]
+            assert rbars[n][r] == step.rbar, (r, n)
+            assert chosen[n][r] == step.chosen_index, (r, n)
+
+
+def test_sign_blocks_respect_the_cap():
+    ks = list(range(1, 300)) + [SIGN_BLOCK + 5, 7]
+    blocks = _sign_blocks(ks)
+    assert blocks[0][0] == 0 and blocks[-1][1] == len(ks)
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    for start, stop in blocks:
+        assert stop - start == 1 or sum(ks[start:stop]) <= SIGN_BLOCK
+    assert (ks.index(SIGN_BLOCK + 5), ks.index(SIGN_BLOCK + 5) + 1) in blocks
 
 
 def test_lockstep_gate_actually_fires_and_varies():
