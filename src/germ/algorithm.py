@@ -1,9 +1,9 @@
 """The greedy gated ERM loop.
 
-At each step k the learner proposes a candidate (by default the empirical
-risk minimizer over the first k observations, ties to the lowest index).
-The incumbent is replaced only when the candidate's empirical risk undercuts
-the incumbent's by at least the step's gap delta_k:
+At each step k the learner proposes the empirical risk minimizer over the
+first k observations, ties to the lowest index.  The incumbent is replaced
+only when the candidate's empirical risk undercuts the incumbent's by at
+least the step's gap delta_k:
 
     (1/k) sum_i l(cand, z_i) - (1/k) sum_i l(inc, z_i) <= -delta_k
 
@@ -20,10 +20,7 @@ and the lockstep engine produce bit-identical trajectories.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,55 +30,26 @@ from .gap import (
     FixedDelta,
     GapSpec,
     MassartDeterministic,
-    UniformConvergence,
-    UserConstant,
     bernstein_delta_from_sq,
     delta_uniform,
+    is_randomized,
+    step_schedule,
 )
 from .problem import LearningProblem, LossTable, Sample, _check_outcomes
-from .rademacher import rbar_from_signs, rbar_massart
+from .rademacher import rbar_from_signs
 from .rng import draw_signs
 
 
 @dataclass(frozen=True)
-class ErmLowestIndex:
-    """Propose the empirical risk minimizer, ties to the lowest index."""
-
-
-@dataclass(frozen=True)
-class CustomRule:
-    """A named pluggable proposal rule: (loss table, prefix) -> index.
-
-    The rule must be deterministic; the exact oracle and the Monte Carlo
-    engine both rely on that.
-    """
-
-    name: str
-    choose: Callable[[LossTable, Sample], int]
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("a custom rule needs a nonempty name")
-        if not callable(self.choose):
-            raise ValueError("a custom rule needs a callable")
-
-
-LearnerRule = ErmLowestIndex | CustomRule
-
-
-@dataclass(frozen=True)
 class GermAlgorithm:
-    """Greedy gated ERM: a gap spec, a proposal rule, and the initial index."""
+    """Greedy gated ERM: a gap spec and the initial index."""
 
     gap: GapSpec | FixedDelta
-    learner: LearnerRule = ErmLowestIndex()
     initial_index: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.gap, (GapSpec, FixedDelta)):
             raise ValueError(f"gap must be a GapSpec or FixedDelta, got {self.gap!r}")
-        if not isinstance(self.learner, (ErmLowestIndex, CustomRule)):
-            raise ValueError(f"unknown learner rule {self.learner!r}")
         if self.initial_index < 0:
             raise ValueError(f"initial index must be >= 0, got {self.initial_index}")
 
@@ -111,10 +79,25 @@ def algo_label(algo: AlgorithmSpec) -> str:
             code = "uniform-massart"
         else:
             code = "uniform-constant"
-    label = f"germ:{code}:init{algo.initial_index}"
-    if isinstance(algo.learner, CustomRule):
-        label += f":rule={algo.learner.name}"
-    return label
+    return f"germ:{code}:init{algo.initial_index}"
+
+
+def check_algorithm(algo: AlgorithmSpec, class_size: int, n: int):
+    """Validate ``algo`` for a run of n steps on a class of ``class_size``.
+
+    Checks the gap's class size, the initial index, and that a constant
+    schedule covers n steps.  Returns ``step_schedule(algo.gap, n)`` for
+    the gated loop and None for plain ERM.
+    """
+    if isinstance(algo, PlainErm):
+        return None
+    if not isinstance(algo, GermAlgorithm):
+        raise ValueError(f"unknown algorithm spec {algo!r}")
+    if isinstance(algo.gap, GapSpec) and algo.gap.class_size != class_size:
+        raise ValueError(f"gap is bound to class size {algo.gap.class_size}, problem has {class_size}")
+    if algo.initial_index >= class_size:
+        raise ValueError(f"initial index {algo.initial_index} out of range for class of size {class_size}")
+    return step_schedule(algo.gap, n)
 
 
 @dataclass(frozen=True)
@@ -136,7 +119,6 @@ class Trajectory:
     """Full record of a run: initial index plus one record per gated step."""
 
     initial_index: int
-    start_step: int
     steps: tuple[TrajectoryStep, ...]
 
     @property
@@ -148,38 +130,24 @@ class Trajectory:
         return tuple(step.chosen_index for step in self.steps)
 
 
-def _json_number(value: float | None):
-    if value is None:
-        return None
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if math.isnan(value):
-        return "nan"
-    return value
-
-
 def trajectory_to_dict(trajectory: Trajectory) -> dict:
+    """Plain-data record of a trajectory; non-finite gaps stay floats."""
     return {
         "initial_index": trajectory.initial_index,
-        "start_step": trajectory.start_step,
         "steps": [
             {
                 "k": s.k,
                 "erm_index": s.erm_index,
                 "chosen_index": s.chosen_index,
-                "delta": _json_number(s.delta),
+                "delta": s.delta,
                 "erm_empirical_loss": s.erm_empirical_loss,
                 "incumbent_empirical_loss": s.incumbent_empirical_loss,
                 "updated": s.updated,
-                "rbar": _json_number(s.rbar),
+                "rbar": s.rbar,
             }
             for s in trajectory.steps
         ],
     }
-
-
-def trajectory_to_json(trajectory: Trajectory) -> str:
-    return json.dumps(trajectory_to_dict(trajectory), indent=2, sort_keys=True) + "\n"
 
 
 def erm(loss: LossTable, sample_prefix: Sample) -> int:
@@ -194,53 +162,35 @@ def erm(loss: LossTable, sample_prefix: Sample) -> int:
     return min(range(len(sums)), key=sums.__getitem__)
 
 
-def _propose(learner: LearnerRule, loss: LossTable, sums: list[float], outcomes, k: int) -> int:
-    if isinstance(learner, ErmLowestIndex):
-        return min(range(len(sums)), key=sums.__getitem__)
-    index = learner.choose(loss, Sample(outcomes[:k]))
-    if not isinstance(index, int) or not 0 <= index < loss.class_size:
-        raise ValueError(f"rule {learner.name!r} returned invalid index {index!r} at step {k}")
-    return index
-
-
-def run_germ_from_step(
+def run_germ(
     problem: LearningProblem,
     sample: Sample,
     gap: GapSpec | FixedDelta,
-    start_step: int,
     *,
-    learner: LearnerRule | None = None,
     initial: int = 0,
     rng: np.random.Generator | None = None,
 ) -> Trajectory:
-    """Run the gated loop over steps start_step..n with a given incumbent.
+    """Run the gated loop over every step 1..n.
 
     Parameters
     ----------
     problem, sample:
-        The problem and the full observation sequence z_1..z_n, n >= 1.
+        The problem and the observation sequence z_1..z_n, n >= 1.
     gap:
         Gap specification; a ``FixedDelta`` bypasses the bound machinery
         (diagnostics only).
-    start_step:
-        First gated step s, 1 <= s <= n.  The incumbent stays ``initial``
-        for every k < s; candidate proposals at k >= s still use the full
-        prefix z_1..z_k.
-    learner:
-        Proposal rule, default lowest-index ERM.
     initial:
-        Incumbent before the first gated step.
+        Incumbent before the first step.
     rng:
         Required exactly when the gap draws random signs
         (UniformConvergence with EmpiricalMcDiarmid); consumed as one
-        k-sign draw per gated step, nothing otherwise.
+        k-sign draw per step, nothing otherwise.
 
     Returns
     -------
     Trajectory
-        One record per gated step; deterministic given inputs and seed.
+        One record per step; deterministic given inputs and seed.
     """
-    learner = learner if learner is not None else ErmLowestIndex()
     loss = problem.loss
     outcomes = sample.outcomes
     n = len(outcomes)
@@ -248,25 +198,10 @@ def run_germ_from_step(
     if n == 0:
         raise ValueError("cannot run on an empty sample")
     _check_outcomes(sample, loss.outcome_count)
-    if not 1 <= start_step <= n:
-        raise ValueError(f"start step {start_step} outside 1..{n}")
-    if not 0 <= initial < class_size:
-        raise ValueError(f"initial index {initial} out of range for class of size {class_size}")
-    if not isinstance(learner, (ErmLowestIndex, CustomRule)):
-        raise ValueError(f"unknown learner rule {learner!r}")
-
-    mode = None
-    if isinstance(gap, GapSpec):
-        if gap.class_size != class_size:
-            raise ValueError(f"gap is bound to class size {gap.class_size}, problem has {class_size}")
-        if isinstance(gap.variant, UniformConvergence):
-            mode = gap.variant.mode
-            if isinstance(mode, EmpiricalMcDiarmid) and rng is None:
-                raise ValueError("the EmpiricalMcDiarmid mode draws random signs; pass rng")
-            if isinstance(mode, UserConstant) and len(mode.values) < n:
-                raise ValueError(f"UserConstant supplies {len(mode.values)} values, run needs {n}")
-    elif not isinstance(gap, FixedDelta):
-        raise ValueError(f"gap must be a GapSpec or FixedDelta, got {gap!r}")
+    schedule = check_algorithm(GermAlgorithm(gap, initial_index=initial), class_size, n)
+    randomized = is_randomized(gap)
+    if randomized and rng is None:
+        raise ValueError("the EmpiricalMcDiarmid mode draws random signs; pass rng")
 
     sums = [0.0] * class_size
     counts = [0] * loss.outcome_count
@@ -277,31 +212,21 @@ def run_germ_from_step(
         for h, row in enumerate(loss.rows):
             sums[h] += row[z]
         counts[z] += 1
-        if k < start_step:
-            continue
 
-        cand = _propose(learner, loss, sums, outcomes, k)
-        rbar: float | None = None
-        if isinstance(gap, FixedDelta):
-            delta = gap.value
-        elif isinstance(gap.variant, EmpiricalBernstein):
-            if k == 1:
-                delta = math.inf
-            else:
-                cand_row, inc_row = loss.rows[cand], loss.rows[incumbent]
-                sq = 0.0
-                for zz in range(loss.outcome_count):
-                    d = cand_row[zz] - inc_row[zz]
-                    sq += counts[zz] * (d * d)
-                delta = bernstein_delta_from_sq(k, sq, class_size)
-        else:
-            if isinstance(mode, EmpiricalMcDiarmid):
-                rbar = rbar_from_signs(loss, Sample(outcomes[:k]), draw_signs(rng, k))
-            elif isinstance(mode, MassartDeterministic):
-                rbar = rbar_massart(class_size, k)
-            else:
-                rbar = mode.values[k - 1]
+        cand = min(range(class_size), key=sums.__getitem__)
+        if schedule is not None:
+            delta, rbar = schedule[0][k - 1], schedule[1][k - 1]
+        elif randomized:
+            rbar = rbar_from_signs(loss, Sample(outcomes[:k]), draw_signs(rng, k))
             delta = delta_uniform(k, rbar)
+        else:
+            rbar = None
+            cand_row, inc_row = loss.rows[cand], loss.rows[incumbent]
+            sq = 0.0
+            for zz in range(loss.outcome_count):
+                d = cand_row[zz] - inc_row[zz]
+                sq += counts[zz] * (d * d)
+            delta = bernstein_delta_from_sq(k, sq, class_size)
 
         diff = (sums[cand] - sums[incumbent]) / k
         updated = diff <= -delta
@@ -320,17 +245,4 @@ def run_germ_from_step(
         )
         incumbent = chosen
 
-    return Trajectory(initial_index=initial, start_step=start_step, steps=tuple(steps))
-
-
-def run_germ(
-    problem: LearningProblem,
-    sample: Sample,
-    gap: GapSpec | FixedDelta,
-    *,
-    learner: LearnerRule | None = None,
-    initial: int = 0,
-    rng: np.random.Generator | None = None,
-) -> Trajectory:
-    """Run the gated loop over every step 1..n.  See ``run_germ_from_step``."""
-    return run_germ_from_step(problem, sample, gap, 1, learner=learner, initial=initial, rng=rng)
+    return Trajectory(initial_index=initial, steps=tuple(steps))

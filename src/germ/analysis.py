@@ -13,11 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .gap import _nonnegative
 from .problem import LearningProblem, optimal_risk
 from .rademacher import mcdiarmid_radius
 
 
-def excess_risk_bound(n: int, rbar_n: float) -> float:
+def excess_risk_bound(n: int, rbar_n):
     """Additive excess-risk slack of the gated loop after n observations.
 
     With probability at least 1 - 2/n the population risk of the output
@@ -33,16 +36,17 @@ def excess_risk_bound(n: int, rbar_n: float) -> float:
     n:
         Number of observations, at least 1.
     rbar_n:
-        Rademacher complexity bound at step n, nonnegative.
+        Rademacher complexity bound at step n, nonnegative; a float or an
+        array of per-replication bounds.
 
     Returns
     -------
-    float
+    float or array
         The additive slack over the best population risk in the class.
     """
     if n < 1:
         raise ValueError(f"step count must be >= 1, got {n}")
-    if rbar_n < 0:
+    if not _nonnegative(rbar_n):
         raise ValueError(f"complexity bound must be nonnegative, got {rbar_n}")
     return 12.0 * rbar_n + 3.0 * mcdiarmid_radius(n) + 2.0 / n
 
@@ -102,22 +106,27 @@ def bernstein_certificate(problem: LearningProblem, beta: float) -> BernsteinCer
     return BernsteinCertificate(beta=beta, minimal_B=minimal, hstar_index=hstar)
 
 
-def pairwise_rhs_from_sq(sq_sum: float, n: int, class_size: int, delta: float) -> float:
+def pairwise_rhs_from_sq(sq_sum, n: int, class_size: int, delta: float):
     """Pairwise empirical-Bernstein slack from a precomputed sum of squares.
 
     Kernel behind ``pairwise_bernstein_rhs`` for callers that already hold
-    sum_i (a_i - b_i)^2, such as outcome-count enumerations.
+    sum_i (a_i - b_i)^2, such as outcome-count enumerations; ``sq_sum`` is
+    a float or an array of per-replication sums.
     """
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
-    if sq_sum < 0:
+    # called per count vector and pair by the exact coverage sum, so a float
+    # is tested inline, once; see gap.bernstein_delta_from_sq
+    scalar = isinstance(sq_sum, float)
+    if not (sq_sum >= 0.0 if scalar else _nonnegative(sq_sum)):
         raise ValueError(f"sum of squares must be nonnegative, got {sq_sum}")
     if class_size < 1:
         raise ValueError(f"class size must be >= 1, got {class_size}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {delta}")
     log_term = math.log(2.0 * class_size * class_size / delta)
-    return math.sqrt(2.0 * sq_sum * log_term) / (n - 1) + 5.0 * log_term / (n - 1)
+    sqrt = math.sqrt if scalar else np.sqrt
+    return sqrt(2.0 * sq_sum * log_term) / (n - 1) + 5.0 * log_term / (n - 1)
 
 
 def pairwise_bernstein_rhs(

@@ -28,7 +28,7 @@ from .algorithm import (
     PlainErm,
     algo_label,
     run_germ,
-    trajectory_to_json,
+    trajectory_to_dict,
 )
 from .analysis import bernstein_certificate
 from .errors import ResourceLimitError
@@ -40,6 +40,7 @@ from .gap import (
     MassartDeterministic,
     UniformConvergence,
     UserConstant,
+    is_randomized,
 )
 from .montecarlo import (
     EstimatorDeviationEvent,
@@ -138,7 +139,7 @@ class ExperimentConfig:
             if self.replications is None or self.grid is None:
                 raise ValueError("the mc engine requires replications and a grid")
         else:
-            if isinstance(self.algo, GermAlgorithm) and _gap_is_randomized(self.algo.gap):
+            if isinstance(self.algo, GermAlgorithm) and is_randomized(self.algo.gap):
                 raise ValueError("the exact engine requires a deterministic gap mode")
             for check in self.checks:
                 if isinstance(check, (CoverageCheck, DecayCheck)):
@@ -157,14 +158,6 @@ class ExperimentResult:
     curve_path: Path
     coverage_paths: dict[str, Path]
     trajectory_path: Path | None
-
-
-def _gap_is_randomized(gap) -> bool:
-    return (
-        isinstance(gap, GapSpec)
-        and isinstance(gap.variant, UniformConvergence)
-        and isinstance(gap.variant.mode, EmpiricalMcDiarmid)
-    )
 
 
 def parse_algo_spec(text: str, class_size: int) -> AlgorithmSpec:
@@ -207,6 +200,17 @@ def _config_int(value, field: str) -> int:
     return int(value)
 
 
+def _config_float(value, field: str) -> float:
+    """A real config value; booleans, strings, null, lists and integers too
+    large for a float are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{field} is too large for a float") from None
+
+
 def _algo_from_config(doc: dict, class_size: int, n_max: int) -> AlgorithmSpec:
     unknown = set(doc) - {"kind", "gap", "initial_index", "learner"}
     if unknown:
@@ -220,7 +224,7 @@ def _algo_from_config(doc: dict, class_size: int, n_max: int) -> AlgorithmSpec:
         raise ValueError(f"algorithm kind must be erm or germ, got {kind!r}")
     learner = doc.get("learner", "erm-lowest")
     if learner != "erm-lowest":
-        raise ValueError(f"config learners are limited to erm-lowest, got {learner!r}; custom rules are API-only")
+        raise ValueError(f"the only config learner is erm-lowest, got {learner!r}")
     gap_doc = doc.get("gap")
     if not isinstance(gap_doc, dict):
         raise ValueError("a germ algorithm needs a gap object")
@@ -238,7 +242,7 @@ def _algo_from_config(doc: dict, class_size: int, n_max: int) -> AlgorithmSpec:
             values = gap_doc.get("values")
             if not isinstance(values, list) or len(values) < n_max:
                 raise ValueError(f"the constant mode needs a values list covering n_max={n_max}")
-            mode = UserConstant(tuple(float(v) for v in values))
+            mode = UserConstant(tuple(_config_float(v, "algorithm.gap.values entry") for v in values))
         else:
             raise ValueError(f"unknown uniform mode {mode_name!r}")
         gap = GapSpec(UniformConvergence(mode), class_size)
@@ -247,7 +251,7 @@ def _algo_from_config(doc: dict, class_size: int, n_max: int) -> AlgorithmSpec:
     elif variant == "fixed":
         if "value" not in gap_doc:
             raise ValueError("the fixed gap needs a value")
-        gap = FixedDelta(float(gap_doc["value"]))
+        gap = FixedDelta(_config_float(gap_doc["value"], "algorithm.gap.value"))
     else:
         raise ValueError(f"unknown gap variant {variant!r}")
     return GermAlgorithm(gap=gap, initial_index=_config_int(doc.get("initial_index", 0), "algorithm.initial_index"))
@@ -262,7 +266,7 @@ def _check_from_config(doc: dict) -> Check:
         if unknown:
             raise ValueError(f"unknown monotone fields {sorted(unknown)}")
         tol = doc.get("tolerance")
-        return MonotoneCheck(tolerance=None if tol is None else float(tol))
+        return MonotoneCheck(tolerance=None if tol is None else _config_float(tol, "monotone tolerance"))
     if kind == "coverage":
         unknown = set(doc) - {"check", "event", "delta", "level"}
         if unknown:
@@ -272,8 +276,8 @@ def _check_from_config(doc: dict) -> Check:
         delta = doc.get("delta")
         return CoverageCheck(
             event=str(doc["event"]),
-            level=float(doc["level"]),
-            delta=None if delta is None else float(delta),
+            level=_config_float(doc["level"], "coverage level"),
+            delta=None if delta is None else _config_float(delta, "coverage delta"),
         )
     if kind == "decay":
         unknown = set(doc) - {"check", "beta"}
@@ -281,7 +285,7 @@ def _check_from_config(doc: dict) -> Check:
             raise ValueError(f"unknown decay fields {sorted(unknown)}")
         if "beta" not in doc:
             raise ValueError("decay checks need beta")
-        return DecayCheck(beta=float(doc["beta"]))
+        return DecayCheck(beta=_config_float(doc["beta"], "decay beta"))
     raise ValueError(f"unknown check kind {kind!r}")
 
 
@@ -371,7 +375,7 @@ def parse_experiment_config(doc: dict, config_dir: Path) -> ExperimentConfig:
 
 
 def _json_safe(value):
-    """Recursively make a report value JSON-serializable and byte-stable."""
+    """Recursively make a report or trajectory value JSON-serializable and byte-stable."""
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
@@ -385,6 +389,11 @@ def _json_safe(value):
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     return value
+
+
+def _write_json(path: Path, doc) -> None:
+    """Write ``doc`` byte-stably: sorted keys, two-space indent, non-finite floats as strings."""
+    path.write_text(json.dumps(_json_safe(doc), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _check_echo(check: Check) -> dict:
@@ -500,12 +509,11 @@ def run_experiment(config: ExperimentConfig, *, workers: int = 1) -> ExperimentR
             config.problem,
             sample,
             config.algo.gap,
-            learner=config.algo.learner,
             initial=config.algo.initial_index,
-            rng=gen if _gap_is_randomized(config.algo.gap) else None,
+            rng=gen if is_randomized(config.algo.gap) else None,
         )
         trajectory_path = out_dir / "trajectory.json"
-        trajectory_path.write_text(trajectory_to_json(trajectory), encoding="utf-8")
+        _write_json(trajectory_path, trajectory_to_dict(trajectory))
 
     check_entries, coverage_paths, all_passed = _run_checks(config, curve, mc_cfg, workers, out_dir)
 
@@ -521,9 +529,7 @@ def run_experiment(config: ExperimentConfig, *, workers: int = 1) -> ExperimentR
         "passed": all_passed,
     }
     report_path = out_dir / "report.json"
-    report_path.write_text(
-        json.dumps(_json_safe(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(report_path, report)
     return ExperimentResult(
         exit_code=EXIT_PASS if all_passed else EXIT_CHECK_FAILED,
         report_path=report_path,

@@ -13,6 +13,12 @@ uses the empirical second moment Q_k = sum_i (l(cand, z_i) - l(inc, z_i))^2
 of the candidate/incumbent loss differences, adapting to low-variance pairs.
 At k = 1 the Bernstein gap is undefined (division by k-1) and is pinned to
 +infinity, which freezes the incumbent at step 1; see the decisions ledger.
+
+The formula kernels accept a float or a NumPy array for the per-step
+quantity, so the single run, the lockstep Monte Carlo engine, and the exact
+oracle evaluate one expression.  A float argument takes ``math.sqrt`` and
+returns a Python float; ``np.sqrt`` rounds identically on arrays.  The
+bound kernels in the analysis module do the same.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rademacher import mcdiarmid_radius
+import numpy as np
+
+from .rademacher import mcdiarmid_radius, rbar_massart
 
 
 @dataclass(frozen=True)
@@ -101,11 +109,55 @@ class FixedDelta:
             raise ValueError(f"gap override must be >= 0, got {self.value!r}")
 
 
-def delta_uniform(k: int, rbar_k: float) -> float:
+def is_randomized(gap: GapSpec | FixedDelta) -> bool:
+    """True for the gap that draws fresh random signs at every step."""
+    return (
+        isinstance(gap, GapSpec)
+        and isinstance(gap.variant, UniformConvergence)
+        and isinstance(gap.variant.mode, EmpiricalMcDiarmid)
+    )
+
+
+def step_schedule(gap: GapSpec | FixedDelta, n: int):
+    """Per-step gaps of a run of n steps when they depend on k alone.
+
+    Returns ``(deltas, rbars)``, lists indexed by k - 1, for the fixed,
+    Massart, and constant gaps (``rbars`` holds None for the fixed gap), or
+    None for the sample-dependent Bernstein and EmpiricalMcDiarmid gaps.
+    A UserConstant mode must supply at least n values.
+    """
+    if isinstance(gap, FixedDelta):
+        return [gap.value] * n, [None] * n
+    if not isinstance(gap.variant, UniformConvergence):
+        return None
+    mode = gap.variant.mode
+    if isinstance(mode, EmpiricalMcDiarmid):
+        return None
+    if isinstance(mode, MassartDeterministic):
+        rbars = [rbar_massart(gap.class_size, k) for k in range(1, n + 1)]
+    else:
+        if len(mode.values) < n:
+            raise ValueError(f"UserConstant supplies {len(mode.values)} values, run needs {n}")
+        rbars = list(mode.values[:n])
+    return [delta_uniform(k, rbar) for k, rbar in enumerate(rbars, start=1)], rbars
+
+
+def _nonnegative(x) -> bool:
+    """x >= 0, entrywise for an array; NaN fails.
+
+    An array's minimum propagates NaN and costs less than half of
+    ``np.all(x >= 0)``, which matters once per lockstep step.
+    """
+    if isinstance(x, np.ndarray):
+        return bool(x.min() >= 0.0)
+    return x >= 0.0
+
+
+def delta_uniform(k: int, rbar_k):
     """Uniform-convergence gap at step k given the Rademacher bound rbar_k."""
     if k < 1:
         raise ValueError(f"step index must be >= 1, got {k}")
-    if not rbar_k >= 0.0:
+    if not _nonnegative(rbar_k):
         raise ValueError(f"rbar must be >= 0, got {rbar_k!r}")
     return 4.0 * rbar_k + mcdiarmid_radius(k) + 2.0 / k
 
@@ -117,17 +169,21 @@ def bernstein_log_term(k: int, class_size: int) -> float:
     return math.log(2.0 * k * class_size * class_size)
 
 
-def bernstein_delta_from_sq(k: int, sq_sum: float, class_size: int) -> float:
+def bernstein_delta_from_sq(k: int, sq_sum, class_size: int):
     """Empirical-Bernstein gap from the precomputed squared-difference sum.
 
-    This is the kernel shared by ``delta_bernstein``, the greedy loop, and
-    the vectorized Monte Carlo engine, so all paths evaluate the same
-    arithmetic.
+    This is the kernel shared by ``delta_bernstein``, the greedy loop, the
+    exact oracle, and the vectorized Monte Carlo engine, so all paths
+    evaluate the same arithmetic.  ``sq_sum`` is a float, or an array of
+    per-replication sums.  +infinity at k = 1.
     """
     if k == 1:
         return math.inf
     log_term = bernstein_log_term(k, class_size)
-    return math.sqrt(2.0 * sq_sum * log_term) / (k - 1) + 5.0 * log_term / (k - 1) + 2.0 / k
+    # the exact oracle calls this once per state: isinstance(sq_sum, float)
+    # is the cheapest dispatch, and math.sqrt keeps the result a Python float
+    sqrt = math.sqrt if isinstance(sq_sum, float) else np.sqrt
+    return sqrt(2.0 * sq_sum * log_term) / (k - 1) + 5.0 * log_term / (k - 1) + 2.0 / k
 
 
 def delta_bernstein(k: int, cand_losses, inc_losses, class_size: int) -> float:

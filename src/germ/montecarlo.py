@@ -28,20 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithm import AlgorithmSpec, CustomRule, GermAlgorithm, PlainErm, algo_label, run_germ
-from .gap import (
-    EmpiricalBernstein,
-    EmpiricalMcDiarmid,
-    FixedDelta,
-    GapSpec,
-    MassartDeterministic,
-    UniformConvergence,
-    bernstein_log_term,
-    delta_uniform,
-)
+from .algorithm import AlgorithmSpec, GermAlgorithm, algo_label, check_algorithm
+from .analysis import excess_risk_bound, pairwise_rhs_from_sq
+from .gap import GapSpec, UniformConvergence, bernstein_delta_from_sq, delta_uniform, is_randomized
 from .oracle import RiskCurve
-from .problem import LearningProblem, draw_sample, optimal_risk, population_risk
-from .rademacher import exact_rademacher, mcdiarmid_radius, rbar_massart
+from .problem import LearningProblem, optimal_risk, population_risk
+from .rademacher import exact_rademacher, mcdiarmid_radius
 from .rng import draw_signs, philox_stream
 
 CHUNK = 4096
@@ -262,8 +254,10 @@ def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig
     """Run all replications of one chunk in lockstep.
 
     Returns (chosen, rbars): ``chosen`` maps each grid position to the
-    chosen indices (B,), ``rbars`` to per-replication Rademacher bounds
-    (EmpiricalMcDiarmid), per-step scalars (other uniform modes), or None.
+    chosen indices (B,).  With ``capture_rbar``, ``rbars`` maps it to the
+    step's Rademacher bounds: per replication (EmpiricalMcDiarmid), one
+    scalar (other uniform modes), or None (other gaps); otherwise
+    ``rbars`` is None.
     """
     loss = problem.loss
     L = loss.as_array()
@@ -271,35 +265,16 @@ def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig
     m = loss.outcome_count
     class_size = loss.class_size
     germ = isinstance(algo, GermAlgorithm)
+    schedule = check_algorithm(algo, class_size, cfg.n_max)
+    randomized = germ and is_randomized(algo.gap)
+    bernstein = germ and schedule is None and not randomized
 
-    empirical = False
-    massart = user = fixed = bernstein = False
-    if germ:
-        gap = algo.gap
-        if isinstance(gap, FixedDelta):
-            fixed = True
-        elif isinstance(gap.variant, EmpiricalBernstein):
-            bernstein = True
-        else:
-            mode = gap.variant.mode
-            if isinstance(mode, EmpiricalMcDiarmid):
-                empirical = True
-            elif isinstance(mode, MassartDeterministic):
-                massart = True
-            else:
-                user = True
-                if len(mode.values) < cfg.n_max:
-                    raise ValueError(
-                        f"UserConstant supplies {len(mode.values)} values, "
-                        f"run needs {cfg.n_max}"
-                    )
-
-    outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, empirical)
+    outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, randomized)
     B = stop - start
     rows_idx = np.arange(B)
     S = np.zeros((B, class_size))
     counts = np.zeros((B, m), dtype=np.int64) if bernstein else None
-    sups = _sign_sups(L, outcomes, gens, range(1, cfg.n_max + 1)) if empirical else None
+    sups = _sign_sups(L, outcomes, gens, range(1, cfg.n_max + 1)) if randomized else None
     if bernstein:
         # squared loss differences, indexed [candidate, incumbent, outcome]
         D2 = (L[:, np.newaxis, :] - L[np.newaxis, :, :]) ** 2
@@ -307,8 +282,8 @@ def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig
 
     grid_set = set(cfg.grid)
     chosen: dict[int, np.ndarray] = {}
-    rbars: dict[int, np.ndarray] = {}
-    scalar_rbars: dict[int, float] = {}
+    rbars: dict[int, np.ndarray | float | None] = {}
+    rbar = None
 
     for k in range(1, cfg.n_max + 1):
         z = outcomes[:, k - 1]
@@ -317,30 +292,17 @@ def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig
             counts[rows_idx, z] += 1
         cand = np.argmin(S, axis=1)
         if germ:
-            if fixed:
-                delta = algo.gap.value
-            elif bernstein:
-                if k == 1:
-                    delta = math.inf
-                else:
-                    d2 = D2[cand, incumbent]
-                    q = np.zeros(B)
-                    for zz in range(m):
-                        q += counts[:, zz] * d2[:, zz]
-                    log_term = bernstein_log_term(k, class_size)
-                    delta = np.sqrt(2.0 * q * log_term) / (k - 1)
-                    delta = delta + 5.0 * log_term / (k - 1)
-                    delta = delta + 2.0 / k
+            if schedule is not None:
+                delta, rbar = schedule[0][k - 1], schedule[1][k - 1]
+            elif randomized:
+                rbar = np.maximum(0.0, sups[:, k - 1] + mcdiarmid_radius(k))
+                delta = delta_uniform(k, rbar)
             else:
-                radius = mcdiarmid_radius(k)
-                if empirical:
-                    rbar = np.maximum(0.0, sups[:, k - 1] + radius)
-                    delta = 4.0 * rbar
-                    delta = delta + radius
-                    delta = delta + 2.0 / k
-                else:
-                    rbar_k = rbar_massart(class_size, k) if massart else algo.gap.variant.mode.values[k - 1]
-                    delta = delta_uniform(k, rbar_k)
+                d2 = D2[cand, incumbent]
+                q = np.zeros(B)
+                for zz in range(m):
+                    q += counts[:, zz] * d2[:, zz]
+                delta = bernstein_delta_from_sq(k, q, class_size)
             diff = (S[rows_idx, cand] - S[rows_idx, incumbent]) / k
             updated = diff <= -delta
             incumbent = np.where(updated, cand, incumbent)
@@ -348,55 +310,13 @@ def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig
             incumbent = cand
         if k in grid_set:
             chosen[k] = incumbent.copy()
-            if capture_rbar:
-                if empirical:
-                    rbars[k] = rbar.copy()
-                elif massart or user:
-                    scalar_rbars[k] = rbar_k
-    if capture_rbar:
-        return chosen, (rbars if empirical else scalar_rbars)
-    return chosen, None
-
-
-def _scalar_block(problem: LearningProblem, algo: GermAlgorithm, cfg: McConfig, start: int, stop: int, capture_rbar: bool):
-    """Per-replication fallback for custom learner rules."""
-    needs_rng = (
-        isinstance(algo.gap, GapSpec)
-        and isinstance(algo.gap.variant, UniformConvergence)
-        and isinstance(algo.gap.variant.mode, EmpiricalMcDiarmid)
-    )
-    B = stop - start
-    chosen = {n: np.empty(B, dtype=np.int64) for n in cfg.grid}
-    rbars = {n: np.empty(B) for n in cfg.grid} if capture_rbar else None
-    for i, r in enumerate(range(start, stop)):
-        gen = philox_stream(cfg.base_seed, r)
-        sample = draw_sample(problem, cfg.n_max, gen)
-        trajectory = run_germ(
-            problem,
-            sample,
-            algo.gap,
-            learner=algo.learner,
-            initial=algo.initial_index,
-            rng=gen if needs_rng else None,
-        )
-        for n in cfg.grid:
-            step = trajectory.steps[n - 1]
-            chosen[n][i] = step.chosen_index
-            if capture_rbar:
-                rbars[n][i] = step.rbar
-    return chosen, rbars
-
-
-def _chosen_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig, start: int, stop: int, capture_rbar: bool):
-    """Route one chunk to the lockstep engine or the scalar fallback."""
-    if isinstance(algo, GermAlgorithm) and isinstance(algo.learner, CustomRule):
-        return _scalar_block(problem, algo, cfg, start, stop, capture_rbar)
-    return _lockstep_block(problem, algo, cfg, start, stop, capture_rbar)
+            rbars[k] = rbar
+    return chosen, (rbars if capture_rbar else None)
 
 
 def _risk_chunk(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig, start: int, stop: int):
     """Chunk statistics per grid n: (sum, sum of squares, min, max)."""
-    chosen, _ = _chosen_block(problem, algo, cfg, start, stop, capture_rbar=False)
+    chosen, _ = _lockstep_block(problem, algo, cfg, start, stop, capture_rbar=False)
     pop = np.array([population_risk(problem, h) for h in range(problem.class_size)])
     stats = []
     for n in cfg.grid:
@@ -419,12 +339,11 @@ def mc_risk_curve(
     Each replication r draws its own generator from (base_seed, r), draws
     one sample of length n_max, and runs the loop once; the prefix
     trajectory yields every grid n.  The result is bit-identical for any
-    worker count.  Custom learner rules fall back to a per-replication
-    scalar loop and must be picklable when workers > 1.
+    worker count.
     """
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    _validate_mc_algo(problem, algo, cfg)
+    check_algorithm(algo, problem.class_size, cfg.n_max)
     ranges = _chunk_ranges(cfg.replications)
     if workers == 1 or len(ranges) == 1:
         parts = [_risk_chunk(problem, algo, cfg, a, b) for a, b in ranges]
@@ -467,36 +386,14 @@ def mc_risk_curve(
     )
 
 
-def _validate_mc_algo(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig) -> None:
-    if isinstance(algo, PlainErm):
-        return
-    if not isinstance(algo, GermAlgorithm):
-        raise ValueError(f"unknown algorithm spec {algo!r}")
-    if isinstance(algo.gap, GapSpec):
-        if algo.gap.class_size != problem.class_size:
-            raise ValueError(
-                f"gap is bound to class size {algo.gap.class_size}, "
-                f"problem has {problem.class_size}"
-            )
-    if algo.initial_index >= problem.class_size:
-        raise ValueError(
-            f"initial index {algo.initial_index} out of range "
-            f"for class of size {problem.class_size}"
-        )
-
-
 def _excess_chunk(problem: LearningProblem, event: ExcessBoundEvent, cfg: McConfig, start: int, stop: int):
-    chosen, rbars = _chosen_block(problem, event.algo, cfg, start, stop, capture_rbar=True)
+    chosen, rbars = _lockstep_block(problem, event.algo, cfg, start, stop, capture_rbar=True)
     pop = np.array([population_risk(problem, h) for h in range(problem.class_size)])
     star = optimal_risk(problem)[0]
     counts = []
     for n in cfg.grid:
         excess = pop[chosen[n]] - star
-        rbar = rbars[n]
-        bound = 12.0 * rbar
-        bound = bound + 3.0 * mcdiarmid_radius(n)
-        bound = bound + 2.0 / n
-        counts.append(int(np.count_nonzero(excess <= bound)))
+        counts.append(int(np.count_nonzero(excess <= excess_risk_bound(n, rbars[n]))))
     return counts
 
 
@@ -527,12 +424,10 @@ def _pairwise_chunk(problem: LearningProblem, event: PairwiseBernsteinEvent, cfg
         np.add.at(counts, (np.repeat(np.arange(B), n - prev), seg.ravel()), 1)
         prev = n
         emp = counts @ L.T / n
-        log_term = math.log(2.0 * H * H / event.delta)
         ok = np.ones(B, dtype=bool)
         for a in range(H):
             for c in range(a + 1, H):
-                sq = counts @ D2[a, c]
-                rhs = np.sqrt(2.0 * sq * log_term) / (n - 1) + 5.0 * log_term / (n - 1)
+                rhs = pairwise_rhs_from_sq(counts @ D2[a, c], n, H, event.delta)
                 gap = (pop[a] - pop[c]) - (emp[:, a] - emp[:, c])
                 ok &= np.abs(gap) <= rhs
         counts_out.append(int(np.count_nonzero(ok)))
@@ -557,7 +452,7 @@ def mc_bound_coverage(
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     if isinstance(event, ExcessBoundEvent):
-        _validate_mc_algo(problem, event.algo, cfg)
+        check_algorithm(event.algo, problem.class_size, cfg.n_max)
         chunk = _excess_chunk
         floors = tuple(1.0 - 2.0 / n for n in cfg.grid)
         algo = algo_label(event.algo)

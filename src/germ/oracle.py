@@ -23,27 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithm import AlgorithmSpec, CustomRule, GermAlgorithm, PlainErm, algo_label
+from .algorithm import AlgorithmSpec, GermAlgorithm, PlainErm, algo_label, check_algorithm
 from .analysis import pairwise_rhs_from_sq
 from .errors import ResourceLimitError
-from .gap import (
-    EmpiricalBernstein,
-    EmpiricalMcDiarmid,
-    FixedDelta,
-    MassartDeterministic,
-    UniformConvergence,
-    UserConstant,
-    bernstein_delta_from_sq,
-    delta_uniform,
-)
+from .gap import bernstein_delta_from_sq, is_randomized
 from .problem import (
     DiscreteDistribution,
     LearningProblem,
     LossTable,
-    Sample,
     population_risk,
 )
-from .rademacher import ENUMERATION_BUDGET, rbar_massart
+from .rademacher import ENUMERATION_BUDGET
 
 CURVE_COLUMNS = ("n", "value", "stderr", "kind", "problem", "algo", "seed")
 
@@ -149,53 +139,6 @@ def check_monotone(curve: RiskCurve, tolerance: float | None = None) -> Monotoni
     )
 
 
-def _deterministic_deltas(algo: GermAlgorithm, class_size: int, n_max: int):
-    """Per-step gap values for depth-only gap modes; None for Bernstein."""
-    gap = algo.gap
-    if isinstance(gap, FixedDelta):
-        return [gap.value] * n_max
-    if isinstance(gap.variant, EmpiricalBernstein):
-        return None
-    mode = gap.variant.mode
-    if isinstance(mode, EmpiricalMcDiarmid):
-        raise ValueError(
-            "exact enumeration requires a deterministic gap; "
-            "the EmpiricalMcDiarmid mode draws random signs"
-        )
-    if isinstance(mode, UserConstant):
-        if len(mode.values) < n_max:
-            raise ValueError(
-                f"UserConstant supplies {len(mode.values)} values, curve needs {n_max}"
-            )
-        return [delta_uniform(k, mode.values[k - 1]) for k in range(1, n_max + 1)]
-    return [delta_uniform(k, rbar_massart(class_size, k)) for k in range(1, n_max + 1)]
-
-
-def _validate_exact_args(problem: LearningProblem, algo: AlgorithmSpec, n_max: int):
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    m = problem.loss.outcome_count
-    if m**n_max > ENUMERATION_BUDGET:
-        raise ResourceLimitError(
-            f"enumerating {m}^{n_max} sequences exceeds the budget of {ENUMERATION_BUDGET}"
-        )
-    if isinstance(algo, GermAlgorithm):
-        if isinstance(algo.gap, FixedDelta):
-            pass
-        elif algo.gap.class_size != problem.class_size:
-            raise ValueError(
-                f"gap is bound to class size {algo.gap.class_size}, "
-                f"problem has {problem.class_size}"
-            )
-        if algo.initial_index >= problem.class_size:
-            raise ValueError(
-                f"initial index {algo.initial_index} out of range "
-                f"for class of size {problem.class_size}"
-            )
-    elif not isinstance(algo, PlainErm):
-        raise ValueError(f"unknown algorithm spec {algo!r}")
-
-
 def _enumerate_partition(
     problem: LearningProblem, algo: AlgorithmSpec, n_max: int, z0: int
 ) -> list[float]:
@@ -211,42 +154,29 @@ def _enumerate_partition(
     probs = problem.distribution.probs
     pop = [population_risk(problem, h) for h in range(class_size)]
     germ = isinstance(algo, GermAlgorithm)
-    deltas = _deterministic_deltas(algo, class_size, n_max) if germ else None
+    schedule = check_algorithm(algo, class_size, n_max)
+    deltas = schedule[0] if schedule is not None else None
     bernstein = germ and deltas is None
-    custom = germ and isinstance(algo.learner, CustomRule)
     hs = range(class_size)
     acc = [0.0] * (n_max + 1)
 
-    # stack entries: (k, weight, z, sums, counts, incumbent, path);
-    # sums/counts reflect the prefix BEFORE the entry's outcome z, and
-    # path is tracked only for custom rules
-    root_inc = algo.initial_index if germ else 0
-    root_path = (z0,) if custom else None
-    stack = [(1, probs[z0], z0, [0.0] * class_size, [0] * m, root_inc, root_path)]
+    # stack entries: (k, weight, z, sums, counts, incumbent); sums/counts
+    # reflect the prefix BEFORE the entry's outcome z
+    stack = [(1, probs[z0], z0, [0.0] * class_size, [0] * m, algo.initial_index if germ else 0)]
     while stack:
-        k, weight, z, sums, counts, incumbent, path = stack.pop()
+        k, weight, z, sums, counts, incumbent = stack.pop()
         sums = [sums[h] + rows[h][z] for h in hs]
         counts = counts.copy()
         counts[z] += 1
-        if custom:
-            cand = algo.learner.choose(loss, Sample(path))
-            if not isinstance(cand, int) or not 0 <= cand < class_size:
-                raise ValueError(
-                    f"rule {algo.learner.name!r} returned invalid index {cand!r} at step {k}"
-                )
-        else:
-            cand = min(hs, key=sums.__getitem__)
+        cand = min(hs, key=sums.__getitem__)
         if germ:
             if bernstein:
-                if k == 1:
-                    delta = math.inf
-                else:
-                    cand_row, inc_row = rows[cand], rows[incumbent]
-                    sq = 0.0
-                    for zz in range(m):
-                        d = cand_row[zz] - inc_row[zz]
-                        sq += counts[zz] * (d * d)
-                    delta = bernstein_delta_from_sq(k, sq, class_size)
+                cand_row, inc_row = rows[cand], rows[incumbent]
+                sq = 0.0
+                for zz in range(m):
+                    d = cand_row[zz] - inc_row[zz]
+                    sq += counts[zz] * (d * d)
+                delta = bernstein_delta_from_sq(k, sq, class_size)
             else:
                 delta = deltas[k - 1]
             diff = (sums[cand] - sums[incumbent]) / k
@@ -257,10 +187,7 @@ def _enumerate_partition(
         if k < n_max:
             # LIFO stack: push descending so children pop in ascending order
             for child in range(m - 1, -1, -1):
-                child_path = path + (child,) if custom else None
-                stack.append(
-                    (k + 1, weight * probs[child], child, sums, counts, chosen, child_path)
-                )
+                stack.append((k + 1, weight * probs[child], child, sums, counts, chosen))
     return acc
 
 
@@ -286,8 +213,7 @@ def exact_risk_curve(
         Largest sample size on the curve.
     workers:
         Process count for partitioned enumeration.  Results are identical
-        for every worker count; with a custom learner rule the rule must
-        be picklable when workers > 1.
+        for every worker count.
 
     Returns
     -------
@@ -297,13 +223,22 @@ def exact_risk_curve(
         monotonicity check covers the step into n = 1.  The plain ERM
         curve starts at n = 1.
     """
-    _validate_exact_args(problem, algo, n_max)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    m = problem.loss.outcome_count
+    if m**n_max > ENUMERATION_BUDGET:
+        raise ResourceLimitError(
+            f"enumerating {m}^{n_max} sequences exceeds the budget of {ENUMERATION_BUDGET}"
+        )
+    check_algorithm(algo, problem.class_size, n_max)
+    germ = isinstance(algo, GermAlgorithm)
+    if germ and is_randomized(algo.gap):
+        raise ValueError(
+            "exact enumeration requires a deterministic gap; "
+            "the EmpiricalMcDiarmid mode draws random signs"
+        )
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    germ = isinstance(algo, GermAlgorithm)
-    if germ:
-        _deterministic_deltas(algo, problem.class_size, n_max)  # reject early
-    m = problem.loss.outcome_count
     if workers == 1 or m == 1:
         parts = [_enumerate_partition(problem, algo, n_max, z0) for z0 in range(m)]
     else:

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from germ.algorithm import (
-    CustomRule,
-    ErmLowestIndex,
     GermAlgorithm,
     PlainErm,
     Trajectory,
@@ -14,9 +12,9 @@ from germ.algorithm import (
     algo_label,
     erm,
     run_germ,
-    run_germ_from_step,
-    trajectory_to_json,
+    trajectory_to_dict,
 )
+from germ.cli import _write_json
 from germ.gap import (
     EmpiricalBernstein,
     EmpiricalMcDiarmid,
@@ -181,60 +179,6 @@ def test_single_hypothesis_class_is_constant():
         assert not any(step.updated for step in trajectory.steps)
 
 
-def test_from_step_one_equals_full_run():
-    rng = philox_stream(4200, 0)
-    problem = random_problem(rng, class_size=3, outcome_count=3)
-    sample = draw_sample(problem, 10, rng)
-    full = run_germ(problem, sample, massart_gap(3), initial=1)
-    restarted = run_germ_from_step(problem, sample, massart_gap(3), 1, initial=1)
-    assert full == restarted
-
-
-def test_from_step_holds_the_initial_until_start():
-    problem = two_point_problem()
-    sample = Sample((0,) * 80)
-    trajectory = run_germ_from_step(problem, sample, massart_gap(2), 70, initial=1)
-    assert trajectory.start_step == 70
-    assert [step.k for step in trajectory.steps] == list(range(70, 81))
-    # Gate fires immediately: at k = 70 the massart delta is already < 1.
-    assert trajectory.steps[0].updated
-    assert trajectory.final_index == 0
-
-
-def test_from_step_at_n_gates_once():
-    problem = two_point_problem()
-    sample = Sample((0,) * 10)
-    trajectory = run_germ_from_step(problem, sample, FixedDelta(0.0), 10, initial=1)
-    assert len(trajectory.steps) == 1
-    assert trajectory.steps[0].k == 10
-    assert trajectory.steps[0].updated
-    assert trajectory.final_index == 0
-
-
-def test_from_step_uses_the_full_prefix():
-    # Proposals at the first gated step still rest on z_1..z_k, not on the
-    # suffix, so the ERM at the start step reflects all earlier outcomes.
-    loss = LossTable(rows=((0.0, 1.0), (1.0, 0.0)))
-    problem = LearningProblem(
-        name="flip",
-        distribution=DiscreteDistribution(probs=(0.5, 0.5)),
-        loss=loss,
-    )
-    sample = Sample((0, 0, 0, 1))
-    trajectory = run_germ_from_step(problem, sample, FixedDelta(0.0), 4, initial=1)
-    # sums over the full prefix: h0 = 1, h1 = 3, so the ERM is h0.
-    assert trajectory.steps[0].erm_index == 0
-    assert trajectory.steps[0].erm_empirical_loss == pytest.approx(0.25)
-
-
-def test_from_step_range_validation():
-    problem = two_point_problem()
-    sample = Sample((0, 1, 0))
-    for bad in (0, 4, -1):
-        with pytest.raises(ValueError):
-            run_germ_from_step(problem, sample, FixedDelta(0.0), bad)
-
-
 def test_trajectory_invariants_across_gap_variants():
     for trial in range(30):
         rng = philox_stream(4300, trial)
@@ -342,33 +286,6 @@ def test_empty_sample_is_rejected():
         run_germ(problem, Sample(()), FixedDelta(0.0))
 
 
-def test_custom_rule_proposals_are_gated():
-    problem = two_point_problem()
-    stubborn = CustomRule(name="always-one", choose=lambda loss, prefix: 1)
-    trajectory = run_germ(
-        problem, Sample((0,) * 5), FixedDelta(0.0), learner=stubborn, initial=0
-    )
-    # proposing the worse hypothesis never clears diff <= 0 strictly below
-    for step in trajectory.steps:
-        assert step.erm_index == 1
-        assert not step.updated
-    assert trajectory.final_index == 0
-
-
-def test_custom_rule_bad_return_is_rejected():
-    problem = two_point_problem()
-    broken = CustomRule(name="broken", choose=lambda loss, prefix: 7)
-    with pytest.raises(ValueError):
-        run_germ(problem, Sample((0, 1)), FixedDelta(0.0), learner=broken)
-
-
-def test_custom_rule_validation():
-    with pytest.raises(ValueError):
-        CustomRule(name="", choose=lambda loss, prefix: 0)
-    with pytest.raises(ValueError):
-        CustomRule(name="x", choose=3)
-
-
 def test_algo_label_forms():
     assert algo_label(PlainErm()) == "erm"
     assert algo_label(GermAlgorithm(gap=massart_gap(2))) == "germ:uniform-massart:init0"
@@ -380,44 +297,39 @@ def test_algo_label_forms():
     assert algo_label(GermAlgorithm(gap=FixedDelta(0.1))) == "germ:fixed:init0"
     user = GapSpec(UniformConvergence(UserConstant(values=(0.1,))), 2)
     assert algo_label(GermAlgorithm(gap=user)) == "germ:uniform-constant:init0"
-    rule = CustomRule(name="probe", choose=lambda loss, prefix: 0)
-    assert (
-        algo_label(GermAlgorithm(gap=FixedDelta(0.0), learner=rule))
-        == "germ:fixed:init0:rule=probe"
-    )
 
 
 def test_algorithm_spec_validation():
     with pytest.raises(ValueError):
         GermAlgorithm(gap="massart")
     with pytest.raises(ValueError):
-        GermAlgorithm(gap=FixedDelta(0.0), learner="erm")
-    with pytest.raises(ValueError):
         GermAlgorithm(gap=FixedDelta(0.0), initial_index=-1)
 
 
-def test_trajectory_json_is_stable_and_encodes_infinities():
+def test_trajectory_json_is_stable_and_encodes_infinities(tmp_path):
     problem = two_point_problem()
     trajectory = run_germ(problem, Sample((0, 1, 0)), bernstein_gap(2), initial=1)
-    text = trajectory_to_json(trajectory)
+    path = tmp_path / "trajectory.json"
+    _write_json(path, trajectory_to_dict(trajectory))
+    text = path.read_text(encoding="utf-8")
     assert text.endswith("\n")
     decoded = json.loads(text)
     assert decoded["initial_index"] == 1
-    assert decoded["start_step"] == 1
+    assert set(decoded) == {"initial_index", "steps"}
     assert decoded["steps"][0]["delta"] == "inf"
     assert decoded["steps"][1]["delta"] == pytest.approx(
         bernstein_delta_from_sq(2, 2.0, 2)
     )
     assert [s["k"] for s in decoded["steps"]] == [1, 2, 3]
-    assert json.loads(trajectory_to_json(trajectory)) == decoded
+    _write_json(path, trajectory_to_dict(trajectory))
+    assert path.read_text(encoding="utf-8") == text
 
 
 def test_trajectory_final_index_defaults_to_initial():
-    empty = Trajectory(initial_index=2, start_step=1, steps=())
+    empty = Trajectory(initial_index=2, steps=())
     assert empty.final_index == 2
     one = Trajectory(
         initial_index=2,
-        start_step=1,
         steps=(
             TrajectoryStep(
                 k=1,

@@ -312,3 +312,54 @@ def test_integral_floats_are_accepted(tmp_path):
     assert main(["run", write_config(tmp_path, doc)]) == EXIT_PASS
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["n_max"] == 4
+
+
+def float_fields_config():
+    return {
+        "scenario": "biased-coin-massart",
+        "algorithm": {"kind": "germ", "gap": {"variant": "fixed", "value": 0.1}},
+        "engine": {"kind": "mc", "replications": 20, "n_max": 40, "grid": [4, 40]},
+        "seed": 1,
+        "checks": [
+            {"check": "monotone", "tolerance": 1},
+            {"check": "coverage", "event": "pairwise-bernstein", "delta": 0.5, "level": 0},
+            {"check": "decay", "beta": 1},
+        ],
+        "out_dir": "out",
+    }
+
+
+def test_integers_fill_float_fields(tmp_path):
+    assert main(["run", write_config(tmp_path, float_fields_config())]) != EXIT_CONFIG
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [type(c.get("tolerance", c.get("level", c.get("beta")))) for c in report["config"]["checks"]] == [float] * 3
+    doc = float_fields_config()
+    doc["algorithm"]["gap"] = {"variant": "uniform", "mode": "constant", "values": [1] * 40}
+    assert main(["run", write_config(tmp_path, doc)]) != EXIT_CONFIG
+
+
+# an explicit null tolerance means the default, like an absent one
+@pytest.mark.parametrize(
+    "where, bad",
+    [
+        (where, bad)
+        for where in ("tolerance", "level", "delta", "beta", "value", "values")
+        for bad in (True, "0.5", None, [1], 10**400)
+        if not (where == "tolerance" and bad is None)
+    ],
+)
+def test_non_numeric_config_floats_exit_2(tmp_path, capsys, where, bad):
+    doc = float_fields_config()
+    if where == "tolerance":
+        doc["checks"][0]["tolerance"] = bad
+    elif where in ("level", "delta"):
+        doc["checks"][1][where] = bad
+    elif where == "beta":
+        doc["checks"][2]["beta"] = bad
+    elif where == "value":
+        doc["algorithm"]["gap"]["value"] = bad
+    else:
+        doc["algorithm"]["gap"] = {"variant": "uniform", "mode": "constant", "values": [bad] + [0.1] * 39}
+    assert main(["run", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from germ.algorithm import CustomRule, GermAlgorithm, PlainErm, algo_label, erm, run_germ
+from germ.algorithm import GermAlgorithm, PlainErm, algo_label, erm, run_germ
 from germ.errors import ResourceLimitError
 from germ.gap import (
     EmpiricalBernstein,
@@ -34,8 +34,10 @@ from germ.montecarlo import (
     coverage_to_csv,
     excess_risk_decay,
     mc_bound_coverage,
+    _draw_outcome_block,
     _lockstep_block,
     _sign_blocks,
+    _sign_sups,
     mc_risk_curve,
 )
 from germ.oracle import RiskCurve, check_monotone, curve_to_csv, exact_risk_curve, pairwise_bernstein_coverage
@@ -99,7 +101,6 @@ def scalar_reference_stats(problem, algo, cfg):
                 problem,
                 sample,
                 algo.gap,
-                learner=algo.learner,
                 initial=algo.initial_index,
                 rng=gen if _is_empirical(algo) else None,
             )
@@ -136,15 +137,29 @@ def test_lockstep_matches_scalar_loop_bitwise():
         GermAlgorithm(gap=GapSpec(EmpiricalBernstein(), 3), initial_index=2),
         GermAlgorithm(gap=FixedDelta(0.02), initial_index=1),
     ]
-    for algo in algos:
-        curve = mc_risk_curve(problem, algo, cfg)
-        means, ses = scalar_reference_stats(problem, algo, cfg)
-        assert curve.values == means, algo_label(algo)
-        assert curve.stderrs == ses, algo_label(algo)
-        assert curve.ns == cfg.grid
-        assert curve.kind == "mc"
-        assert curve.replications == 64
-        assert not curve.degenerate
+    # every bound-derived gate above is frozen at n_max = 30; on the biased
+    # coin the first switch falls at k = 77-158 (Bernstein) and k = 85-197
+    # (Massart) across these 64 replications, so this case compares gates
+    # that fire
+    coin = load_scenario("biased-coin-massart").problem
+    coin_cfg = McConfig(replications=64, n_max=200, base_seed=99, grid=(50, 100, 150, 200))
+    coin_algos = [
+        GermAlgorithm(gap=GapSpec(EmpiricalBernstein(), 2), initial_index=0),
+        GermAlgorithm(gap=GapSpec(UniformConvergence(MassartDeterministic()), 2), initial_index=0),
+    ]
+    cases = [(problem, cfg, algos, False), (coin, coin_cfg, coin_algos, True)]
+    for problem, cfg, algos, fires in cases:
+        for algo in algos:
+            curve = mc_risk_curve(problem, algo, cfg)
+            means, ses = scalar_reference_stats(problem, algo, cfg)
+            assert curve.values == means, algo_label(algo)
+            assert curve.stderrs == ses, algo_label(algo)
+            assert curve.ns == cfg.grid
+            assert curve.kind == "mc"
+            assert curve.replications == 64
+            assert not curve.degenerate
+            if fires:
+                assert curve.values[-1] < population_risk(problem, algo.initial_index), algo_label(algo)
 
 
 def test_lockstep_rbars_match_scalar_loop_across_sign_blocks():
@@ -185,29 +200,6 @@ def test_lockstep_gate_actually_fires_and_varies():
     assert curve.values[0] > curve.values[-1]
     assert curve.values[-1] == pytest.approx(0.3, abs=0.05)
     assert curve.stderrs[0] > 0.0
-
-
-def test_custom_rule_falls_back_to_scalar_loop():
-    problem = three_outcome_problem()
-
-    def second_best(loss, sample_prefix):
-        sums = [0.0] * loss.class_size
-        for z in sample_prefix.outcomes:
-            for h, row in enumerate(loss.rows):
-                sums[h] += row[z]
-        order = sorted(range(len(sums)), key=sums.__getitem__)
-        return order[1]
-
-    algo = GermAlgorithm(
-        gap=GapSpec(UniformConvergence(MassartDeterministic()), 3),
-        learner=CustomRule(name="second-best", choose=second_best),
-    )
-    cfg = McConfig(replications=32, n_max=12, base_seed=17, grid=(4, 12))
-    curve = mc_risk_curve(problem, algo, cfg)
-    means, ses = scalar_reference_stats(problem, algo, cfg)
-    assert curve.values == means
-    assert curve.stderrs == ses
-    assert curve.algo == "germ:uniform-massart:init0:rule=second-best"
 
 
 def test_single_hypothesis_stderr_is_exactly_zero():
@@ -321,14 +313,18 @@ def test_estimator_deviation_matches_scalar_supremum():
 
     from germ.rademacher import exact_rademacher
 
+    # the chunk's own suprema, compared entry by entry with the scalar replay
+    outcomes, gens = _draw_outcome_block(problem, cfg, 0, cfg.replications, keep_generators=True)
+    sups = _sign_sups(problem.loss.as_array(), outcomes, gens, cfg.grid)
     exact = {n: exact_rademacher(problem, n) for n in cfg.grid}
     hits = {n: 0 for n in cfg.grid}
     for r in range(cfg.replications):
         gen = philox_stream(cfg.base_seed, r)
         sample = draw_sample(problem, cfg.n_max, gen)
-        for n in cfg.grid:
+        for i, n in enumerate(cfg.grid):
             signs = draw_signs(gen, n)
             sup = rademacher_sup(problem.loss, sample.prefix(n), signs)
+            assert sups[r, i] == sup, (r, n)
             radius = math.sqrt(2.0 * math.log(2.0 / event.delta) / n)
             if abs(sup - exact[n]) <= radius:
                 hits[n] += 1

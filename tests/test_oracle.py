@@ -81,7 +81,6 @@ def brute_force_curve(problem, algo, n_max):
                         problem,
                         Sample(seq),
                         algo.gap,
-                        learner=algo.learner,
                         initial=algo.initial_index,
                     ).final_index
                 else:
