@@ -2,7 +2,8 @@
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed,
 2 invalid arguments or configuration, or an input or output file that
-cannot be read or written, 3 an exact enumeration exceeded its budget.
+cannot be read or written, 3 an exact enumeration exceeded its budget,
+4 an unexpected internal error (any other exception).
 Every subcommand prints one machine-parseable summary line of
 space-separated key=value pairs to standard output.
 
@@ -62,6 +63,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 MC_DEFAULT_REPLICATIONS = 2000
 MC_DEFAULT_N_MAX = 200
@@ -711,6 +713,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        # a defect, not a bad input: keep exit 1 meaning "a check failed"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -33,7 +33,7 @@ from .analysis import excess_risk_bound, pairwise_rhs_from_sq
 from .gap import GapSpec, UniformConvergence, bernstein_delta_from_sq, delta_uniform, is_randomized
 from .oracle import RiskCurve
 from .problem import LearningProblem, optimal_risk, population_risk
-from .rademacher import exact_rademacher, mcdiarmid_radius
+from .rademacher import deviation_radius, exact_rademacher, mcdiarmid_radius
 from .rng import draw_signs, philox_stream
 
 CHUNK = 4096
@@ -403,7 +403,7 @@ def _estimator_chunk(problem: LearningProblem, event: EstimatorDeviationEvent, c
     sups = _sign_sups(problem.loss.as_array(), outcomes, gens, cfg.grid)
     counts = []
     for n, sup in zip(cfg.grid, sups.T):
-        radius = math.sqrt(2.0 * math.log(2.0 / event.delta) / n)
+        radius = deviation_radius(n, event.delta)
         counts.append(int(np.count_nonzero(np.abs(sup - exact_sups[n]) <= radius)))
     return counts
 

@@ -1,16 +1,18 @@
 """Exact-expectation engine for small discrete problems.
 
 For a finite outcome space the expected risk of a deterministic learner at
-every step n <= n_max is an exact finite sum: enumerate the outcome prefix
-tree, run the gated loop incrementally along each path, and accumulate
-path weight times population risk of the chosen hypothesis at each depth.
-One tree walk yields the whole curve.
+every step n <= n_max is an exact finite sum over outcome sequences.  The
+oracle walks the sequences forward one depth at a time and merges prefixes
+that reach the same state (loss sums, outcome counts, incumbent), since
+their futures are identical; each state carries the total probability of
+its prefixes.  Every state transition repeats the algorithm module's step
+arithmetic (same accumulation order, same gap kernels), so every gate
+decision matches ``run_germ`` on every sequence, and each curve value is
+the sequence average up to the rounding of the merged weight sums.  One
+walk yields the whole curve.
 
-The walk reproduces the algorithm module's arithmetic operation for
-operation (same accumulation order, same gap kernels), so the curve equals
-a brute-force average of ``run_germ`` over all sequences bit for bit.
-Partitioning by the first outcome keeps the weighted reduction in a fixed
-order, which makes results independent of the worker count.
+The exact pairwise-coverage sum runs over outcome-count vectors instead,
+in blocks, with NumPy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ from .rademacher import ENUMERATION_BUDGET
 CURVE_COLUMNS = ("n", "value", "stderr", "kind", "problem", "algo", "seed")
 
 EXACT_TOLERANCE = 1e-12
+
+# count vectors per block of the exact pairwise-coverage sum
+PAIRWISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -139,13 +143,17 @@ def check_monotone(curve: RiskCurve, tolerance: float | None = None) -> Monotoni
     )
 
 
-def _enumerate_partition(
-    problem: LearningProblem, algo: AlgorithmSpec, n_max: int, z0: int
-) -> list[float]:
-    """Accumulate weight * population-risk per depth over the z0 subtree.
+def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: int) -> list[float]:
+    """Expected population risk of the chosen hypothesis at each depth 1..n_max.
 
-    Depth-first, children in ascending outcome order, so the float
-    accumulation order is a pure function of (problem, algo, n_max, z0).
+    Depth k maps each state (per-hypothesis loss sums, outcome counts,
+    chosen hypothesis) to the total probability of the length-k prefixes
+    that reach it.  Every child repeats ``run_germ``'s step arithmetic on
+    its parent's state, so each gate decision is the one ``run_germ`` makes
+    on every path through that state.  Two prefixes merge only when their
+    futures agree: the float sums are keyed bit for bit, because ERM breaks
+    ties on them.  Children run in ascending outcome order over states in
+    insertion order, so the result is a pure function of the arguments.
     """
     loss = problem.loss
     rows = loss.rows
@@ -154,41 +162,39 @@ def _enumerate_partition(
     probs = problem.distribution.probs
     pop = [population_risk(problem, h) for h in range(class_size)]
     germ = isinstance(algo, GermAlgorithm)
-    schedule = check_algorithm(algo, class_size, n_max)
     deltas = schedule[0] if schedule is not None else None
     bernstein = germ and deltas is None
     hs = range(class_size)
-    acc = [0.0] * (n_max + 1)
-
-    # stack entries: (k, weight, z, sums, counts, incumbent); sums/counts
-    # reflect the prefix BEFORE the entry's outcome z
-    stack = [(1, probs[z0], z0, [0.0] * class_size, [0] * m, algo.initial_index if germ else 0)]
-    while stack:
-        k, weight, z, sums, counts, incumbent = stack.pop()
-        sums = [sums[h] + rows[h][z] for h in hs]
-        counts = counts.copy()
-        counts[z] += 1
-        cand = min(hs, key=sums.__getitem__)
-        if germ:
-            if bernstein:
-                cand_row, inc_row = rows[cand], rows[incumbent]
-                sq = 0.0
-                for zz in range(m):
-                    d = cand_row[zz] - inc_row[zz]
-                    sq += counts[zz] * (d * d)
-                delta = bernstein_delta_from_sq(k, sq, class_size)
-            else:
-                delta = deltas[k - 1]
-            diff = (sums[cand] - sums[incumbent]) / k
-            chosen = cand if diff <= -delta else incumbent
-        else:
-            chosen = cand
-        acc[k] += weight * pop[chosen]
-        if k < n_max:
-            # LIFO stack: push descending so children pop in ascending order
-            for child in range(m - 1, -1, -1):
-                stack.append((k + 1, weight * probs[child], child, sums, counts, chosen))
-    return acc
+    # a zero-probability outcome adds no weight to any depth
+    outcomes = [z for z in range(m) if probs[z] > 0.0]
+    layer = {((0.0,) * class_size, (0,) * m, algo.initial_index if germ else 0): 1.0}
+    values = [0.0] * (n_max + 1)
+    for k in range(1, n_max + 1):
+        children: dict = {}
+        for (sums, counts, incumbent), weight in layer.items():
+            for z in outcomes:
+                child_sums = tuple([sums[h] + rows[h][z] for h in hs])
+                child_counts = counts[:z] + (counts[z] + 1,) + counts[z + 1 :]
+                cand = min(hs, key=child_sums.__getitem__)
+                if germ:
+                    if bernstein:
+                        cand_row, inc_row = rows[cand], rows[incumbent]
+                        sq = 0.0
+                        for zz in range(m):
+                            d = cand_row[zz] - inc_row[zz]
+                            sq += child_counts[zz] * (d * d)
+                        delta = bernstein_delta_from_sq(k, sq, class_size)
+                    else:
+                        delta = deltas[k - 1]
+                    diff = (child_sums[cand] - child_sums[incumbent]) / k
+                    chosen = cand if diff <= -delta else incumbent
+                else:
+                    chosen = cand
+                key = (child_sums, child_counts, chosen)
+                children[key] = children.get(key, 0.0) + weight * probs[z]
+        values[k] = math.fsum(w * pop[key[2]] for key, w in children.items())
+        layer = children
+    return values
 
 
 def exact_risk_curve(
@@ -198,7 +204,7 @@ def exact_risk_curve(
     *,
     workers: int = 1,
 ) -> RiskCurve:
-    """Exact expected-risk curve by full enumeration of outcome sequences.
+    """Exact expected-risk curve, averaged over every outcome sequence.
 
     Parameters
     ----------
@@ -212,16 +218,19 @@ def exact_risk_curve(
     n_max:
         Largest sample size on the curve.
     workers:
-        Process count for partitioned enumeration.  Results are identical
-        for every worker count.
+        Accepted, and checked to be at least 1, so that callers pass one
+        worker count to either engine; the state walk runs in the calling
+        process and its result does not depend on it.
 
     Returns
     -------
     RiskCurve
-        For the gated loop the curve starts at n = 0 with the population
-        risk of the initial hypothesis, so the first comparison of a
-        monotonicity check covers the step into n = 1.  The plain ERM
-        curve starts at n = 1.
+        Each value equals the average over sequences to within rounding:
+        merged states add path weights in another order.  For the gated
+        loop the curve starts at n = 0 with the population risk of the
+        initial hypothesis, so the first comparison of a monotonicity
+        check covers the step into n = 1.  The plain ERM curve starts at
+        n = 1.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -230,7 +239,7 @@ def exact_risk_curve(
         raise ResourceLimitError(
             f"enumerating {m}^{n_max} sequences exceeds the budget of {ENUMERATION_BUDGET}"
         )
-    check_algorithm(algo, problem.class_size, n_max)
+    schedule = check_algorithm(algo, problem.class_size, n_max)
     germ = isinstance(algo, GermAlgorithm)
     if germ and is_randomized(algo.gap):
         raise ValueError(
@@ -239,19 +248,7 @@ def exact_risk_curve(
         )
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    if workers == 1 or m == 1:
-        parts = [_enumerate_partition(problem, algo, n_max, z0) for z0 in range(m)]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, m)) as pool:
-            futures = [
-                pool.submit(_enumerate_partition, problem, algo, n_max, z0)
-                for z0 in range(m)
-            ]
-            parts = [f.result() for f in futures]
-    totals = [0.0] * (n_max + 1)
-    for part in parts:
-        for k in range(1, n_max + 1):
-            totals[k] += part[k]
+    totals = _state_walk(problem, algo, schedule, n_max)
     if germ:
         ns = tuple(range(0, n_max + 1))
         initial_value = population_risk(problem, algo.initial_index)
@@ -306,6 +303,44 @@ def find_erm_nonmonotone(
     return None
 
 
+def _count_vectors(total: int, parts: int) -> np.ndarray:
+    """Every vector of ``parts`` nonnegative integers summing to ``total``.
+
+    Rows are in lexicographically ascending order.
+    """
+    vectors = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        # row r expands into one row per next entry 0..left[r], ascending
+        reps = left + 1
+        rows = np.repeat(np.arange(len(left)), reps)
+        nxt = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        vectors = np.column_stack((vectors[rows], nxt))
+        left = left[rows] - nxt
+    return np.column_stack((vectors, left))
+
+
+def _count_vector_blocks(n: int, m: int):
+    """Every count vector of m outcomes summing to n, in blocks of rows.
+
+    Vectors with the same first count stay in one block, and consecutive
+    first counts are joined until a block holds PAIRWISE_BLOCK rows, so no
+    array spans the whole simplex.
+    """
+    if m == 1:
+        yield _count_vectors(n, 1)
+        return
+    pending: list[np.ndarray] = []
+    size = 0
+    for first in range(n + 1):
+        rest = _count_vectors(n - first, m - 1)
+        pending.append(np.column_stack((np.full(len(rest), first), rest)))
+        size += len(rest)
+        if size >= PAIRWISE_BLOCK or first == n:
+            yield np.concatenate(pending)
+            pending, size = [], 0
+
+
 def pairwise_bernstein_coverage(problem: LearningProblem, n: int, delta: float) -> float:
     """Exact probability that the pairwise Bernstein bounds all hold at n.
 
@@ -313,54 +348,38 @@ def pairwise_bernstein_coverage(problem: LearningProblem, n: int, delta: float) 
     gap at most empirical gap plus the pairwise slack.  Both the empirical
     risks and the slack depend on the sample only through its outcome
     counts, so the expectation reduces to a multinomial sum over count
-    vectors.
+    vectors, evaluated a block of vectors at a time and summed with
+    ``math.fsum``.
     """
     if n < 2:
         raise ValueError(f"the pairwise slack needs n >= 2, got {n}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {delta}")
-    rows = problem.loss.rows
-    m = problem.loss.outcome_count
+    L = problem.loss.as_array()
     class_size = problem.class_size
-    probs = problem.distribution.probs
+    probs = problem.distribution.as_array()
     pop = [population_risk(problem, h) for h in range(class_size)]
-    pairs = [
-        (a, b) for a in range(class_size) for b in range(class_size) if a != b
-    ]
+    impossible = probs == 0.0
+    log_p = np.log(np.where(impossible, 1.0, probs))
+    log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
 
-    def count_vectors(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in count_vectors(total - first, parts - 1):
-                yield (first, *rest)
+    def covered_weights():
+        for counts in _count_vector_blocks(n, problem.loss.outcome_count):
+            counts = counts[~(counts[:, impossible] > 0).any(axis=1)]
+            if len(counts) == 0:
+                continue
+            weights = np.exp(log_fact[n] - log_fact[counts].sum(axis=1) + counts @ log_p)
+            emp = counts @ L.T / n
+            ok = np.ones(len(counts), dtype=bool)
+            for a in range(class_size):
+                for b in range(a + 1, class_size):
+                    # (a, b) and (b, a) share the sum of squared differences
+                    rhs = pairwise_rhs_from_sq(counts @ ((L[a] - L[b]) ** 2), n, class_size, delta)
+                    ok &= ~(pop[a] - pop[b] > emp[:, a] - emp[:, b] + rhs)
+                    ok &= ~(pop[b] - pop[a] > emp[:, b] - emp[:, a] + rhs)
+            yield from weights[ok].tolist()
 
-    log_fact = [math.lgamma(i + 1) for i in range(n + 1)]
-    coverage = 0.0
-    for counts in count_vectors(n, m):
-        if any(c > 0 and p == 0.0 for c, p in zip(counts, probs)):
-            continue
-        weight = math.exp(
-            log_fact[n]
-            - math.fsum(log_fact[c] for c in counts)
-            + math.fsum(c * math.log(p) for c, p in zip(counts, probs) if c > 0)
-        )
-        emp = [
-            math.fsum(c * l for c, l in zip(counts, row)) / n for row in rows
-        ]
-        ok = True
-        for a, b in pairs:
-            sq = math.fsum(
-                c * (rows[a][z] - rows[b][z]) ** 2 for z, c in enumerate(counts)
-            )
-            rhs = pairwise_rhs_from_sq(sq, n, class_size, delta)
-            if pop[a] - pop[b] > emp[a] - emp[b] + rhs:
-                ok = False
-                break
-        if ok:
-            coverage += weight
-    return coverage
+    return math.fsum(covered_weights())
 
 
 def curve_to_csv(curve: RiskCurve) -> str:

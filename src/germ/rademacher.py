@@ -37,12 +37,13 @@ def deviation_radius(n: int, delta: float) -> float:
 
     The sign-weighted supremum over a [0, 1]-valued class has bounded
     differences 1/n per coordinate, so it deviates from its mean by more
-    than this radius with probability at most ``delta``.
+    than this radius with probability at most ``delta``.  At delta = 1 the
+    statement is vacuous, but the radius sqrt(2 ln 2 / n) is still defined.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
     return math.sqrt(2.0 * math.log(2.0 / delta) / n)
 
 

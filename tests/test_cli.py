@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+import germ.cli
 from germ.algorithm import GermAlgorithm, PlainErm
 from germ.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_RESOURCE,
     main,
@@ -263,6 +265,16 @@ def test_unwritable_out_dir_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_unexpected_exception_exits_4(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("planted defect")
+
+    monkeypatch.setattr(germ.cli, "_cmd_bernstein", broken)
+    assert main(["bernstein", "symmetric-coin", "--beta", "1.0"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: planted defect\n"
 
 
 def integer_fields_config():

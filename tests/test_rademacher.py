@@ -95,8 +95,7 @@ def test_deviation_radius_examples():
     assert all(a > b for a, b in zip(radii, radii[1:]))
     with pytest.raises(ValueError):
         deviation_radius(10, 0.0)
-    with pytest.raises(ValueError):
-        deviation_radius(10, 1.0)
+    assert deviation_radius(10, 1.0) == math.sqrt(2.0 * math.log(2.0) / 10)
     with pytest.raises(ValueError):
         deviation_radius(0, 0.5)
 
