@@ -23,6 +23,7 @@ bound kernels in the analysis module do the same.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,10 +154,12 @@ def _nonnegative(x) -> bool:
     return x >= 0.0
 
 
-def delta_uniform(k: int, rbar_k):
-    """Uniform-convergence gap at step k given the Rademacher bound rbar_k."""
-    if k < 1:
-        raise ValueError(f"step index must be >= 1, got {k}")
+def delta_uniform(k, rbar_k):
+    """Uniform-convergence gap at step k given the Rademacher bound rbar_k.
+
+    ``k`` is a step index or an integer array of steps, broadcast against
+    ``rbar_k`` (a float or an array); ``mcdiarmid_radius`` checks k >= 1.
+    """
     if not _nonnegative(rbar_k):
         raise ValueError(f"rbar must be >= 0, got {rbar_k!r}")
     return 4.0 * rbar_k + mcdiarmid_radius(k) + 2.0 / k
@@ -169,20 +172,42 @@ def bernstein_log_term(k: int, class_size: int) -> float:
     return math.log(2.0 * k * class_size * class_size)
 
 
-def bernstein_delta_from_sq(k: int, sq_sum, class_size: int):
+@functools.lru_cache(maxsize=None)
+def _bernstein_log_table(size: int, class_size: int) -> np.ndarray:
+    """Read-only ``bernstein_log_term(k, class_size)`` at index k, 1 <= k < size."""
+    table = np.array([math.nan] + [bernstein_log_term(k, class_size) for k in range(1, size)])
+    table.flags.writeable = False
+    return table
+
+
+def bernstein_delta_from_sq(k, sq_sum, class_size: int):
     """Empirical-Bernstein gap from the precomputed squared-difference sum.
 
     This is the kernel shared by ``delta_bernstein``, the greedy loop, the
     exact oracle, and the vectorized Monte Carlo engine, so all paths
     evaluate the same arithmetic.  ``sq_sum`` is a float, or an array of
     per-replication sums.  +infinity at k = 1.
+
+    ``k`` may also be an integer array of steps >= 2, broadcast against
+    ``sq_sum``.  Its log terms come from a cached table of scalar
+    ``bernstein_log_term`` values, so each entry rounds as the scalar call
+    does.  Since the square-root term is >= 0 and rounding is monotone, the
+    gap at ``sq_sum = 0.0`` is a lower bound of the gap at any sum.
     """
-    if k == 1:
-        return math.inf
-    log_term = bernstein_log_term(k, class_size)
-    # the exact oracle calls this once per state: isinstance(sq_sum, float)
-    # is the cheapest dispatch, and math.sqrt keeps the result a Python float
-    sqrt = math.sqrt if isinstance(sq_sum, float) else np.sqrt
+    # the exact oracle calls this once per state with an int k and a float
+    # sum: isinstance against int and float is the cheapest dispatch (against
+    # np.ndarray it costs about 0.1 us more), and math.sqrt keeps the result a
+    # Python float
+    if isinstance(k, int) or not isinstance(k, np.ndarray):
+        if k == 1:
+            return math.inf
+        log_term = bernstein_log_term(k, class_size)
+        sqrt = math.sqrt if isinstance(sq_sum, float) else np.sqrt
+    else:
+        if k.min() < 2:
+            raise ValueError(f"an array of steps must start at k = 2, got {k.min()}")
+        log_term = _bernstein_log_table(1 << int(k.max()).bit_length(), class_size)[k]
+        sqrt = np.sqrt
     return sqrt(2.0 * sq_sum * log_term) / (k - 1) + 5.0 * log_term / (k - 1) + 2.0 / k
 
 

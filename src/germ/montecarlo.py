@@ -1,10 +1,13 @@
 """Seeded Monte Carlo estimation beyond the enumeration budget.
 
-Replications are simulated in lockstep: one replication per row of a
-vectorized state, stepping through k = 1..n_max together.  Every float
-operation mirrors the scalar loop in the algorithm module (same kernels,
-same accumulation and association order), so a lockstep replication is
-bit-identical to running ``run_germ`` on the same derived generator.
+Replications are simulated in lockstep: one replication per column of a
+vectorized state, stepping through k = 1..n_max together a block of steps
+at a time.  A block computes every running loss sum and ERM candidate in
+it, then scans the gate against each replication's incumbent, resuming a
+replication's scan after each switch.  Every float operation mirrors the
+scalar loop in the algorithm module (same kernels, same accumulation and
+association order), so a lockstep replication is bit-identical to running
+``run_germ`` on the same derived generator, whatever the block length.
 
 Determinism contract: replication r draws from the generator derived from
 (base_seed, r), consuming one ``random(n_max)`` block for the sample and,
@@ -21,8 +24,10 @@ errors, and coverage counts do not depend on the worker count.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -42,6 +47,11 @@ CHUNK = 4096
 # CHUNK x steps-in-block x (outcomes + 3) floats; a larger cap saves little
 # time and costs memory.
 SIGN_BLOCK = 4096
+
+# Most bytes of working arrays one lockstep block of steps may hold, about
+# replications x steps x _step_bytes.  Larger blocks save little time and
+# raise the peak memory of short runs.
+STEP_BLOCK = 1 << 20
 
 POSITIVE_EXCESS_FLOOR = 1e-12
 
@@ -183,16 +193,23 @@ def _draw_outcome_block(problem: LearningProblem, cfg: McConfig, start: int, sto
     m = problem.loss.outcome_count
     cum = np.cumsum(problem.distribution.as_array())
     B = stop - start
-    outcomes = np.empty((B, cfg.n_max), dtype=np.int64)
+    outcomes = np.empty((B, cfg.n_max), dtype=np.min_scalar_type(m - 1))
     gens = [] if keep_generators else None
     for i, r in enumerate(range(start, stop)):
         gen = philox_stream(cfg.base_seed, r)
-        outcomes[i] = np.minimum(
-            np.searchsorted(cum, gen.random(cfg.n_max), side="right"), m - 1
-        )
+        outcomes[i] = _outcome_index(cum, gen.random(cfg.n_max))
         if keep_generators:
             gens.append(gen)
     return outcomes, gens
+
+
+def _outcome_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF outcome of each uniform in ``u``: the count of cum[j] <= u
+    over j < m - 1, which is ``min(searchsorted(cum, u, "right"), m - 1)``."""
+    z = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum) - 1))
+    for c in cum[:-1]:
+        z += c <= u
+    return z
 
 
 def _sign_blocks(ks) -> list[tuple[int, int]]:
@@ -250,8 +267,143 @@ def _sign_sups(loss_array: np.ndarray, outcomes: np.ndarray, gens, ks) -> np.nda
     return sups
 
 
+def _step_bytes(class_size: int) -> int:
+    """Working bytes per replication and step of a lockstep block.
+
+    The block holds one running sum per hypothesis and about ten per-step
+    arrays (outcome index, candidate, its sum, the incumbent's sum, the
+    difference, the gap and their temporaries), 8 bytes or fewer each.
+    """
+    return 8 * (class_size + 10)
+
+
+def _erm_candidates(S: np.ndarray):
+    """Lowest-index empirical risk minimizer of the sums ``S[h, ...]``.
+
+    Ascending strict ``<`` comparisons keep the lowest index on ties, as the
+    single run's ``min`` over hypotheses does.  Returns the indices and the
+    minimal sums.
+    """
+    best = S[0].copy()
+    cand = np.zeros(best.shape, dtype=np.min_scalar_type(len(S) - 1))
+    for h in range(1, len(S)):
+        better = S[h] < best
+        np.copyto(cand, h, where=better)
+        np.minimum(best, S[h], out=best)
+    return cand, best
+
+
+def _accumulate_steps(X: np.ndarray) -> None:
+    """Running sums along axis 1, in place and in step order.
+
+    X[:, 0] holds the values carried into the block; afterwards X[:, t] is
+    X[:, t - 1] + X[:, t], the scalar loop's addition.  One vector add per
+    step over (axis 0, axis 2) slabs is several times faster than
+    ``np.cumsum`` along axis 1.
+    """
+    for t in range(1, X.shape[1]):
+        np.add(X[:, t - 1], X[:, t], out=X[:, t])
+
+
+def _running_counts(counts: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Outcome counts after each step of a block, indexed [outcome, step, row].
+
+    ``counts`` (m, R) holds the counts before the block and ``z`` (steps, R)
+    the block's outcomes.
+    """
+    m = len(counts)
+    C = np.empty((m, len(z) + 1, z.shape[1]), dtype=np.int64)
+    C[:, 0] = counts
+    for j in range(m):
+        np.equal(z, j, out=C[j, 1:])
+    _accumulate_steps(C)
+    return C[:, 1:]
+
+
+def _bernstein_gate(rows, lo, inc, cand, diff, fire, *, counts, z, k, D2, class_size) -> None:
+    """Settle the Bernstein gate at the steps ``fire`` marks, in place.
+
+    ``fire`` marks where the difference clears the gap with no variance
+    term, a lower bound of the gap.  Only there are the squared-difference
+    sum, accumulated in ascending outcome order as in the scalar loop, and
+    the gap formed.  Arguments follow ``_scan_gate``; ``counts`` (m, B) holds
+    the outcome counts before the block, ``z`` its outcomes, ``D2`` the
+    squared loss differences indexed [candidate, incumbent, outcome].
+    """
+    t, r = np.nonzero(fire)
+    if not t.size:
+        return
+    need, at_need = np.unique(rows[r], return_inverse=True)
+    C = _running_counts(counts[:, need], z[:, need])
+    d2 = D2[cand[t, r], inc[r]]
+    q = np.zeros(t.size)
+    for zz in range(len(C)):
+        q += C[zz, lo + t, at_need] * d2[:, zz]
+    fire[t, r] = diff[t, r] <= -bernstein_delta_from_sq(k[lo + t, 0], q, class_size)
+
+
+def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
+    """Gate decisions of one block of steps; updates ``incumbent`` in place.
+
+    ``S`` (H, T, B) holds the running loss sums, ``cand`` and ``best`` (T, B)
+    the ERM candidate and its sum, ``k`` (T, 1) the step indices and ``gap``
+    (T, B) the gap, or a lower bound of it that ``settle`` (see
+    ``_bernstein_gate``) turns into the gate's decision.  The gate fires
+    where (sum(cand) - sum(incumbent)) / k <= -gap; a fire where the
+    candidate is the incumbent switches nothing.  Each row switches at its
+    first firing step and is rescanned from the step after against its new
+    incumbent, until no row switches.
+
+    Returns the incumbents after the block positions ``at``, shape
+    (len(at), B), and the number of scans.
+    """
+    T, B = best.shape
+    picked = np.repeat(incumbent[np.newaxis, :], len(at), axis=0)
+    rows = np.arange(B)
+    lo = 0
+    cols = slice(None)  # the first scan reads every row without a copy
+    scans = 0
+    while True:
+        scans += 1
+        inc = incumbent[rows]
+        c = cand[lo:, cols]
+        diff = (best[lo:, cols] - S[inc, lo:, rows].T) / k[lo:]
+        fire = diff <= -gap[lo:, cols]
+        fire &= c != inc
+        if scans > 1:
+            fire &= np.arange(lo, T)[:, np.newaxis] >= first
+        if settle is not None:
+            settle(rows, lo, inc, c, diff, fire)
+        hit = fire.any(axis=0)
+        if not hit.any():
+            break
+        rows = rows[hit]
+        f = fire[:, hit].argmax(axis=0) + lo
+        new = cand[f, rows]
+        incumbent[rows] = new
+        if at:
+            picked[:, rows] = np.where(np.array(at)[:, np.newaxis] >= f, new, picked[:, rows])
+        keep = f + 1 < T
+        rows, first = rows[keep], f[keep] + 1
+        if not rows.size:
+            break
+        lo = int(first.min())
+        cols = rows
+    return picked, scans
+
+
 def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig, start: int, stop: int, capture_rbar: bool):
-    """Run all replications of one chunk in lockstep.
+    """Run all replications of one chunk in lockstep, a block of steps at a time.
+
+    Per block, every hypothesis's running loss sum at every step comes from
+    the sums carried from the block before, one vector add per step;
+    ``_erm_candidates`` gives the candidate at every step, and
+    ``_scan_gate`` the gate's decisions.  Each (replication, step) pair
+    goes through the float operations of the scalar loop, so results do not
+    depend on the block length.  That length starts at what STEP_BLOCK
+    bytes allow, halves after a block that needs more than 8 scans, so that
+    frequent switching falls back toward one step per block, and doubles
+    again, up to the start, after a block that needs at most 2.
 
     Returns (chosen, rbars): ``chosen`` maps each grid position to the
     chosen indices (B,).  With ``capture_rbar``, ``rbars`` maps it to the
@@ -261,56 +413,89 @@ def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig
     """
     loss = problem.loss
     L = loss.as_array()
-    LT = L.T.copy()
     m = loss.outcome_count
-    class_size = loss.class_size
+    H = loss.class_size
+    n = cfg.n_max
     germ = isinstance(algo, GermAlgorithm)
-    schedule = check_algorithm(algo, class_size, cfg.n_max)
+    schedule = check_algorithm(algo, H, n)
     randomized = germ and is_randomized(algo.gap)
     bernstein = germ and schedule is None and not randomized
 
     outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, randomized)
     B = stop - start
-    rows_idx = np.arange(B)
-    S = np.zeros((B, class_size))
-    counts = np.zeros((B, m), dtype=np.int64) if bernstein else None
-    sups = _sign_sups(L, outcomes, gens, range(1, cfg.n_max + 1)) if randomized else None
-    if bernstein:
-        # squared loss differences, indexed [candidate, incumbent, outcome]
+    ks = np.arange(1, n + 1)
+    if schedule is not None:
+        deltas = np.array(schedule[0])
+    elif randomized:
+        sups = _sign_sups(L, outcomes, gens, ks)
+        radius = mcdiarmid_radius(ks)
+    elif bernstein:
+        # the gap with no variance term; +inf at k = 1
+        floors = np.empty(n)
+        floors[0] = bernstein_delta_from_sq(1, 0.0, H)
+        if n > 1:
+            floors[1:] = bernstein_delta_from_sq(ks[1:], 0.0, H)
         D2 = (L[:, np.newaxis, :] - L[np.newaxis, :, :]) ** 2
-    incumbent = np.full(B, algo.initial_index if germ else 0, dtype=np.int64)
+        counts = np.zeros((m, B), dtype=np.int64)
+    # steps along axis 0 and replications along axis 1, so a step is a slab
+    steps_first = np.ascontiguousarray(outcomes.T)
+    sums = np.zeros((H, B))
+    incumbent = np.full(B, algo.initial_index if germ else 0, dtype=np.intp)
 
-    grid_set = set(cfg.grid)
     chosen: dict[int, np.ndarray] = {}
     rbars: dict[int, np.ndarray | float | None] = {}
-    rbar = None
-
-    for k in range(1, cfg.n_max + 1):
-        z = outcomes[:, k - 1]
-        S += LT[z]
-        if bernstein:
-            counts[rows_idx, z] += 1
-        cand = np.argmin(S, axis=1)
-        if germ:
-            if schedule is not None:
-                delta, rbar = schedule[0][k - 1], schedule[1][k - 1]
-            elif randomized:
-                rbar = np.maximum(0.0, sups[:, k - 1] + mcdiarmid_radius(k))
-                delta = delta_uniform(k, rbar)
-            else:
-                d2 = D2[cand, incumbent]
-                q = np.zeros(B)
-                for zz in range(m):
-                    q += counts[:, zz] * d2[:, zz]
-                delta = bernstein_delta_from_sq(k, q, class_size)
-            diff = (S[rows_idx, cand] - S[rows_idx, incumbent]) / k
-            updated = diff <= -delta
-            incumbent = np.where(updated, cand, incumbent)
+    most = max(1, STEP_BLOCK // (B * _step_bytes(H)))
+    steps = most
+    S_buf = np.empty((H, most + 1, B))
+    t0 = 0
+    while t0 < n:
+        t1 = min(n, t0 + steps)
+        T = t1 - t0
+        k = ks[t0:t1, np.newaxis]
+        z = steps_first[t0:t1]
+        # running sums: each step adds its losses to the step before, starting
+        # from the carried sums, as the scalar loop's sums[h] += row[z] does
+        S = S_buf[:, : T + 1]
+        S[:, 0] = sums
+        np.take(L, z, axis=1, out=S[:, 1:])
+        _accumulate_steps(S)
+        sums = S[:, T].copy()
+        S = S[:, 1:]
+        cand, best = _erm_candidates(S)
+        # block positions of the grid steps
+        at = [g - t0 - 1 for g in cfg.grid[bisect_right(cfg.grid, t0) : bisect_right(cfg.grid, t1)]]
+        scans = 0
+        if not germ:
+            picked = cand[at]
+            incumbent = cand[-1]
+        elif bernstein:
+            floor = np.broadcast_to(floors[t0:t1, np.newaxis], (T, B))
+            settle = functools.partial(_bernstein_gate, counts=counts, z=z, k=k, D2=D2, class_size=H)
+            picked, scans = _scan_gate(S, cand, best, k, floor, incumbent, at, settle)
+            for j in range(m):
+                counts[j] += np.count_nonzero(z == j, axis=0)
         else:
-            incumbent = cand
-        if k in grid_set:
-            chosen[k] = incumbent.copy()
-            rbars[k] = rbar
+            if randomized:
+                rbar = sups[:, t0:t1].T + radius[t0:t1, np.newaxis]
+                np.maximum(0.0, rbar, out=rbar)
+                gap = delta_uniform(k, rbar)
+            else:
+                gap = np.broadcast_to(deltas[t0:t1, np.newaxis], (T, B))
+            picked, scans = _scan_gate(S, cand, best, k, gap, incumbent, at)
+        for j, pos in enumerate(at):
+            step = t0 + pos + 1
+            chosen[step] = picked[j]
+            if schedule is not None:
+                rbars[step] = schedule[1][step - 1]
+            elif randomized:
+                rbars[step] = rbar[pos].copy()
+            else:
+                rbars[step] = None
+        if scans > 8:
+            steps = max(1, steps // 2)
+        elif scans <= 2:
+            steps = min(most, 2 * steps)
+        t0 = t1
     return chosen, (rbars if capture_rbar else None)
 
 
@@ -421,7 +606,8 @@ def _pairwise_chunk(problem: LearningProblem, event: PairwiseBernsteinEvent, cfg
     counts_out = []
     for n in cfg.grid:
         seg = outcomes[:, prev:n]
-        np.add.at(counts, (np.repeat(np.arange(B), n - prev), seg.ravel()), 1)
+        for j in range(m):
+            counts[:, j] += np.count_nonzero(seg == j, axis=1)
         prev = n
         emp = counts @ L.T / n
         ok = np.ones(B, dtype=bool)

@@ -25,11 +25,22 @@ from .rng import draw_signs
 ENUMERATION_BUDGET = 10**7
 
 
-def mcdiarmid_radius(k: int) -> float:
-    """sqrt(2 ln(2k) / k): the deviation radius at confidence level 1/k."""
-    if k < 1:
+def mcdiarmid_radius(k):
+    """sqrt(2 ln(2k) / k): the deviation radius at confidence level 1/k.
+
+    ``k`` is a step index or an integer array of them.  An array's logs go
+    through ``math.log`` one step at a time, so every entry rounds as the
+    scalar call does (``np.sqrt`` and ``math.sqrt`` round identically).
+    """
+    # an int is tested first: isinstance against np.ndarray costs about 0.1 us
+    steps = not isinstance(k, int) and isinstance(k, np.ndarray)
+    if (k.min() if steps else k) < 1:
         raise ValueError(f"step index must be >= 1, got {k}")
-    return math.sqrt(2.0 * math.log(2.0 * k) / k)
+    if steps:
+        log = np.array([math.log(2.0 * x) for x in k.ravel().tolist()]).reshape(k.shape)
+    else:
+        log = math.log(2.0 * k)
+    return (np.sqrt if steps else math.sqrt)(2.0 * log / k)
 
 
 def deviation_radius(n: int, delta: float) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from germ.gap import (
@@ -111,3 +112,35 @@ def test_spec_type_validation():
         FixedDelta(-0.5)
     assert UserConstant((0.3, 0.1)).values == (0.3, 0.1)
     assert FixedDelta().value == 0.0
+
+
+def test_per_step_arrays_round_as_scalar_calls():
+    ks = np.arange(1, 5001)
+    rbar = np.linspace(0.0, 0.7, ks.size)
+    want = [delta_uniform(int(k), float(r)) for k, r in zip(ks, rbar)]
+    assert delta_uniform(ks, rbar).tolist() == want
+    steps = ks[1:]
+    for class_size in (1, 2, 4):
+        sq = np.linspace(0.0, 900.0, steps.size)
+        want = [bernstein_delta_from_sq(int(k), float(q), class_size) for k, q in zip(steps, sq)]
+        assert bernstein_delta_from_sq(steps, sq, class_size).tolist() == want
+        # the gap with no variance term is a lower bound, as the lockstep engine uses it
+        floor = bernstein_delta_from_sq(steps, 0.0, class_size)
+        assert floor.tolist() == [bernstein_delta_from_sq(int(k), 0.0, class_size) for k in steps]
+        assert np.all(floor <= bernstein_delta_from_sq(steps, sq, class_size))
+    # a two-dimensional block of steps broadcast against per-replication sums
+    block = np.arange(40, 43)[:, np.newaxis]
+    sq = np.array([[0.0, 1.5], [2.0, 0.25], [7.0, 3.0]])
+    want = [[bernstein_delta_from_sq(int(k), float(q), 3) for q in row] for k, row in zip(block[:, 0], sq)]
+    assert bernstein_delta_from_sq(block, sq, 3).tolist() == want
+
+
+def test_per_step_array_validation():
+    with pytest.raises(ValueError, match="k = 2"):
+        bernstein_delta_from_sq(np.arange(1, 4), 0.0, 2)
+    with pytest.raises(ValueError):
+        bernstein_delta_from_sq(np.arange(2, 4), 0.0, 0)
+    with pytest.raises(ValueError, match="step index"):
+        delta_uniform(np.arange(0, 3), 0.1)
+    with pytest.raises(ValueError, match="rbar"):
+        delta_uniform(np.arange(1, 4), np.array([0.1, -0.1, 0.2]))

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import germ.montecarlo
 from germ.algorithm import GermAlgorithm, PlainErm, algo_label, erm, run_germ
 from germ.errors import ResourceLimitError
 from germ.gap import (
@@ -36,8 +37,10 @@ from germ.montecarlo import (
     mc_bound_coverage,
     _draw_outcome_block,
     _lockstep_block,
+    _outcome_index,
     _sign_blocks,
     _sign_sups,
+    _step_bytes,
     mc_risk_curve,
 )
 from germ.oracle import RiskCurve, check_monotone, curve_to_csv, exact_risk_curve, pairwise_bernstein_coverage
@@ -181,6 +184,88 @@ def test_lockstep_rbars_match_scalar_loop_across_sign_blocks():
             step = trajectory.steps[n - 1]
             assert rbars[n][r] == step.rbar, (r, n)
             assert chosen[n][r] == step.chosen_index, (r, n)
+
+
+def test_outcome_draw_matches_searchsorted():
+    # a zero-probability outcome, and a cumsum that ends below 1, where
+    # u >= cum[-1] makes searchsorted return m
+    for probs in ((0.5, 0.0, 0.5), (0.7, 0.2, 0.1)):
+        problem = LearningProblem(
+            name="draw",
+            distribution=DiscreteDistribution(probs),
+            loss=LossTable(((0.0, 0.5, 1.0), (1.0, 0.5, 0.0))),
+        )
+        cum = np.cumsum(problem.distribution.as_array())
+        assert probs[1] == 0.0 or cum[-1] < 1.0
+        edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
+        u = np.concatenate([[0.0], edges[edges < 1.0], np.linspace(0.0, 0.999, 1000)])
+        want = np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
+        assert np.array_equal(_outcome_index(cum, u), want), probs
+        cfg = McConfig(replications=20, n_max=300, base_seed=4, grid=(300,))
+        outcomes, _ = _draw_outcome_block(problem, cfg, 0, cfg.replications, keep_generators=False)
+        for r in range(cfg.replications):
+            sample = draw_sample(problem, cfg.n_max, philox_stream(cfg.base_seed, r))
+            assert outcomes[r].tolist() == list(sample.outcomes), (probs, r)
+
+
+BLOCK_CASES = [
+    # (scenario, gap, n_max, replications); the biased-coin gates fire
+    ("biased-coin-massart", "bernstein", 200, 16),
+    ("biased-coin-massart", "massart", 200, 16),
+    # the incumbent follows the ERM, which switches many times within 7 steps
+    ("symmetric-coin", "fixed0", 120, 16),
+    # ERM ties on the 0.01 grid are decided by the rounding of the sums
+    ("three-outcome-misspecified", "fixed0", 120, 16),
+    ("three-outcome-misspecified", "randomized", 120, 8),
+]
+
+
+def _block_case_algo(gap: str, H: int) -> GermAlgorithm:
+    return GermAlgorithm(
+        gap={
+            "bernstein": GapSpec(EmpiricalBernstein(), H),
+            "massart": GapSpec(UniformConvergence(MassartDeterministic()), H),
+            "fixed0": FixedDelta(0.0),
+            "randomized": GapSpec(UniformConvergence(EmpiricalMcDiarmid()), H),
+        }[gap]
+    )
+
+
+@pytest.mark.parametrize("scenario, gap, n_max, replications", BLOCK_CASES)
+def test_lockstep_does_not_depend_on_block_length(monkeypatch, scenario, gap, n_max, replications):
+    problem = load_scenario(scenario).problem
+    algo = _block_case_algo(gap, problem.class_size)
+    # every step is on the grid, so every step of every block is compared
+    cfg = McConfig(replications=replications, n_max=n_max, base_seed=31, grid=tuple(range(1, n_max + 1)))
+    trajectories = []
+    for r in range(replications):
+        gen = philox_stream(cfg.base_seed, r)
+        sample = draw_sample(problem, n_max, gen)
+        trajectories.append(run_germ(problem, sample, algo.gap, rng=gen if gap == "randomized" else None))
+    # the steps at which each replication's incumbent changes
+    switches = [
+        [s.k for s, before in zip(t.steps, (t.initial_index,) + t.indices()) if s.chosen_index != before]
+        for t in trajectories
+    ]
+    if gap in ("bernstein", "massart"):
+        assert all(switches), "every replication's gate fires"
+    if scenario == "symmetric-coin":
+        assert any(b - a < 7 for ks in switches for a, b in zip(ks, ks[1:])), "two switches less than 7 steps apart"
+    runs = []
+    # one step per block, 7 steps per block, and the whole horizon in one block
+    for steps in (1, 7, n_max):
+        monkeypatch.setattr(germ.montecarlo, "STEP_BLOCK", steps * replications * _step_bytes(problem.class_size))
+        chosen, rbars = _lockstep_block(problem, algo, cfg, 0, replications, capture_rbar=True)
+        for r, trajectory in enumerate(trajectories):
+            for step in trajectory.steps:
+                assert chosen[step.k][r] == step.chosen_index, (steps, r, step.k)
+                if gap == "randomized":
+                    assert rbars[step.k][r] == step.rbar, (steps, r, step.k)
+        runs.append((chosen, rbars))
+    for chosen, rbars in runs[1:]:
+        for n in cfg.grid:
+            assert np.array_equal(chosen[n], runs[0][0][n])
+            assert np.array_equal(rbars[n], runs[0][1][n])
 
 
 def test_sign_blocks_respect_the_cap():

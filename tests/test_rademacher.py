@@ -177,3 +177,12 @@ def test_rbar_undershoot_rate_within_level():
 def test_mcdiarmid_radius_is_confidence_one_over_k():
     for k in (1, 2, 7, 40):
         assert mcdiarmid_radius(k) == pytest.approx(deviation_radius(k, 1.0 / k) if k > 1 else math.sqrt(2.0 * math.log(2.0)))
+
+
+def test_mcdiarmid_radius_of_an_array_rounds_as_scalar_calls():
+    ks = np.arange(1, 5001)
+    assert mcdiarmid_radius(ks).tolist() == [mcdiarmid_radius(int(k)) for k in ks]
+    block = ks[:6].reshape(3, 2)
+    assert mcdiarmid_radius(block).tolist() == [[mcdiarmid_radius(int(k)) for k in row] for row in block]
+    with pytest.raises(ValueError):
+        mcdiarmid_radius(np.arange(0, 3))
