@@ -12,7 +12,9 @@ association order), so a lockstep replication is bit-identical to running
 Determinism contract: replication r draws from the generator derived from
 (base_seed, r), consuming one ``random(n_max)`` block for the sample and,
 only in the EmpiricalMcDiarmid gap mode, k fresh signs for each step k in
-ascending order.  Those signs are drawn for a block of consecutive steps
+ascending order.  Where no signs follow, the samples of a block of
+replications come from one Philox re-keyed to (base_seed, r) per row
+(``rng.fill_uniforms``), which yields the same stream; a test pins this.  Those signs are drawn for a block of consecutive steps
 at once: one ``draw_signs`` call returns the concatenation of the per-step
 draws, so what a replication consumes is fixed by the replication alone,
 not by how its draws are split into calls, and matches the scalar loop's
@@ -39,7 +41,7 @@ from .gap import GapSpec, UniformConvergence, bernstein_delta_from_sq, delta_uni
 from .oracle import RiskCurve
 from .problem import LearningProblem, optimal_risk, population_risk
 from .rademacher import deviation_radius, exact_rademacher, mcdiarmid_radius
-from .rng import draw_signs, philox_stream
+from .rng import check_integer, draw_signs, fill_uniforms, philox_stream
 
 CHUNK = 4096
 
@@ -49,8 +51,9 @@ CHUNK = 4096
 SIGN_BLOCK = 4096
 
 # Most bytes of working arrays one lockstep block of steps may hold, about
-# replications x steps x _step_bytes.  Larger blocks save little time and
-# raise the peak memory of short runs.
+# replications x steps x _step_bytes, and of uniforms the outcome draw
+# buffers (at least one row).  Larger blocks save little time and raise the
+# peak memory of short runs.
 STEP_BLOCK = 1 << 20
 
 POSITIVE_EXCESS_FLOOR = 1e-12
@@ -68,6 +71,11 @@ class McConfig:
     grid: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        check_integer(self.replications, "replications")
+        check_integer(self.n_max, "horizon")
+        check_integer(self.base_seed, "base seed")
+        for n in self.grid:
+            check_integer(n, "grid entry")
         if self.replications < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
         if self.n_max < 1:
@@ -189,17 +197,31 @@ def _chunk_ranges(replications: int) -> list[tuple[int, int]]:
 
 
 def _draw_outcome_block(problem: LearningProblem, cfg: McConfig, start: int, stop: int, keep_generators: bool):
-    """Per-replication samples; generators returned when signs follow."""
+    """Per-replication samples; generators returned when signs follow.
+
+    Uniforms are drawn into one reused buffer of replication rows, as many
+    as STEP_BLOCK bytes hold and at least one, and turned into outcomes a
+    buffer at a time.  Without generators to keep, ``fill_uniforms`` reads
+    each row's stream from one re-keyed Philox instead of a generator per
+    replication.
+    """
     m = problem.loss.outcome_count
     cum = np.cumsum(problem.distribution.as_array())
     B = stop - start
     outcomes = np.empty((B, cfg.n_max), dtype=np.min_scalar_type(m - 1))
     gens = [] if keep_generators else None
-    for i, r in enumerate(range(start, stop)):
-        gen = philox_stream(cfg.base_seed, r)
-        outcomes[i] = _outcome_index(cum, gen.random(cfg.n_max))
+    rows = max(1, STEP_BLOCK // (8 * cfg.n_max))
+    buf = np.empty((min(rows, B), cfg.n_max))
+    for a in range(0, B, rows):
+        u = buf[: min(rows, B - a)]
         if keep_generators:
-            gens.append(gen)
+            for i, row in enumerate(u):
+                gen = philox_stream(cfg.base_seed, start + a + i)
+                gen.random(out=row)
+                gens.append(gen)
+        else:
+            fill_uniforms(cfg.base_seed, start + a, u)
+        outcomes[a : a + len(u)] = _outcome_index(cum, u)
     return outcomes, gens
 
 

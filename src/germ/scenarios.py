@@ -22,7 +22,7 @@ from .algorithm import PlainErm
 from .analysis import bernstein_certificate
 from .oracle import check_monotone, exact_risk_curve, find_erm_nonmonotone
 from .problem import LearningProblem, optimal_risk, problem_from_dict
-from .rng import philox_stream
+from .rng import check_integer, philox_stream
 
 SCENARIO_TAGS = frozenset(
     {
@@ -122,14 +122,10 @@ def scenario_dir():
 
 def _witness_from_dict(doc: dict) -> WitnessRecord:
     curve = doc["erm_curve"]
+    fields = ("outcome_count", "class_size", "n_probe", "search_budget", "base_seed", "stream")
     return WitnessRecord(
-        outcome_count=int(doc["outcome_count"]),
-        class_size=int(doc["class_size"]),
-        n_probe=int(doc["n_probe"]),
-        search_budget=int(doc["search_budget"]),
-        base_seed=int(doc["base_seed"]),
-        stream=int(doc["stream"]),
-        curve_ns=tuple(int(n) for n in curve["ns"]),
+        **{field: check_integer(doc[field], f"witness {field}") for field in fields},
+        curve_ns=tuple(check_integer(n, "witness curve n") for n in curve["ns"]),
         curve_values=tuple(float(v) for v in curve["values"]),
     )
 

@@ -26,6 +26,7 @@ from germ.gap import (
 from germ.montecarlo import (
     CHUNK,
     SIGN_BLOCK,
+    STEP_BLOCK,
     CoverageResult,
     DecayFit,
     EstimatorDeviationEvent,
@@ -206,6 +207,39 @@ def test_outcome_draw_matches_searchsorted():
         for r in range(cfg.replications):
             sample = draw_sample(problem, cfg.n_max, philox_stream(cfg.base_seed, r))
             assert outcomes[r].tolist() == list(sample.outcomes), (probs, r)
+
+
+@pytest.mark.parametrize("keep_generators", [False, True])
+@pytest.mark.parametrize(
+    "start, stop, n_max",
+    [
+        # 150 replications over blocks of 65 rows, in the first chunk and in
+        # the second
+        (0, 150, 2000),
+        (CHUNK, CHUNK + 150, 2000),
+        # a block holds a single row
+        (0, 3, STEP_BLOCK // 8),
+    ],
+)
+def test_outcome_draw_crosses_row_blocks(start, stop, n_max, keep_generators):
+    rows = max(1, STEP_BLOCK // (8 * n_max))
+    assert rows == 1 or (stop - start) % rows != 0
+    problem = LearningProblem(
+        name="draw",
+        distribution=DiscreteDistribution((0.2, 0.0, 0.5, 0.3)),
+        loss=LossTable(((0.0, 0.5, 1.0, 0.25), (1.0, 0.5, 0.0, 0.75))),
+    )
+    cfg = McConfig(replications=stop, n_max=n_max, base_seed=2**64 - 5, grid=(n_max,))
+    outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, keep_generators)
+    assert outcomes.shape == (stop - start, n_max)
+    assert (gens is not None) == keep_generators
+    for i, r in enumerate(range(start, stop)):
+        gen = philox_stream(cfg.base_seed, r)
+        sample = draw_sample(problem, n_max, gen)
+        assert outcomes[i].tolist() == list(sample.outcomes), r
+        if keep_generators:
+            # the kept generator continues where the sample left off
+            assert gens[i].random(3).tolist() == gen.random(3).tolist(), r
 
 
 BLOCK_CASES = [
@@ -476,6 +510,23 @@ def test_mcconfig_validation():
         McConfig(replications=1, n_max=5, base_seed=0, grid=(3, 3))
     with pytest.raises(ValueError, match="within"):
         McConfig(replications=1, n_max=5, base_seed=0, grid=(1, 6))
+
+
+def test_mcconfig_rejects_booleans_and_non_integers():
+    with pytest.raises(ValueError, match="base seed must be an integer"):
+        McConfig(4, 10, 1.5, (10,))
+    for replications, n_max, seed, grid, field in (
+        (True, 10, 4, (10,), "replications"),
+        (4.0, 10, 4, (10,), "replications"),
+        (4, 10.5, 4, (10,), "horizon"),
+        (4, np.bool_(True), 4, (1,), "horizon"),
+        (4, 10, False, (10,), "base seed"),
+        (4, 10, 4, (5.0, 10), "grid entry"),
+    ):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            McConfig(replications, n_max, seed, grid)
+    cfg = McConfig(np.int64(4), np.uint16(10), np.uint64(2**64 - 1), (np.int32(10),))
+    assert cfg.base_seed == 2**64 - 1
 
 
 def test_mc_argument_validation():

@@ -149,6 +149,22 @@ def test_tampered_witness_curve_is_rejected(tmp_path, monkeypatch):
         load_scenario("erm-dip-witness")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("stream", 0.5), ("base_seed", 5.5), ("base_seed", True), ("n_probe", 6.0), ("search_budget", "10000")],
+)
+def test_witness_fields_must_be_integers(tmp_path, monkeypatch, field, value):
+    # int() would truncate 5.5 to the recorded seed 5 and replay the search
+    from germ.scenarios import scenario_dir
+
+    doc = json.loads((scenario_dir() / "erm-dip-witness.json").read_text(encoding="utf-8"))
+    doc["witness"][field] = value
+    (tmp_path / "erm-dip-witness.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("GERM_DATA_DIR", str(tmp_path))
+    with pytest.raises(ValueError, match=f"witness {field} must be an integer"):
+        load_scenario("erm-dip-witness")
+
+
 def test_data_dir_override_and_lookup_errors(tmp_path, monkeypatch):
     problem_doc = {
         "problem": {"name": "local-coin", "probs": [0.5, 0.5], "losses": [[0.2, 0.8]]},
