@@ -115,8 +115,8 @@ def pairwise_rhs_from_sq(sq_sum, n: int, class_size: int, delta: float):
     """
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
-    # called per count vector and pair by the exact coverage sum, so a float
-    # is tested inline, once; see gap.bernstein_delta_from_sq
+    # the exact coverage sum and the Monte Carlo event pass one array per
+    # block and pair; a float is tested inline, as in gap.bernstein_delta_from_sq
     scalar = isinstance(sq_sum, float)
     if not (sq_sum >= 0.0 if scalar else _nonnegative(sq_sum)):
         raise ValueError(f"sum of squares must be nonnegative, got {sq_sum}")

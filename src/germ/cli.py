@@ -2,8 +2,9 @@
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed,
 2 invalid arguments or configuration, or an input or output file that
-cannot be read or written, 3 an exact enumeration exceeded its budget,
-4 an unexpected internal error (any other exception).
+cannot be read or written, 3 an exact sum exceeded its budget (count
+vectors for Rademacher values and pairwise coverage, sequences for exact
+curves), 4 an unexpected internal error (any other exception).
 Every subcommand prints one machine-parseable summary line of
 space-separated key=value pairs to standard output.
 

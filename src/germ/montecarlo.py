@@ -120,8 +120,8 @@ class EstimatorDeviationEvent:
 
     Algorithm-free: draws fresh signs at each grid n and compares the
     supremum against the exact expected supremum, which bounds grid sizes
-    by the exact-enumeration budget.  delta = 1 is allowed and makes the
-    floor vacuous.
+    by the count-vector budget of the exact sum.  delta = 1 is allowed and
+    makes the floor vacuous.
     """
 
     delta: float
@@ -192,8 +192,23 @@ class DecayFit:
     degenerate: bool
 
 
-def _chunk_ranges(replications: int) -> list[tuple[int, int]]:
-    return [(start, min(start + CHUNK, replications)) for start in range(0, replications, CHUNK)]
+def _map_chunks(chunk, replications: int, workers: int, *args) -> list:
+    """``chunk(*args, start, stop)`` per CHUNK of replications, in chunk order.
+
+    Chunks run in a process pool when there are several workers and chunks.
+    """
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+    ranges = [(start, min(start + CHUNK, replications)) for start in range(0, replications, CHUNK)]
+    if workers == 1 or len(ranges) == 1:
+        return [chunk(*args, a, b) for a, b in ranges]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(chunk, *args, a, b) for a, b in ranges]
+        return [f.result() for f in futures]
+
+
+def _population_risks(problem: LearningProblem) -> np.ndarray:
+    return np.array([population_risk(problem, h) for h in range(problem.class_size)])
 
 
 def _draw_outcome_block(problem: LearningProblem, cfg: McConfig, start: int, stop: int, keep_generators: bool):
@@ -524,7 +539,7 @@ def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig
 def _risk_chunk(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig, start: int, stop: int):
     """Chunk statistics per grid n: (sum, sum of squares, min, max)."""
     chosen, _ = _lockstep_block(problem, algo, cfg, start, stop, capture_rbar=False)
-    pop = np.array([population_risk(problem, h) for h in range(problem.class_size)])
+    pop = _population_risks(problem)
     stats = []
     for n in cfg.grid:
         values = pop[chosen[n]]
@@ -548,16 +563,8 @@ def mc_risk_curve(
     trajectory yields every grid n.  The result is bit-identical for any
     worker count.
     """
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
     check_algorithm(algo, problem.class_size, cfg.n_max)
-    ranges = _chunk_ranges(cfg.replications)
-    if workers == 1 or len(ranges) == 1:
-        parts = [_risk_chunk(problem, algo, cfg, a, b) for a, b in ranges]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_risk_chunk, problem, algo, cfg, a, b) for a, b in ranges]
-            parts = [f.result() for f in futures]
+    parts = _map_chunks(_risk_chunk, cfg.replications, workers, problem, algo, cfg)
     R = cfg.replications
     values = []
     stderrs = []
@@ -595,7 +602,7 @@ def mc_risk_curve(
 
 def _excess_chunk(problem: LearningProblem, event: ExcessBoundEvent, cfg: McConfig, start: int, stop: int):
     chosen, rbars = _lockstep_block(problem, event.algo, cfg, start, stop, capture_rbar=True)
-    pop = np.array([population_risk(problem, h) for h in range(problem.class_size)])
+    pop = _population_risks(problem)
     star = optimal_risk(problem)[0]
     counts = []
     for n in cfg.grid:
@@ -620,7 +627,7 @@ def _pairwise_chunk(problem: LearningProblem, event: PairwiseBernsteinEvent, cfg
     m = problem.loss.outcome_count
     L = problem.loss.as_array()
     H = problem.class_size
-    pop = np.array([population_risk(problem, h) for h in range(H)])
+    pop = _population_risks(problem)
     D2 = (L[:, np.newaxis, :] - L[np.newaxis, :, :]) ** 2
     B = stop - start
     counts = np.zeros((B, m), dtype=np.int64)
@@ -654,41 +661,28 @@ def mc_bound_coverage(
     The theoretical floor is 1 - 2/n for the excess-risk bound and
     1 - delta for the deviation and pairwise events.  The estimator
     deviation event compares against exact expected suprema, so its grid
-    is limited by the enumeration budget; the pairwise event needs every
-    grid n >= 2.
+    is limited by the count-vector budget of the exact sum; the pairwise
+    event needs every grid n >= 2.
     """
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
     if isinstance(event, ExcessBoundEvent):
         check_algorithm(event.algo, problem.class_size, cfg.n_max)
         chunk = _excess_chunk
         floors = tuple(1.0 - 2.0 / n for n in cfg.grid)
         algo = algo_label(event.algo)
-        extra: tuple = ()
     elif isinstance(event, EstimatorDeviationEvent):
         exact_sups = {n: exact_rademacher(problem, n) for n in cfg.grid}
-        chunk = _estimator_chunk
+        chunk = functools.partial(_estimator_chunk, exact_sups=exact_sups)
         floors = tuple(1.0 - event.delta for _ in cfg.grid)
         algo = None
-        extra = (exact_sups,)
     elif isinstance(event, PairwiseBernsteinEvent):
         if cfg.grid[0] < 2:
             raise ValueError("the pairwise event needs every grid n >= 2")
         chunk = _pairwise_chunk
         floors = tuple(1.0 - event.delta for _ in cfg.grid)
         algo = None
-        extra = ()
     else:
         raise ValueError(f"unknown bound event {event!r}")
-    ranges = _chunk_ranges(cfg.replications)
-    if workers == 1 or len(ranges) == 1:
-        parts = [chunk(problem, event, cfg, a, b, *extra) for a, b in ranges]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(chunk, problem, event, cfg, a, b, *extra) for a, b in ranges
-            ]
-            parts = [f.result() for f in futures]
+    parts = _map_chunks(chunk, cfg.replications, workers, problem, event, cfg)
     totals = [sum(part[gi] for part in parts) for gi in range(len(cfg.grid))]
     coverages = tuple(t / cfg.replications for t in totals)
     return CoverageResult(

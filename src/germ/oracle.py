@@ -11,8 +11,8 @@ decision matches ``run_germ`` on every sequence, and each curve value is
 the sequence average up to the rounding of the merged weight sums.  One
 walk yields the whole curve.
 
-The exact pairwise-coverage sum runs over outcome-count vectors instead,
-in blocks, with NumPy.
+The exact pairwise-coverage sum runs over outcome-count vectors instead
+(``problem.multinomial_blocks``), in blocks, with NumPy.
 """
 
 from __future__ import annotations
@@ -29,19 +29,17 @@ from .analysis import pairwise_rhs_from_sq
 from .errors import ResourceLimitError
 from .gap import bernstein_delta_from_sq, is_randomized
 from .problem import (
+    ENUMERATION_BUDGET,
     DiscreteDistribution,
     LearningProblem,
     LossTable,
+    multinomial_blocks,
     population_risk,
 )
-from .rademacher import ENUMERATION_BUDGET
 
 CURVE_COLUMNS = ("n", "value", "stderr", "kind", "problem", "algo", "seed")
 
 EXACT_TOLERANCE = 1e-12
-
-# count vectors per block of the exact pairwise-coverage sum
-PAIRWISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ def check_monotone(curve: RiskCurve, tolerance: float | None = None) -> Monotoni
     With no explicit tolerance, exact curves use EXACT_TOLERANCE and Monte
     Carlo curves use three pooled standard errors per step.
     """
-    if tolerance is not None and tolerance < 0:
+    if tolerance is not None and not tolerance >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     diffs = [b - a for a, b in zip(curve.values, curve.values[1:])]
     if tolerance is not None:
@@ -303,44 +301,6 @@ def find_erm_nonmonotone(
     return None
 
 
-def _count_vectors(total: int, parts: int) -> np.ndarray:
-    """Every vector of ``parts`` nonnegative integers summing to ``total``.
-
-    Rows are in lexicographically ascending order.
-    """
-    vectors = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([total], dtype=np.int64)
-    for _ in range(parts - 1):
-        # row r expands into one row per next entry 0..left[r], ascending
-        reps = left + 1
-        rows = np.repeat(np.arange(len(left)), reps)
-        nxt = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        vectors = np.column_stack((vectors[rows], nxt))
-        left = left[rows] - nxt
-    return np.column_stack((vectors, left))
-
-
-def _count_vector_blocks(n: int, m: int):
-    """Every count vector of m outcomes summing to n, in blocks of rows.
-
-    Vectors with the same first count stay in one block, and consecutive
-    first counts are joined until a block holds PAIRWISE_BLOCK rows, so no
-    array spans the whole simplex.
-    """
-    if m == 1:
-        yield _count_vectors(n, 1)
-        return
-    pending: list[np.ndarray] = []
-    size = 0
-    for first in range(n + 1):
-        rest = _count_vectors(n - first, m - 1)
-        pending.append(np.column_stack((np.full(len(rest), first), rest)))
-        size += len(rest)
-        if size >= PAIRWISE_BLOCK or first == n:
-            yield np.concatenate(pending)
-            pending, size = [], 0
-
-
 def pairwise_bernstein_coverage(problem: LearningProblem, n: int, delta: float) -> float:
     """Exact probability that the pairwise Bernstein bounds all hold at n.
 
@@ -349,7 +309,8 @@ def pairwise_bernstein_coverage(problem: LearningProblem, n: int, delta: float) 
     risks and the slack depend on the sample only through its outcome
     counts, so the expectation reduces to a multinomial sum over count
     vectors, evaluated a block of vectors at a time and summed with
-    ``math.fsum``.
+    ``math.fsum``.  Raises ``ResourceLimitError`` past the count-vector
+    budget.
     """
     if n < 2:
         raise ValueError(f"the pairwise slack needs n >= 2, got {n}")
@@ -357,18 +318,10 @@ def pairwise_bernstein_coverage(problem: LearningProblem, n: int, delta: float) 
         raise ValueError(f"confidence level must lie in (0, 1), got {delta}")
     L = problem.loss.as_array()
     class_size = problem.class_size
-    probs = problem.distribution.as_array()
     pop = [population_risk(problem, h) for h in range(class_size)]
-    impossible = probs == 0.0
-    log_p = np.log(np.where(impossible, 1.0, probs))
-    log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
 
     def covered_weights():
-        for counts in _count_vector_blocks(n, problem.loss.outcome_count):
-            counts = counts[~(counts[:, impossible] > 0).any(axis=1)]
-            if len(counts) == 0:
-                continue
-            weights = np.exp(log_fact[n] - log_fact[counts].sum(axis=1) + counts @ log_p)
+        for counts, weights in multinomial_blocks(problem.distribution.probs, n):
             emp = counts @ L.T / n
             ok = np.ones(len(counts), dtype=bool)
             for a in range(class_size):

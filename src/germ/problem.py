@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 PROB_SUM_TOLERANCE = 1e-12
+
+# most count vectors (or outcome sequences) an exact sum may visit
+ENUMERATION_BUDGET = 10**7
+
+# count vectors per block of a multinomial sum
+COUNT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -197,6 +205,78 @@ def draw_sample(problem: LearningProblem, n: int, rng: np.random.Generator) -> S
     u = rng.random(n)
     idx = np.minimum(np.searchsorted(cum, u, side="right"), problem.outcome_count - 1)
     return Sample(tuple(int(z) for z in idx))
+
+
+def _count_vectors(total: int, parts: int) -> np.ndarray:
+    """Every vector of ``parts`` nonnegative integers summing to ``total``.
+
+    Rows are in lexicographically ascending order.
+    """
+    vectors = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        # row r expands into one row per next entry 0..left[r], ascending
+        reps = left + 1
+        rows = np.repeat(np.arange(len(left)), reps)
+        nxt = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        vectors = np.column_stack((vectors[rows], nxt))
+        left = left[rows] - nxt
+    return np.column_stack((vectors, left))
+
+
+def _count_vector_blocks(n: int, m: int):
+    """Every count vector of m categories summing to n, in blocks of rows.
+
+    Rows come in lexicographically ascending order.  Consecutive first
+    counts are joined until a block holds COUNT_BLOCK rows, and a first
+    count with more vectors than that is cut into pieces of COUNT_BLOCK
+    rows, so no block spans the whole simplex or one large slice of it.
+    """
+    if m == 1:
+        yield _count_vectors(n, 1)
+        return
+    pending: list[np.ndarray] = []
+    size = 0
+    for first in range(n + 1):
+        rest = _count_vectors(n - first, m - 1)
+        for lo in range(0, len(rest), COUNT_BLOCK):
+            piece = rest[lo : lo + COUNT_BLOCK]
+            pending.append(np.column_stack((np.full(len(piece), first), piece)))
+            size += len(piece)
+            if size >= COUNT_BLOCK:
+                yield np.concatenate(pending)
+                pending, size = [], 0
+    if pending:
+        yield np.concatenate(pending)
+
+
+def multinomial_blocks(probs, n: int):
+    """Every possible count vector of n i.i.d. draws, with its probability.
+
+    Yields ``(counts, weights)`` blocks in ascending lexicographic order:
+    ``counts`` has one int row per count vector over the categories of
+    ``probs`` and ``weights`` holds their multinomial probabilities.  Rows
+    that count a zero-probability category are dropped.  An expectation
+    that depends on a sample only through its counts is a weighted sum
+    over these blocks.
+
+    Raises
+    ------
+    ResourceLimitError
+        When the C(n + m - 1, m - 1) count vectors exceed ENUMERATION_BUDGET.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    m = len(probs)
+    vectors = math.comb(n + m - 1, m - 1)
+    if vectors > ENUMERATION_BUDGET:
+        raise ResourceLimitError(f"the exact sum visits {vectors} count vectors, budget is {ENUMERATION_BUDGET}")
+    impossible = probs == 0.0
+    log_p = np.log(np.where(impossible, 1.0, probs))
+    log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    for counts in _count_vector_blocks(n, m):
+        counts = counts[~(counts[:, impossible] > 0).any(axis=1)]
+        if len(counts):
+            yield counts, np.exp(log_fact[n] - log_fact[counts].sum(axis=1) + counts @ log_p)
 
 
 def problem_to_dict(problem: LearningProblem) -> dict:

@@ -7,22 +7,24 @@ upper bound R-bar_k are provided:
 * ``rbar_empirical``: a single-draw estimate padded by a concentration
   radius, correct with probability at least 1 - 1/k per draw;
 * ``rbar_massart``: the deterministic finite-class bound sqrt(2 ln|H| / k);
-* exact enumeration (``exact_rademacher``) over all sign/sample pairs,
-  feasible only for small k and used as the ground truth in tests.
+* the exact value (``exact_rademacher``), the ground truth in tests.
+
+The exact quantities sum over count vectors instead of sequences: a
+signed draw is one of 2m categories (outcome z with sign +1 or -1, each
+with probability p_z / 2), and the supremum depends on the draws only
+through the signed counts W_z = c+_z - c-_z.  So every expectation over
+samples and signs is one multinomial sum over the C(k + 2m - 1, 2m - 1)
+count vectors of ``problem.multinomial_blocks``, within its budget.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .problem import LearningProblem, LossTable, Sample, _check_outcomes
+from .problem import LearningProblem, LossTable, Sample, _check_outcomes, multinomial_blocks
 from .rng import draw_signs
-
-ENUMERATION_BUDGET = 10**7
 
 
 def mcdiarmid_radius(k):
@@ -128,78 +130,44 @@ def rbar_massart(class_size: int, k: int) -> float:
     return math.sqrt(2.0 * math.log(class_size) / k)
 
 
-def sign_matrix(k: int) -> np.ndarray:
-    """All 2^k sign vectors as a (2^k, k) float array of +1/-1 entries."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    bits = (np.arange(2**k, dtype=np.int64)[:, None] >> np.arange(k)) & 1
-    return (2 * bits - 1).astype(np.float64)
+def _expect(problem: LearningProblem, k: int, value) -> float:
+    """E[value(sup)] over k signed draws, sup = max_h (1/k) sum_i sigma_i loss(h, Z_i).
 
-
-def _check_enumeration_budget(m: int, k: int, budget: int) -> None:
-    if (2 * m) ** k > budget:
-        raise ResourceLimitError(
-            f"exact enumeration needs (2m)^k = {(2 * m) ** k} evaluations, budget is {budget}"
-        )
-
-
-def sup_enumeration(problem: LearningProblem, k: int, budget: int = ENUMERATION_BUDGET):
-    """Enumerate the sign-weighted supremum over every (sample, sign) pair.
-
-    Returns
-    -------
-    (weights, sups):
-        ``weights``: (m^k,) sample probabilities (product weights).
-        ``sups``: (m^k, 2^k) supremum values, one column per sign vector.
-
-    Raises
-    ------
-    ResourceLimitError
-        When (2m)^k exceeds ``budget``.
+    ``value`` maps a block of suprema to the quantity averaged; all weighted
+    terms go through one ``math.fsum``.  Categories 0..m-1 count draws with
+    sign +1 and m..2m-1 those with sign -1.  Raises ``ResourceLimitError``
+    past the count-vector budget.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     m = problem.outcome_count
-    _check_enumeration_budget(m, k, budget)
-    probs = problem.distribution.probs
-    loss_t = problem.loss.as_array().T  # (m, H)
-    smat = sign_matrix(k)  # (2^k, k)
-    weights = np.empty(m**k)
-    sups = np.empty((m**k, 2**k))
-    for i, zs in enumerate(itertools.product(range(m), repeat=k)):
-        weights[i] = math.prod(probs[z] for z in zs)
-        values = loss_t[list(zs)]  # (k, H)
-        sups[i] = (smat @ values).max(axis=1) / k
-    return weights, sups
+    loss_t = problem.loss.as_array().T
+    half = [p / 2.0 for p in problem.distribution.probs]
+
+    def terms():
+        for counts, weights in multinomial_blocks(half + half, k):
+            sups = ((counts[:, :m] - counts[:, m:]) @ loss_t).max(axis=1) / k
+            yield from (weights * value(sups)).tolist()
+
+    return math.fsum(terms())
 
 
-def exact_rademacher(problem: LearningProblem, k: int, budget: int = ENUMERATION_BUDGET) -> float:
-    """Exact R_k by full enumeration of sign vectors and samples.
-
-    Feasible only while (2m)^k stays within ``budget``; raises
-    ``ResourceLimitError`` beyond that.
-    """
-    weights, sups = sup_enumeration(problem, k, budget)
-    return float(weights @ sups.mean(axis=1))
+def exact_rademacher(problem: LearningProblem, k: int) -> float:
+    """Exact R_k, summed over the count vectors of k signed draws."""
+    return _expect(problem, k, lambda sups: sups)
 
 
-def estimator_deviation_exceedance(
-    problem: LearningProblem, k: int, delta: float, budget: int = ENUMERATION_BUDGET
-) -> float:
+def estimator_deviation_exceedance(problem: LearningProblem, k: int, delta: float) -> float:
     """Exact probability that |rademacher_sup - R_k| exceeds deviation_radius(k, delta)."""
     radius = deviation_radius(k, delta)
-    weights, sups = sup_enumeration(problem, k, budget)
-    exact = float(weights @ sups.mean(axis=1))
-    exceed = np.abs(sups - exact) > radius
-    return float(weights @ exceed.mean(axis=1))
+    exact = exact_rademacher(problem, k)
+    return _expect(problem, k, lambda sups: np.abs(sups - exact) > radius)
 
 
-def rbar_undershoot_rate(problem: LearningProblem, k: int, budget: int = ENUMERATION_BUDGET) -> float:
+def rbar_undershoot_rate(problem: LearningProblem, k: int) -> float:
     """Exact probability that the single-draw bound falls below the true R_k.
 
     The bound's guarantee is that this never exceeds 1/k.
     """
-    weights, sups = sup_enumeration(problem, k, budget)
-    exact = float(weights @ sups.mean(axis=1))
-    rbar = np.maximum(0.0, sups + mcdiarmid_radius(k))
-    return float(weights @ (rbar < exact).mean(axis=1))
+    exact = exact_rademacher(problem, k)
+    return _expect(problem, k, lambda sups: np.maximum(0.0, sups + mcdiarmid_radius(k)) < exact)

@@ -184,6 +184,17 @@ def test_curve_and_check_monotone_roundtrip(tmp_path, capsys):
     assert main(["check-monotone", path]) == EXIT_PASS
 
 
+def test_check_monotone_rejects_nan_tolerance(tmp_path, capsys):
+    out = str(tmp_path / "curves")
+    assert main(["curve", "erm-dip-witness", "--algo", "erm", "--engine", "exact", "--n-max", "6", "--out", out]) == EXIT_PASS
+    path = capsys.readouterr().out.strip().split("out=")[1]
+    assert main(["check-monotone", path]) == EXIT_CHECK_FAILED
+    capsys.readouterr()
+    # a NaN tolerance would make every comparison false and pass any curve
+    assert main(["check-monotone", path, "--tol", "nan"]) == EXIT_CONFIG
+    assert "verdict" not in capsys.readouterr().out
+
+
 def test_curve_mc_needs_seed(tmp_path):
     out = str(tmp_path / "curves")
     assert main(["curve", "symmetric-coin", "--algo", "erm", "--engine", "mc", "--out", out]) == EXIT_CONFIG
@@ -209,7 +220,10 @@ def test_rademacher_subcommand(capsys):
     assert main(["rademacher", "biased-coin-massart", "--k", "6", "--mode", "empirical", "--seed", "2"]) == EXIT_PASS
     capsys.readouterr()
     assert main(["rademacher", "biased-coin-massart", "--k", "6", "--mode", "empirical"]) == EXIT_CONFIG
-    assert main(["rademacher", "three-outcome-misspecified", "--k", "40", "--mode", "exact"]) == EXIT_RESOURCE
+    assert main(["rademacher", "three-outcome-misspecified", "--k", "40", "--mode", "exact"]) == EXIT_PASS
+    capsys.readouterr()
+    # C(63 + 5, 5) = 10,424,128 signed count vectors pass the 10^7 budget
+    assert main(["rademacher", "three-outcome-misspecified", "--k", "63", "--mode", "exact"]) == EXIT_RESOURCE
 
 
 def test_bernstein_subcommand(capsys):

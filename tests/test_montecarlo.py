@@ -463,7 +463,8 @@ def test_estimator_deviation_accepts_delta_one():
 
 def test_estimator_deviation_respects_enumeration_budget():
     problem = skewed_two_point()
-    cfg = McConfig(replications=10, n_max=12, base_seed=9, grid=(12,))
+    # n = 390 is the first two-outcome n past 10^7 signed count vectors
+    cfg = McConfig(replications=10, n_max=390, base_seed=9, grid=(390,))
     with pytest.raises(ResourceLimitError):
         mc_bound_coverage(problem, EstimatorDeviationEvent(delta=0.5), cfg)
 

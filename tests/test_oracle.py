@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import germ.oracle
+import germ.problem
 from germ.algorithm import GermAlgorithm, PlainErm, erm, run_germ
 from germ.analysis import pairwise_bernstein_rhs, pairwise_rhs_from_sq
 from germ.errors import ResourceLimitError
@@ -325,6 +326,13 @@ def test_check_monotone_pooled_standard_errors():
         check_monotone(wide, tolerance=-0.1)
 
 
+def test_check_monotone_rejects_nan_tolerance():
+    curve = RiskCurve(ns=(1, 2), values=(0.4, 0.5), stderrs=None, kind="exact", problem="p", algo="erm")
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_monotone(curve, tolerance=math.nan)
+    assert check_monotone(curve, tolerance=math.inf).verdict == "monotone"
+
+
 def test_monotonicity_report_validation():
     with pytest.raises(ValueError):
         MonotonicityReport(verdict="monotone", violations=((3, 0.1),), max_increase=0.1, tolerance=0.0)
@@ -459,10 +467,10 @@ PAIRWISE_CASES = {
 }
 
 
-@pytest.mark.parametrize("block", [germ.oracle.PAIRWISE_BLOCK, 64])
+@pytest.mark.parametrize("block", [germ.problem.COUNT_BLOCK, 64])
 @pytest.mark.parametrize("case", sorted(PAIRWISE_CASES))
 def test_pairwise_coverage_matches_per_vector_reference(case, block, monkeypatch):
-    monkeypatch.setattr(germ.oracle, "PAIRWISE_BLOCK", block)
+    monkeypatch.setattr(germ.problem, "COUNT_BLOCK", block)
     problem, n, delta = PAIRWISE_CASES[case]
     blocked = pairwise_bernstein_coverage(problem, n, delta)
     assert abs(blocked - reference_pairwise_coverage(problem, n, delta)) <= 1e-13

@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+import germ.problem
+from germ.errors import ResourceLimitError
 from germ.problem import (
     DiscreteDistribution,
     LearningProblem,
@@ -16,6 +18,7 @@ from germ.problem import (
     draw_sample,
     empirical_risk,
     load_problem,
+    multinomial_blocks,
     optimal_risk,
     population_risk,
     problem_from_json,
@@ -100,6 +103,36 @@ def test_enumerated_mean_of_empirical_risk_matches_population_risk():
     for zs in itertools.product(range(m), repeat=n):
         total += empirical_risk(problem.loss, 0, Sample(zs))
     assert total / m**n == pytest.approx(population_risk(problem, 0), abs=1e-12)
+
+
+@pytest.mark.parametrize("block", [germ.problem.COUNT_BLOCK, 5])
+def test_multinomial_blocks_cover_every_possible_count_vector(block, monkeypatch):
+    # a block of 5 rows cuts the 21 vectors with first count 0 into pieces
+    monkeypatch.setattr(germ.problem, "COUNT_BLOCK", block)
+    probs = (0.2, 0.0, 0.5, 0.3)
+    n = 5
+    blocks = list(multinomial_blocks(probs, n))
+    counts = np.concatenate([c for c, _ in blocks]).tolist()
+    want = sorted(
+        list(c) for c in itertools.product(range(n + 1), repeat=len(probs)) if sum(c) == n and c[1] == 0
+    )
+    assert counts == want
+    assert all(len(c) < 2 * block for c, _ in multinomial_blocks((0.25,) * 4, n))
+    for c, w in blocks:
+        for row, weight in zip(c.tolist(), w.tolist()):
+            exact = math.factorial(n) / math.prod(math.factorial(x) for x in row)
+            exact *= math.prod(p**x for p, x in zip(probs, row))
+            assert weight == pytest.approx(exact, rel=1e-13)
+    assert math.fsum(w for _, ws in blocks for w in ws.tolist()) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_multinomial_blocks_budget(monkeypatch):
+    # C(5 + 3, 3) = 56 count vectors of 4 categories
+    monkeypatch.setattr(germ.problem, "ENUMERATION_BUDGET", 55)
+    with pytest.raises(ResourceLimitError):
+        next(multinomial_blocks((0.25,) * 4, 5))
+    monkeypatch.setattr(germ.problem, "ENUMERATION_BUDGET", 56)
+    assert sum(len(c) for c, _ in multinomial_blocks((0.25,) * 4, 5)) == 56
 
 
 def test_distribution_validation():

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import germ.problem
 from germ.errors import ResourceLimitError
 from germ.problem import DiscreteDistribution, LearningProblem, LossTable, Sample
 from germ.rademacher import (
@@ -19,9 +21,9 @@ from germ.rademacher import (
     rbar_from_signs,
     rbar_massart,
     rbar_undershoot_rate,
-    sign_matrix,
 )
 from germ.rng import philox_stream
+from germ.scenarios import builtin_scenarios
 
 
 def make_problem(probs, rows, name="p"):
@@ -100,12 +102,6 @@ def test_deviation_radius_examples():
         deviation_radius(0, 0.5)
 
 
-def test_sign_matrix_covers_all_vectors():
-    mat = sign_matrix(3)
-    assert mat.shape == (8, 3)
-    assert {tuple(row) for row in mat} == {tuple(v) for v in np.array(np.meshgrid(*[[-1, 1]] * 3)).T.reshape(-1, 3)}
-
-
 def test_exact_rademacher_examples():
     single = make_problem((0.5, 0.5), [(0.5, 0.5)])
     assert exact_rademacher(single, 1) == pytest.approx(0.0, abs=1e-15)
@@ -121,8 +117,6 @@ def test_exact_rademacher_brute_force_cross_check():
     problem = make_problem((0.6, 0.4), [(0.2, 0.9), (0.7, 0.1)])
     k = 3
     total = 0.0
-    import itertools
-
     for zs in itertools.product(range(2), repeat=k):
         w = math.prod(problem.distribution.probs[z] for z in zs)
         inner = 0.0
@@ -132,13 +126,58 @@ def test_exact_rademacher_brute_force_cross_check():
     assert exact_rademacher(problem, k) == pytest.approx(total, abs=1e-13)
 
 
-def test_exact_rademacher_budget_guard():
+def test_exact_rademacher_budget_guard(monkeypatch):
     problem = make_problem((0.5, 0.5), [(0.0, 1.0)])
+    # k = 390 is the first k whose C(k + 3, 3) signed count vectors pass 10^7
     with pytest.raises(ResourceLimitError):
-        exact_rademacher(problem, 20)
-    # tight custom budget triggers too
+        exact_rademacher(problem, 390)
+    # k = 3 visits C(6, 3) = 20 count vectors: a budget of 19 refuses, 20 admits
+    monkeypatch.setattr(germ.problem, "ENUMERATION_BUDGET", 19)
     with pytest.raises(ResourceLimitError):
-        exact_rademacher(problem, 3, budget=63)
+        exact_rademacher(problem, 3)
+    monkeypatch.setattr(germ.problem, "ENUMERATION_BUDGET", 20)
+    assert exact_rademacher(problem, 3) == pytest.approx(0.0, abs=1e-15)
+
+
+def reference_sign_sample_table(problem, k):
+    """Every (sample, sign vector) pair: sample weights and the suprema table.
+
+    Returns (m^k,) product weights and an (m^k, 2^k) array of
+    sup_h (1/k) sum_i sigma_i loss(h, z_i), one column per sign vector.
+    """
+    m = problem.outcome_count
+    probs = problem.distribution.probs
+    loss_t = problem.loss.as_array().T
+    bits = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    smat = (2 * bits - 1).astype(np.float64)
+    weights = np.empty(m**k)
+    sups = np.empty((m**k, 2**k))
+    for i, zs in enumerate(itertools.product(range(m), repeat=k)):
+        weights[i] = math.prod(probs[z] for z in zs)
+        sups[i] = (smat @ loss_t[list(zs)]).max(axis=1) / k
+    return weights, sups
+
+
+REFERENCE_PROBLEMS = [(s.name, s.problem) for s in builtin_scenarios()] + [
+    (
+        "impossible-outcome",
+        make_problem((0.6, 0.0, 0.4), [(0.2, 0.4, 0.9), (0.1, 0.6, 0.5), (0.55, 0.2, 0.3)]),
+    )
+]
+
+
+@pytest.mark.parametrize("name, problem", REFERENCE_PROBLEMS, ids=[name for name, _ in REFERENCE_PROBLEMS])
+def test_count_vector_sums_match_sign_sample_enumeration(name, problem):
+    for k in range(1, 10 if problem.outcome_count <= 2 else 7):
+        weights, sups = reference_sign_sample_table(problem, k)
+        exact = float(weights @ sups.mean(axis=1))
+        assert abs(exact_rademacher(problem, k) - exact) <= 1e-14, k
+        for delta in (0.1, 0.25, 0.5):
+            exceed = np.abs(sups - exact) > deviation_radius(k, delta)
+            want = float(weights @ exceed.mean(axis=1))
+            assert abs(estimator_deviation_exceedance(problem, k, delta) - want) <= 1e-14, (k, delta)
+        under = np.maximum(0.0, sups + mcdiarmid_radius(k)) < exact
+        assert abs(rbar_undershoot_rate(problem, k) - float(weights @ under.mean(axis=1))) <= 1e-14, k
 
 
 def test_massart_dominates_exact_rademacher():
