@@ -194,8 +194,8 @@ def bernstein_delta_from_sq(k, sq_sum, class_size: int):
     does.  Since the square-root term is >= 0 and rounding is monotone, the
     gap at ``sq_sum = 0.0`` is a lower bound of the gap at any sum.
     """
-    # the exact oracle calls this once per state with an int k and a float
-    # sum: isinstance against int and float is the cheapest dispatch (against
+    # ``run_germ`` calls this once per step with an int k and a float sum:
+    # isinstance against int and float is the cheapest dispatch (against
     # np.ndarray it costs about 0.1 us more), and math.sqrt keeps the result a
     # Python float
     if isinstance(k, int) or not isinstance(k, np.ndarray):

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithm import AlgorithmSpec, GermAlgorithm, algo_label, check_algorithm
+from .algorithm import _accumulate_steps, _bernstein_gate, _erm_candidates, _scan_gate
 from .analysis import excess_risk_bound, pairwise_rhs_from_sq
 from .gap import GapSpec, UniformConvergence, bernstein_delta_from_sq, delta_uniform, is_randomized
 from .oracle import RiskCurve
@@ -312,121 +313,6 @@ def _step_bytes(class_size: int) -> int:
     difference, the gap and their temporaries), 8 bytes or fewer each.
     """
     return 8 * (class_size + 10)
-
-
-def _erm_candidates(S: np.ndarray):
-    """Lowest-index empirical risk minimizer of the sums ``S[h, ...]``.
-
-    Ascending strict ``<`` comparisons keep the lowest index on ties, as the
-    single run's ``min`` over hypotheses does.  Returns the indices and the
-    minimal sums.
-    """
-    best = S[0].copy()
-    cand = np.zeros(best.shape, dtype=np.min_scalar_type(len(S) - 1))
-    for h in range(1, len(S)):
-        better = S[h] < best
-        np.copyto(cand, h, where=better)
-        np.minimum(best, S[h], out=best)
-    return cand, best
-
-
-def _accumulate_steps(X: np.ndarray) -> None:
-    """Running sums along axis 1, in place and in step order.
-
-    X[:, 0] holds the values carried into the block; afterwards X[:, t] is
-    X[:, t - 1] + X[:, t], the scalar loop's addition.  One vector add per
-    step over (axis 0, axis 2) slabs is several times faster than
-    ``np.cumsum`` along axis 1.
-    """
-    for t in range(1, X.shape[1]):
-        np.add(X[:, t - 1], X[:, t], out=X[:, t])
-
-
-def _running_counts(counts: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Outcome counts after each step of a block, indexed [outcome, step, row].
-
-    ``counts`` (m, R) holds the counts before the block and ``z`` (steps, R)
-    the block's outcomes.
-    """
-    m = len(counts)
-    C = np.empty((m, len(z) + 1, z.shape[1]), dtype=np.int64)
-    C[:, 0] = counts
-    for j in range(m):
-        np.equal(z, j, out=C[j, 1:])
-    _accumulate_steps(C)
-    return C[:, 1:]
-
-
-def _bernstein_gate(rows, lo, inc, cand, diff, fire, *, counts, z, k, D2, class_size) -> None:
-    """Settle the Bernstein gate at the steps ``fire`` marks, in place.
-
-    ``fire`` marks where the difference clears the gap with no variance
-    term, a lower bound of the gap.  Only there are the squared-difference
-    sum, accumulated in ascending outcome order as in the scalar loop, and
-    the gap formed.  Arguments follow ``_scan_gate``; ``counts`` (m, B) holds
-    the outcome counts before the block, ``z`` its outcomes, ``D2`` the
-    squared loss differences indexed [candidate, incumbent, outcome].
-    """
-    t, r = np.nonzero(fire)
-    if not t.size:
-        return
-    need, at_need = np.unique(rows[r], return_inverse=True)
-    C = _running_counts(counts[:, need], z[:, need])
-    d2 = D2[cand[t, r], inc[r]]
-    q = np.zeros(t.size)
-    for zz in range(len(C)):
-        q += C[zz, lo + t, at_need] * d2[:, zz]
-    fire[t, r] = diff[t, r] <= -bernstein_delta_from_sq(k[lo + t, 0], q, class_size)
-
-
-def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
-    """Gate decisions of one block of steps; updates ``incumbent`` in place.
-
-    ``S`` (H, T, B) holds the running loss sums, ``cand`` and ``best`` (T, B)
-    the ERM candidate and its sum, ``k`` (T, 1) the step indices and ``gap``
-    (T, B) the gap, or a lower bound of it that ``settle`` (see
-    ``_bernstein_gate``) turns into the gate's decision.  The gate fires
-    where (sum(cand) - sum(incumbent)) / k <= -gap; a fire where the
-    candidate is the incumbent switches nothing.  Each row switches at its
-    first firing step and is rescanned from the step after against its new
-    incumbent, until no row switches.
-
-    Returns the incumbents after the block positions ``at``, shape
-    (len(at), B), and the number of scans.
-    """
-    T, B = best.shape
-    picked = np.repeat(incumbent[np.newaxis, :], len(at), axis=0)
-    rows = np.arange(B)
-    lo = 0
-    cols = slice(None)  # the first scan reads every row without a copy
-    scans = 0
-    while True:
-        scans += 1
-        inc = incumbent[rows]
-        c = cand[lo:, cols]
-        diff = (best[lo:, cols] - S[inc, lo:, rows].T) / k[lo:]
-        fire = diff <= -gap[lo:, cols]
-        fire &= c != inc
-        if scans > 1:
-            fire &= np.arange(lo, T)[:, np.newaxis] >= first
-        if settle is not None:
-            settle(rows, lo, inc, c, diff, fire)
-        hit = fire.any(axis=0)
-        if not hit.any():
-            break
-        rows = rows[hit]
-        f = fire[:, hit].argmax(axis=0) + lo
-        new = cand[f, rows]
-        incumbent[rows] = new
-        if at:
-            picked[:, rows] = np.where(np.array(at)[:, np.newaxis] >= f, new, picked[:, rows])
-        keep = f + 1 < T
-        rows, first = rows[keep], f[keep] + 1
-        if not rows.size:
-            break
-        lo = int(first.min())
-        cols = rows
-    return picked, scans
 
 
 def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig, start: int, stop: int, capture_rbar: bool):

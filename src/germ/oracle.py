@@ -5,11 +5,11 @@ every step n <= n_max is an exact finite sum over outcome sequences.  The
 oracle walks the sequences forward one depth at a time and merges prefixes
 that reach the same state (loss sums, outcome counts, incumbent), since
 their futures are identical; each state carries the total probability of
-its prefixes.  Every state transition repeats the algorithm module's step
-arithmetic (same accumulation order, same gap kernels), so every gate
-decision matches ``run_germ`` on every sequence, and each curve value is
-the sequence average up to the rounding of the merged weight sums.  One
-walk yields the whole curve.
+its prefixes.  A depth is stepped as one block through the array step
+kernels of the algorithm module, the ones the Monte Carlo engine runs, so
+every gate decision matches ``run_germ`` on every sequence, and each curve
+value is the sequence average up to the rounding of the merged weight
+sums.  One walk yields the whole curve.
 
 The exact pairwise-coverage sum runs over outcome-count vectors instead
 (``problem.multinomial_blocks``), in blocks, with NumPy.
@@ -18,6 +18,7 @@ The exact pairwise-coverage sum runs over outcome-count vectors instead
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithm import AlgorithmSpec, GermAlgorithm, PlainErm, algo_label, check_algorithm
+from .algorithm import _bernstein_gate, _erm_candidates, _scan_gate
 from .analysis import pairwise_rhs_from_sq
 from .errors import ResourceLimitError
 from .gap import bernstein_delta_from_sq, is_randomized
@@ -76,8 +78,8 @@ class RiskCurve:
         if self.stderrs is not None:
             if len(self.stderrs) != len(self.ns):
                 raise ValueError("stderrs and ns lengths differ")
-            if any(s < 0 for s in self.stderrs):
-                raise ValueError("standard errors must be nonnegative")
+            if not all(0.0 <= s < math.inf for s in self.stderrs):
+                raise ValueError("standard errors must be finite and nonnegative")
         if self.kind == "mc" and self.seed is None:
             raise ValueError("Monte Carlo curves record their seed")
         if not self.problem or not self.algo:
@@ -144,54 +146,49 @@ def check_monotone(curve: RiskCurve, tolerance: float | None = None) -> Monotoni
 def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: int) -> list[float]:
     """Expected population risk of the chosen hypothesis at each depth 1..n_max.
 
-    Depth k maps each state (per-hypothesis loss sums, outcome counts,
-    chosen hypothesis) to the total probability of the length-k prefixes
-    that reach it.  Every child repeats ``run_germ``'s step arithmetic on
-    its parent's state, so each gate decision is the one ``run_germ`` makes
-    on every path through that state.  Two prefixes merge only when their
-    futures agree: the float sums are keyed bit for bit, because ERM breaks
-    ties on them.  Children run in ascending outcome order over states in
-    insertion order, so the result is a pure function of the arguments.
+    Layer k holds one int64 row per state that length-k prefixes reach, the
+    bits of its per-hypothesis loss sums, its outcome counts and its chosen
+    hypothesis, and beside it the total probability of those prefixes.  The
+    children, one per state and possible outcome, take one step as one
+    block through the lockstep engine's kernels, so each gate decision is
+    the one ``run_germ`` makes on every path through the parent.  Equal rows
+    merge: sums are keyed bit for bit because ERM breaks ties on them.
     """
-    loss = problem.loss
-    rows = loss.rows
-    m = loss.outcome_count
-    class_size = loss.class_size
-    probs = problem.distribution.probs
-    pop = [population_risk(problem, h) for h in range(class_size)]
+    L = problem.loss.as_array()
+    H = problem.class_size
+    probs = problem.distribution.as_array()
+    pop = np.array([population_risk(problem, h) for h in range(H)])
     germ = isinstance(algo, GermAlgorithm)
-    deltas = schedule[0] if schedule is not None else None
-    bernstein = germ and deltas is None
-    hs = range(class_size)
+    if germ and schedule is None:
+        # the gate scans against the gap with no variance term, a lower bound
+        # of the gap, and ``_bernstein_gate`` settles it
+        gaps = [bernstein_delta_from_sq(k, 0.0, H) for k in range(1, n_max + 1)]
+        bernstein = functools.partial(_bernstein_gate, D2=(L[:, np.newaxis, :] - L[np.newaxis, :, :]) ** 2, class_size=H)
+    elif germ:
+        gaps, bernstein = schedule[0], None
     # a zero-probability outcome adds no weight to any depth
-    outcomes = [z for z in range(m) if probs[z] > 0.0]
-    layer = {((0.0,) * class_size, (0,) * m, algo.initial_index if germ else 0): 1.0}
+    outcomes = np.flatnonzero(probs > 0.0)
+    layer = np.zeros((1, H + len(probs) + 1), dtype=np.int64)  # all-zero bits are the sums 0.0
+    layer[0, -1] = algo.initial_index if germ else 0
+    weights = np.ones(1)
     values = [0.0] * (n_max + 1)
     for k in range(1, n_max + 1):
-        children: dict = {}
-        for (sums, counts, incumbent), weight in layer.items():
-            for z in outcomes:
-                child_sums = tuple([sums[h] + rows[h][z] for h in hs])
-                child_counts = counts[:z] + (counts[z] + 1,) + counts[z + 1 :]
-                cand = min(hs, key=child_sums.__getitem__)
-                if germ:
-                    if bernstein:
-                        cand_row, inc_row = rows[cand], rows[incumbent]
-                        sq = 0.0
-                        for zz in range(m):
-                            d = cand_row[zz] - inc_row[zz]
-                            sq += child_counts[zz] * (d * d)
-                        delta = bernstein_delta_from_sq(k, sq, class_size)
-                    else:
-                        delta = deltas[k - 1]
-                    diff = (child_sums[cand] - child_sums[incumbent]) / k
-                    chosen = cand if diff <= -delta else incumbent
-                else:
-                    chosen = cand
-                key = (child_sums, child_counts, chosen)
-                children[key] = children.get(key, 0.0) + weight * probs[z]
-        values[k] = math.fsum(w * pop[key[2]] for key, w in children.items())
-        layer = children
+        # child j * N + i is state i followed by outcome outcomes[j]
+        parents = np.tile(layer, (len(outcomes), 1))
+        z = np.repeat(outcomes, len(layer))[np.newaxis, :]
+        S = (parents[:, :H].T.view(np.float64) + L[:, z[0]])[:, np.newaxis]
+        counts, chosen = parents[:, H:-1].T, parents[:, -1]
+        cand, best = _erm_candidates(S)
+        if germ:
+            step = np.array([[k]])
+            settle = bernstein and functools.partial(bernstein, counts=counts, z=z, k=step)
+            _scan_gate(S, cand, best, step, np.full(cand.shape, gaps[k - 1]), chosen, [], settle)
+        else:
+            chosen = cand[0]
+        counts = counts + (np.arange(len(counts))[:, np.newaxis] == z)
+        layer, merged = np.unique(np.vstack([S[:, 0].view(np.int64), counts, chosen]).T, axis=0, return_inverse=True)
+        weights = np.bincount(merged, weights=(probs[outcomes, np.newaxis] * weights).ravel())
+        values[k] = math.fsum((weights * pop[layer[:, -1]]).tolist())
     return values
 
 
@@ -233,7 +230,9 @@ def exact_risk_curve(
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     m = problem.loss.outcome_count
-    if m**n_max > ENUMERATION_BUDGET:
+    # for m >= 2 the power passes the budget within the budget's bit length of
+    # steps, and for m = 1 it never does, so a capped exponent decides the check
+    if m ** min(n_max, ENUMERATION_BUDGET.bit_length()) > ENUMERATION_BUDGET:
         raise ResourceLimitError(
             f"enumerating {m}^{n_max} sequences exceeds the budget of {ENUMERATION_BUDGET}"
         )

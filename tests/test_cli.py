@@ -195,6 +195,29 @@ def test_check_monotone_rejects_nan_tolerance(tmp_path, capsys):
     assert "verdict" not in capsys.readouterr().out
 
 
+def test_check_monotone_rejects_non_finite_stderr(tmp_path, capsys):
+    # an MC curve that rises from 0.2 to 0.9; a NaN or infinite standard
+    # error would widen the pooled tolerance until the rise passed
+    path = tmp_path / "curve.csv"
+    for stderr, code in (("0.0", EXIT_CHECK_FAILED), ("nan", EXIT_CONFIG), ("inf", EXIT_CONFIG)):
+        path.write_text(
+            "n,value,stderr,kind,problem,algo,seed\n"
+            f"1,0.2,{stderr},mc,p,erm,1\n2,0.9,{stderr},mc,p,erm,1\n",
+            encoding="utf-8",
+        )
+        assert main(["check-monotone", str(path)]) == code
+        assert ("verdict" in capsys.readouterr().out) == (code == EXIT_CHECK_FAILED)
+
+
+def test_exact_budget_refuses_a_huge_horizon(tmp_path):
+    # the check decides without forming 3**100000000
+    out = str(tmp_path / "curves")
+    args = ["curve", "three-outcome-misspecified", "--engine", "exact", "--algo", "erm", "--n-max", "100000000"]
+    assert main([*args, "--out", out]) == EXIT_RESOURCE
+    doc = exact_config(tmp_path, engine={"kind": "exact", "n_max": 100_000_000})
+    assert main(["run", write_config(tmp_path, doc)]) == EXIT_RESOURCE
+
+
 def test_curve_mc_needs_seed(tmp_path):
     out = str(tmp_path / "curves")
     assert main(["curve", "symmetric-coin", "--algo", "erm", "--engine", "mc", "--out", out]) == EXIT_CONFIG

@@ -139,12 +139,30 @@ def test_gate_fires_inside_the_enumeration_budget():
     assert check_monotone(curve).verdict == "monotone"
 
 
+def test_bernstein_gate_fires_on_a_one_outcome_problem():
+    # a bounded-loss Bernstein gap stays above 1 at every n that two or more
+    # outcomes allow; one outcome keeps one state per depth at any n, and
+    # there the gap, variance term included, falls below the loss gap of 1
+    problem = make_problem([(0.0,), (1.0,)], (1.0,))
+    algo = GermAlgorithm(gap=bernstein(2), initial_index=1)
+    curve = exact_risk_curve(problem, algo, 120)
+    chosen = run_germ(problem, Sample((0,) * 120), algo.gap, initial=1).indices()
+    assert curve.values[1:] == tuple(population_risk(problem, h) for h in chosen)
+    assert curve.values[-1] == 0.0
+
+
 def test_exact_curve_matches_brute_force_within_rounding():
     rng = philox_stream(6100, 0)
     rows = tuple(
         tuple(round(float(v), 2) for v in rng.random(2)) for _ in range(3)
     )
-    problem = make_problem(rows, (0.3, 0.7))
+    problems = [
+        make_problem(rows, (0.3, 0.7)),
+        # an impossible outcome between two possible ones
+        make_problem([(r[0], v, r[1]) for r, v in zip(rows, (0.9, 0.0, 0.5))], (0.3, 0.0, 0.7)),
+        # rows 0 and 1 agree, so their sums tie bit for bit at every step
+        make_problem((rows[0], rows[0], rows[2]), (0.3, 0.7)),
+    ]
     algos = [
         PlainErm(),
         GermAlgorithm(gap=massart(3), initial_index=2),
@@ -155,13 +173,14 @@ def test_exact_curve_matches_brute_force_within_rounding():
             initial_index=2,
         ),
     ]
-    for algo in algos:
-        curve = exact_risk_curve(problem, algo, 5)
-        expected = brute_force_curve(problem, algo, 5)
-        tail = curve.values[1:] if isinstance(algo, GermAlgorithm) else curve.values
-        assert len(tail) == len(expected)
-        for got, want in zip(tail, expected):
-            assert abs(got - want) <= 1e-14
+    for problem in problems:
+        for algo in algos:
+            curve = exact_risk_curve(problem, algo, 5)
+            expected = brute_force_curve(problem, algo, 5)
+            tail = curve.values[1:] if isinstance(algo, GermAlgorithm) else curve.values
+            assert len(tail) == len(expected)
+            for got, want in zip(tail, expected):
+                assert abs(got - want) <= 1e-14
 
 
 def exact_rational_curve(problem, algo, n_max):
@@ -357,6 +376,11 @@ def test_risk_curve_validation():
         RiskCurve(**{**good, "stderrs": (0.1, 0.1)})
     with pytest.raises(ValueError):
         RiskCurve(ns=(1,), values=(0.5,), stderrs=(0.1,), kind="mc", problem="p", algo="erm")
+    mc = dict(ns=(1, 2), values=(0.2, 0.9), kind="mc", problem="p", algo="erm", seed=1)
+    RiskCurve(**mc, stderrs=(0.0, 0.0))
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RiskCurve(**mc, stderrs=(0.0, bad))
     with pytest.raises(ValueError):
         RiskCurve(**{**good, "problem": ""})
 
