@@ -51,7 +51,7 @@ from .montecarlo import (
     PairwiseBernsteinEvent,
     coverage_to_csv,
     excess_risk_decay,
-    mc_bound_coverage,
+    mc_experiment,
     mc_risk_curve,
 )
 from .oracle import check_monotone, exact_risk_curve, read_curve, write_curve
@@ -438,10 +438,12 @@ def _coverage_event(check: CoverageCheck, config: ExperimentConfig):
     return PairwiseBernsteinEvent(delta=check.delta)
 
 
-def _run_checks(config: ExperimentConfig, curve, mc_cfg, workers: int, out_dir: Path):
+def _run_checks(config: ExperimentConfig, curve, coverages, mc_cfg, workers: int, out_dir: Path):
+    """Judge each check; ``coverages`` holds the coverage checks' results in order."""
     entries = []
     coverage_paths: dict[str, Path] = {}
     all_passed = True
+    coverages = iter(coverages)
     for check in config.checks:
         if isinstance(check, MonotoneCheck):
             report = check_monotone(curve, tolerance=check.tolerance)
@@ -453,8 +455,7 @@ def _run_checks(config: ExperimentConfig, curve, mc_cfg, workers: int, out_dir: 
                 "violations": [list(v) for v in report.violations],
             }
         elif isinstance(check, CoverageCheck):
-            event = _coverage_event(check, config)
-            result = mc_bound_coverage(config.problem, event, mc_cfg, workers=workers)
+            result = next(coverages)
             path = out_dir / f"coverage-{check.event}.csv"
             path.write_text(coverage_to_csv(result), encoding="utf-8")
             coverage_paths[check.event] = path
@@ -487,10 +488,13 @@ def run_experiment(config: ExperimentConfig, *, workers: int = 1) -> ExperimentR
     """Execute one experiment and write curve, coverage, and report files."""
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
+    # an event the algorithm cannot run is refused before any simulation
+    events = tuple(_coverage_event(c, config) for c in config.checks if isinstance(c, CoverageCheck))
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
     mc_cfg = None
+    coverages = ()
     if config.engine == "exact":
         curve = exact_risk_curve(config.problem, config.algo, config.n_max, workers=workers)
     else:
@@ -500,7 +504,7 @@ def run_experiment(config: ExperimentConfig, *, workers: int = 1) -> ExperimentR
             base_seed=config.seed,
             grid=config.grid,
         )
-        curve = mc_risk_curve(config.problem, config.algo, mc_cfg, workers=workers)
+        curve, coverages = mc_experiment(config.problem, config.algo, mc_cfg, events, workers=workers)
     curve_path = out_dir / "curve.csv"
     write_curve(curve, curve_path)
 
@@ -518,7 +522,7 @@ def run_experiment(config: ExperimentConfig, *, workers: int = 1) -> ExperimentR
         trajectory_path = out_dir / "trajectory.json"
         _write_json(trajectory_path, trajectory_to_dict(trajectory))
 
-    check_entries, coverage_paths, all_passed = _run_checks(config, curve, mc_cfg, workers, out_dir)
+    check_entries, coverage_paths, all_passed = _run_checks(config, curve, coverages, mc_cfg, workers, out_dir)
 
     report = {
         "tool": {"name": "germ", "version": __version__},

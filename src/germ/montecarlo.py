@@ -20,7 +20,9 @@ draws, so what a replication consumes is fixed by the replication alone,
 not by how its draws are split into calls, and matches the scalar loop's
 one k-sign call per step.  Replications are processed in fixed-size
 chunks and chunk results are reduced in chunk order, so means, standard
-errors, and coverage counts do not depend on the worker count.
+errors, and coverage counts do not depend on the worker count.  One
+``mc_experiment`` call draws and steps each chunk once, and the risk curve
+and every coverage event read that one pass.
 """
 
 from __future__ import annotations
@@ -196,14 +198,16 @@ class DecayFit:
 def _map_chunks(chunk, replications: int, workers: int, *args) -> list:
     """``chunk(*args, start, stop)`` per CHUNK of replications, in chunk order.
 
-    Chunks run in a process pool when there are several workers and chunks.
+    Chunks run in a process pool when there are several workers and chunks,
+    with no more processes than chunks.
     """
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     ranges = [(start, min(start + CHUNK, replications)) for start in range(0, replications, CHUNK)]
-    if workers == 1 or len(ranges) == 1:
+    processes = min(workers, len(ranges))
+    if processes == 1:
         return [chunk(*args, a, b) for a, b in ranges]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         futures = [pool.submit(chunk, *args, a, b) for a, b in ranges]
         return [f.result() for f in futures]
 
@@ -315,11 +319,19 @@ def _step_bytes(class_size: int) -> int:
     return 8 * (class_size + 10)
 
 
-def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig, start: int, stop: int, capture_rbar: bool):
-    """Run all replications of one chunk in lockstep, a block of steps at a time.
+def _draws_signs(algo: AlgorithmSpec | None) -> bool:
+    """Whether stepping ``algo`` draws signs after each replication's sample."""
+    return isinstance(algo, GermAlgorithm) and is_randomized(algo.gap)
 
-    Per block, every hypothesis's running loss sum at every step comes from
-    the sums carried from the block before, one vector add per step;
+
+def _step_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig, outcomes: np.ndarray, gens, capture_rbar: bool):
+    """Step the replications of a (B, n_max) outcome block in lockstep, a
+    block of steps at a time.
+
+    ``gens`` holds each row's generator, positioned just after its sample,
+    when ``_draws_signs(algo)``, and is None otherwise.  Per block, every
+    hypothesis's running loss sum at every step comes from the sums
+    carried from the block before, one vector add per step;
     ``_erm_candidates`` gives the candidate at every step, and
     ``_scan_gate`` the gate's decisions.  Each (replication, step) pair
     goes through the float operations of the scalar loop, so results do not
@@ -341,11 +353,10 @@ def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig
     n = cfg.n_max
     germ = isinstance(algo, GermAlgorithm)
     schedule = check_algorithm(algo, H, n)
-    randomized = germ and is_randomized(algo.gap)
+    randomized = _draws_signs(algo)
     bernstein = germ and schedule is None and not randomized
 
-    outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, randomized)
-    B = stop - start
+    B = len(outcomes)
     ks = np.arange(1, n + 1)
     if schedule is not None:
         deltas = np.array(schedule[0])
@@ -422,35 +433,91 @@ def _lockstep_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig
     return chosen, (rbars if capture_rbar else None)
 
 
-def _risk_chunk(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig, start: int, stop: int):
-    """Chunk statistics per grid n: (sum, sum of squares, min, max)."""
-    chosen, _ = _lockstep_block(problem, algo, cfg, start, stop, capture_rbar=False)
-    pop = _population_risks(problem)
-    stats = []
-    for n in cfg.grid:
-        values = pop[chosen[n]]
-        stats.append(
-            (float(values.sum()), float((values * values).sum()), float(values.min()), float(values.max()))
-        )
-    return stats
+def _experiment_chunk(problem: LearningProblem, algo: AlgorithmSpec | None, cfg: McConfig, events: tuple, exact_sups: dict[int, float] | None, start: int, stop: int):
+    """One chunk's curve statistics and event counts, from one outcome draw.
 
+    The chunk's outcomes are drawn once and, given an algorithm, stepped
+    once; the curve statistics and every excess-bound and pairwise event
+    read that one pass.  The estimator-deviation event draws again: its
+    signs follow each replication's sample in the stream, where a
+    randomized gap draws its own.
 
-def mc_risk_curve(
-    problem: LearningProblem,
-    algo: AlgorithmSpec,
-    cfg: McConfig,
-    *,
-    workers: int = 1,
-) -> RiskCurve:
-    """Estimated expected-risk curve over the configured grid.
-
-    Each replication r draws its own generator from (base_seed, r), draws
-    one sample of length n_max, and runs the loop once; the prefix
-    trajectory yields every grid n.  The result is bit-identical for any
-    worker count.
+    Returns (stats, counts): ``stats`` holds (sum, sum of squares, min,
+    max) of the chosen hypotheses' risks per grid n, or is None without an
+    algorithm; ``counts`` holds, per event, how many replications satisfy
+    it at each grid n.
     """
-    check_algorithm(algo, problem.class_size, cfg.n_max)
-    parts = _map_chunks(_risk_chunk, cfg.replications, workers, problem, algo, cfg)
+    pop = _population_risks(problem)
+    outcomes = gens = chosen = rbars = stats = None
+    if algo is not None or any(isinstance(e, PairwiseBernsteinEvent) for e in events):
+        outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, _draws_signs(algo))
+    if algo is not None:
+        excess = any(isinstance(e, ExcessBoundEvent) for e in events)
+        chosen, rbars = _step_block(problem, algo, cfg, outcomes, gens, capture_rbar=excess)
+        stats = []
+        for n in cfg.grid:
+            values = pop[chosen[n]]
+            stats.append(
+                (float(values.sum()), float((values * values).sum()), float(values.min()), float(values.max()))
+            )
+    counts = []
+    for event in events:
+        if isinstance(event, ExcessBoundEvent):
+            counts.append(_excess_counts(problem, cfg, pop, chosen, rbars))
+        elif isinstance(event, PairwiseBernsteinEvent):
+            counts.append(_pairwise_counts(problem, event, cfg, pop, outcomes))
+        else:
+            counts.append(_estimator_counts(problem, event, cfg, start, stop, exact_sups))
+    return stats, counts
+
+
+def _excess_counts(problem: LearningProblem, cfg: McConfig, pop: np.ndarray, chosen, rbars) -> list[int]:
+    star = optimal_risk(problem)[0]
+    counts = []
+    for n in cfg.grid:
+        excess = pop[chosen[n]] - star
+        counts.append(int(np.count_nonzero(excess <= excess_risk_bound(n, rbars[n]))))
+    return counts
+
+
+def _estimator_counts(problem: LearningProblem, event: EstimatorDeviationEvent, cfg: McConfig, start: int, stop: int, exact_sups: dict[int, float]) -> list[int]:
+    outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, keep_generators=True)
+    # each replication draws its grid sign blocks in ascending n
+    sups = _sign_sups(problem.loss.as_array(), outcomes, gens, cfg.grid)
+    counts = []
+    for n, sup in zip(cfg.grid, sups.T):
+        radius = deviation_radius(n, event.delta)
+        counts.append(int(np.count_nonzero(np.abs(sup - exact_sups[n]) <= radius)))
+    return counts
+
+
+def _pairwise_counts(problem: LearningProblem, event: PairwiseBernsteinEvent, cfg: McConfig, pop: np.ndarray, outcomes: np.ndarray) -> list[int]:
+    m = problem.loss.outcome_count
+    L = problem.loss.as_array()
+    H = problem.class_size
+    D2 = (L[:, np.newaxis, :] - L[np.newaxis, :, :]) ** 2
+    B = len(outcomes)
+    counts = np.zeros((B, m), dtype=np.int64)
+    prev = 0
+    counts_out = []
+    for n in cfg.grid:
+        seg = outcomes[:, prev:n]
+        for j in range(m):
+            counts[:, j] += np.count_nonzero(seg == j, axis=1)
+        prev = n
+        emp = counts @ L.T / n
+        ok = np.ones(B, dtype=bool)
+        for a in range(H):
+            for c in range(a + 1, H):
+                rhs = pairwise_rhs_from_sq(counts @ D2[a, c], n, H, event.delta)
+                gap = (pop[a] - pop[c]) - (emp[:, a] - emp[:, c])
+                ok &= np.abs(gap) <= rhs
+        counts_out.append(int(np.count_nonzero(ok)))
+    return counts_out
+
+
+def _reduce_curve(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig, parts: list) -> RiskCurve:
+    """The curve from the chunks' statistics, summed in chunk order."""
     R = cfg.replications
     values = []
     stderrs = []
@@ -486,53 +553,76 @@ def mc_risk_curve(
     )
 
 
-def _excess_chunk(problem: LearningProblem, event: ExcessBoundEvent, cfg: McConfig, start: int, stop: int):
-    chosen, rbars = _lockstep_block(problem, event.algo, cfg, start, stop, capture_rbar=True)
-    pop = _population_risks(problem)
-    star = optimal_risk(problem)[0]
-    counts = []
-    for n in cfg.grid:
-        excess = pop[chosen[n]] - star
-        counts.append(int(np.count_nonzero(excess <= excess_risk_bound(n, rbars[n]))))
-    return counts
+def mc_experiment(
+    problem: LearningProblem,
+    algo: AlgorithmSpec | None,
+    cfg: McConfig,
+    events: tuple[BoundEvent, ...],
+    *,
+    workers: int = 1,
+) -> tuple[RiskCurve | None, tuple[CoverageResult, ...]]:
+    """The risk curve of ``algo`` and the coverage of each event, in one pass.
+
+    One process pool runs every chunk of replications once: its outcomes
+    are drawn once and, given an algorithm, stepped once, and the curve
+    and every event read that pass (see ``_experiment_chunk``).  With
+    ``algo`` None the curve is None and nothing is stepped; an
+    excess-bound event must run ``algo`` itself.  Returns (curve,
+    coverages), the coverages in the order of ``events``; each equals what
+    ``mc_risk_curve`` or ``mc_bound_coverage`` returns for it alone, at
+    any worker count.
+    """
+    if algo is not None:
+        check_algorithm(algo, problem.class_size, cfg.n_max)
+    exact_sups = None
+    for event in events:
+        if isinstance(event, ExcessBoundEvent):
+            if event.algo != algo:
+                raise ValueError("an excess-bound event must run the experiment's algorithm")
+        elif isinstance(event, EstimatorDeviationEvent):
+            if exact_sups is None:
+                exact_sups = {n: exact_rademacher(problem, n) for n in cfg.grid}
+        elif isinstance(event, PairwiseBernsteinEvent):
+            if cfg.grid[0] < 2:
+                raise ValueError("the pairwise event needs every grid n >= 2")
+        else:
+            raise ValueError(f"unknown bound event {event!r}")
+    parts = _map_chunks(_experiment_chunk, cfg.replications, workers, problem, algo, cfg, events, exact_sups)
+    curve = None if algo is None else _reduce_curve(problem, algo, cfg, [stats for stats, _ in parts])
+    coverages = []
+    for i, event in enumerate(events):
+        excess = isinstance(event, ExcessBoundEvent)
+        totals = [sum(counts[i][gi] for _, counts in parts) for gi in range(len(cfg.grid))]
+        coverages.append(
+            CoverageResult(
+                event=event.name,
+                ns=cfg.grid,
+                coverages=tuple(t / cfg.replications for t in totals),
+                floors=tuple(1.0 - 2.0 / n if excess else 1.0 - event.delta for n in cfg.grid),
+                replications=cfg.replications,
+                problem=problem.name,
+                seed=cfg.base_seed,
+                algo=algo_label(algo) if excess else None,
+            )
+        )
+    return curve, tuple(coverages)
 
 
-def _estimator_chunk(problem: LearningProblem, event: EstimatorDeviationEvent, cfg: McConfig, start: int, stop: int, exact_sups: dict[int, float]):
-    outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, keep_generators=True)
-    # each replication draws its grid sign blocks in ascending n
-    sups = _sign_sups(problem.loss.as_array(), outcomes, gens, cfg.grid)
-    counts = []
-    for n, sup in zip(cfg.grid, sups.T):
-        radius = deviation_radius(n, event.delta)
-        counts.append(int(np.count_nonzero(np.abs(sup - exact_sups[n]) <= radius)))
-    return counts
+def mc_risk_curve(
+    problem: LearningProblem,
+    algo: AlgorithmSpec,
+    cfg: McConfig,
+    *,
+    workers: int = 1,
+) -> RiskCurve:
+    """Estimated expected-risk curve over the configured grid.
 
-
-def _pairwise_chunk(problem: LearningProblem, event: PairwiseBernsteinEvent, cfg: McConfig, start: int, stop: int):
-    outcomes, _ = _draw_outcome_block(problem, cfg, start, stop, keep_generators=False)
-    m = problem.loss.outcome_count
-    L = problem.loss.as_array()
-    H = problem.class_size
-    pop = _population_risks(problem)
-    D2 = (L[:, np.newaxis, :] - L[np.newaxis, :, :]) ** 2
-    B = stop - start
-    counts = np.zeros((B, m), dtype=np.int64)
-    prev = 0
-    counts_out = []
-    for n in cfg.grid:
-        seg = outcomes[:, prev:n]
-        for j in range(m):
-            counts[:, j] += np.count_nonzero(seg == j, axis=1)
-        prev = n
-        emp = counts @ L.T / n
-        ok = np.ones(B, dtype=bool)
-        for a in range(H):
-            for c in range(a + 1, H):
-                rhs = pairwise_rhs_from_sq(counts @ D2[a, c], n, H, event.delta)
-                gap = (pop[a] - pop[c]) - (emp[:, a] - emp[:, c])
-                ok &= np.abs(gap) <= rhs
-        counts_out.append(int(np.count_nonzero(ok)))
-    return counts_out
+    Each replication r draws its own generator from (base_seed, r), draws
+    one sample of length n_max, and runs the loop once; the prefix
+    trajectory yields every grid n.  The result is bit-identical for any
+    worker count.
+    """
+    return mc_experiment(problem, algo, cfg, (), workers=workers)[0]
 
 
 def mc_bound_coverage(
@@ -545,42 +635,14 @@ def mc_bound_coverage(
     """Fraction of replications where a bound event holds, per grid n.
 
     The theoretical floor is 1 - 2/n for the excess-risk bound and
-    1 - delta for the deviation and pairwise events.  The estimator
-    deviation event compares against exact expected suprema, so its grid
-    is limited by the count-vector budget of the exact sum; the pairwise
-    event needs every grid n >= 2.
+    1 - delta for the deviation and pairwise events.  Only the
+    excess-risk bound steps a learner.  The estimator deviation event
+    compares against exact expected suprema, so its grid is limited by the
+    count-vector budget of the exact sum; the pairwise event needs every
+    grid n >= 2.
     """
-    if isinstance(event, ExcessBoundEvent):
-        check_algorithm(event.algo, problem.class_size, cfg.n_max)
-        chunk = _excess_chunk
-        floors = tuple(1.0 - 2.0 / n for n in cfg.grid)
-        algo = algo_label(event.algo)
-    elif isinstance(event, EstimatorDeviationEvent):
-        exact_sups = {n: exact_rademacher(problem, n) for n in cfg.grid}
-        chunk = functools.partial(_estimator_chunk, exact_sups=exact_sups)
-        floors = tuple(1.0 - event.delta for _ in cfg.grid)
-        algo = None
-    elif isinstance(event, PairwiseBernsteinEvent):
-        if cfg.grid[0] < 2:
-            raise ValueError("the pairwise event needs every grid n >= 2")
-        chunk = _pairwise_chunk
-        floors = tuple(1.0 - event.delta for _ in cfg.grid)
-        algo = None
-    else:
-        raise ValueError(f"unknown bound event {event!r}")
-    parts = _map_chunks(chunk, cfg.replications, workers, problem, event, cfg)
-    totals = [sum(part[gi] for part in parts) for gi in range(len(cfg.grid))]
-    coverages = tuple(t / cfg.replications for t in totals)
-    return CoverageResult(
-        event=event.name,
-        ns=cfg.grid,
-        coverages=coverages,
-        floors=floors,
-        replications=cfg.replications,
-        problem=problem.name,
-        seed=cfg.base_seed,
-        algo=algo,
-    )
+    algo = event.algo if isinstance(event, ExcessBoundEvent) else None
+    return mc_experiment(problem, algo, cfg, (event,), workers=workers)[1][0]
 
 
 def excess_risk_decay(
@@ -661,7 +723,3 @@ def coverage_to_csv(result: CoverageResult) -> str:
         writer.writerow([str(n), result.event, repr(floor), repr(coverage), str(result.replications)])
     return out.getvalue()
 
-
-def write_coverage(result: CoverageResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(coverage_to_csv(result))

@@ -204,8 +204,8 @@ def exact_risk_curve(
     Parameters
     ----------
     problem:
-        Finite problem; the outcome count m must satisfy m**n_max within
-        the enumeration budget.
+        Finite problem; with m the count of outcomes of nonzero
+        probability, m**n_max must lie within the enumeration budget.
     algo:
         ``PlainErm`` or a deterministic ``GermAlgorithm`` (the
         EmpiricalMcDiarmid gap mode is rejected: its random signs would
@@ -229,12 +229,13 @@ def exact_risk_curve(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    m = problem.loss.outcome_count
+    # the walk expands only outcomes of nonzero probability
+    m = int(np.count_nonzero(problem.distribution.as_array() > 0.0))
     # for m >= 2 the power passes the budget within the budget's bit length of
     # steps, and for m = 1 it never does, so a capped exponent decides the check
     if m ** min(n_max, ENUMERATION_BUDGET.bit_length()) > ENUMERATION_BUDGET:
         raise ResourceLimitError(
-            f"enumerating {m}^{n_max} sequences exceeds the budget of {ENUMERATION_BUDGET}"
+            f"enumerating {m}^{n_max} sequences of possible outcomes exceeds the budget of {ENUMERATION_BUDGET}"
         )
     schedule = check_algorithm(algo, problem.class_size, n_max)
     germ = isinstance(algo, GermAlgorithm)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import germ.cli
+import germ.montecarlo
 from germ.algorithm import GermAlgorithm, PlainErm
 from germ.cli import (
     EXIT_CHECK_FAILED,
@@ -14,8 +15,18 @@ from germ.cli import (
     EXIT_RESOURCE,
     main,
     parse_algo_spec,
+    parse_experiment_config,
 )
 from germ.gap import EmpiricalBernstein, EmpiricalMcDiarmid, FixedDelta, MassartDeterministic, UniformConvergence
+from germ.montecarlo import (
+    ExcessBoundEvent,
+    McConfig,
+    PairwiseBernsteinEvent,
+    coverage_to_csv,
+    mc_bound_coverage,
+    mc_risk_curve,
+)
+from germ.oracle import curve_to_csv
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -124,6 +135,73 @@ def test_mc_run_artifacts_are_worker_invariant(tmp_path):
     assert report["config"]["replications"] == 300
     assert "out_dir" not in report["config"]
     assert "workers" not in json.dumps(report)
+
+
+def mc_checks_config(gap, excess=True):
+    """120 replications on the biased coin, with monotone, pairwise and
+    (for uniform gaps) excess-bound checks."""
+    checks = [{"check": "monotone"}, {"check": "coverage", "event": "pairwise-bernstein", "delta": 0.2, "level": 0.0}]
+    if excess:
+        checks.insert(1, {"check": "coverage", "event": "excess-bound", "level": 0.0})
+    return {
+        "scenario": "biased-coin-massart",
+        "algorithm": {"kind": "germ", "gap": gap},
+        "engine": {"kind": "mc", "replications": 120, "n_max": 60, "grid": [10, 30, 60]},
+        "seed": 2024,
+        "checks": checks,
+        "out_dir": "out",
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize(
+    "gap, excess",
+    [
+        ({"variant": "uniform", "mode": "empirical"}, True),
+        ({"variant": "uniform", "mode": "massart"}, True),
+        ({"variant": "bernstein"}, False),
+    ],
+)
+def test_run_artifacts_equal_standalone_calls(tmp_path, monkeypatch, gap, excess, workers):
+    # chunks of 48 replications: three chunks
+    monkeypatch.setattr(germ.montecarlo, "CHUNK", 48)
+    doc = mc_checks_config(gap, excess)
+    assert main(["run", write_config(tmp_path, doc), "--workers", str(workers)]) in (EXIT_PASS, EXIT_CHECK_FAILED)
+    config = parse_experiment_config(doc, tmp_path)
+    cfg = McConfig(replications=120, n_max=60, base_seed=2024, grid=(10, 30, 60))
+    out = tmp_path / "out"
+    curve = mc_risk_curve(config.problem, config.algo, cfg, workers=workers)
+    assert (out / "curve.csv").read_bytes() == curve_to_csv(curve).encode()
+    events = [PairwiseBernsteinEvent(0.2)] + ([ExcessBoundEvent(config.algo)] if excess else [])
+    for event in events:
+        result = mc_bound_coverage(config.problem, event, cfg, workers=workers)
+        assert (out / f"coverage-{event.name}.csv").read_bytes() == coverage_to_csv(result).encode()
+    assert len(list(out.iterdir())) == 2 + len(events)
+
+
+def test_run_steps_each_chunk_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(germ.montecarlo, "CHUNK", 48)
+    rows = []
+    step = germ.montecarlo._step_block
+
+    def counted(problem, algo, cfg, outcomes, *args, **kwargs):
+        rows.append(len(outcomes))
+        return step(problem, algo, cfg, outcomes, *args, **kwargs)
+
+    monkeypatch.setattr(germ.montecarlo, "_step_block", counted)
+    doc = mc_checks_config({"variant": "uniform", "mode": "empirical"})
+    assert main(["run", write_config(tmp_path, doc)]) in (EXIT_PASS, EXIT_CHECK_FAILED)
+    assert rows == [48, 48, 24]
+    assert len(json.loads((tmp_path / "out" / "report.json").read_text())["checks"]) == 3
+
+
+def test_excess_bound_check_is_refused_before_simulating(tmp_path, capsys):
+    # the excess-risk bound is stated for uniform-convergence gaps only
+    for algorithm in ({"kind": "germ", "gap": {"variant": "bernstein"}}, {"kind": "erm"}):
+        doc = dict(mc_checks_config(None), algorithm=algorithm)
+        assert main(["run", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
 
 def test_trajectory_artifact(tmp_path):

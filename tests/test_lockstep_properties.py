@@ -22,7 +22,7 @@ from germ.gap import (
     UniformConvergence,
     UserConstant,
 )
-from germ.montecarlo import McConfig, _lockstep_block, _step_bytes
+from germ.montecarlo import McConfig, _draw_outcome_block, _step_block, _step_bytes
 from germ.problem import DiscreteDistribution, LearningProblem, LossTable, draw_sample
 from germ.rng import philox_stream
 
@@ -62,13 +62,14 @@ def test_lockstep_choices_equal_run_germ(case):
     problem, gaps, initial, n_max, replications, steps, seed = case
     cfg = McConfig(replications=replications, n_max=n_max, base_seed=seed, grid=tuple(range(1, n_max + 1)))
     samples = [draw_sample(problem, n_max, philox_stream(seed, r)) for r in range(replications)]
+    outcomes, _ = _draw_outcome_block(problem, cfg, 0, replications, keep_generators=False)
     cap = germ.montecarlo.STEP_BLOCK
     if steps is not None:
         germ.montecarlo.STEP_BLOCK = steps * replications * _step_bytes(problem.class_size)
     try:
         for gap in gaps:
             algo = GermAlgorithm(gap=gap, initial_index=initial)
-            chosen, _ = _lockstep_block(problem, algo, cfg, 0, replications, capture_rbar=False)
+            chosen, _ = _step_block(problem, algo, cfg, outcomes, None, capture_rbar=False)
             for r, sample in enumerate(samples):
                 trajectory = run_germ(problem, sample, gap, initial=initial)
                 assert [int(chosen[k][r]) for k in cfg.grid] == list(trajectory.indices()), (gap, r)

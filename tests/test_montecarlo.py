@@ -7,6 +7,7 @@ exact (==), not approximate.
 """
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -37,11 +38,13 @@ from germ.montecarlo import (
     excess_risk_decay,
     mc_bound_coverage,
     _draw_outcome_block,
-    _lockstep_block,
+    _draws_signs,
     _outcome_index,
     _sign_blocks,
     _sign_sups,
+    _step_block,
     _step_bytes,
+    mc_experiment,
     mc_risk_curve,
 )
 from germ.oracle import RiskCurve, check_monotone, curve_to_csv, exact_risk_curve, pairwise_bernstein_coverage
@@ -128,6 +131,13 @@ def scalar_reference_stats(problem, algo, cfg):
     return tuple(means), tuple(ses)
 
 
+def lockstep(problem, algo, cfg):
+    """(chosen, rbars) of all cfg.replications as one chunk: the outcome
+    draw, then the stepper."""
+    outcomes, gens = _draw_outcome_block(problem, cfg, 0, cfg.replications, _draws_signs(algo))
+    return _step_block(problem, algo, cfg, outcomes, gens, capture_rbar=True)
+
+
 def test_lockstep_matches_scalar_loop_bitwise():
     problem = three_outcome_problem()
     cfg = McConfig(replications=64, n_max=30, base_seed=99, grid=(1, 5, 17, 30))
@@ -176,7 +186,7 @@ def test_lockstep_rbars_match_scalar_loop_across_sign_blocks():
     # every step is on the grid, so the first and last step of each block are
     cfg = McConfig(replications=12, n_max=n_max, base_seed=2024, grid=tuple(range(1, n_max + 1)))
     algo = GermAlgorithm(gap=GapSpec(UniformConvergence(EmpiricalMcDiarmid()), problem.class_size))
-    chosen, rbars = _lockstep_block(problem, algo, cfg, 0, cfg.replications, capture_rbar=True)
+    chosen, rbars = lockstep(problem, algo, cfg)
     for r in range(cfg.replications):
         gen = philox_stream(cfg.base_seed, r)
         sample = draw_sample(problem, n_max, gen)
@@ -289,7 +299,7 @@ def test_lockstep_does_not_depend_on_block_length(monkeypatch, scenario, gap, n_
     # one step per block, 7 steps per block, and the whole horizon in one block
     for steps in (1, 7, n_max):
         monkeypatch.setattr(germ.montecarlo, "STEP_BLOCK", steps * replications * _step_bytes(problem.class_size))
-        chosen, rbars = _lockstep_block(problem, algo, cfg, 0, replications, capture_rbar=True)
+        chosen, rbars = lockstep(problem, algo, cfg)
         for r, trajectory in enumerate(trajectories):
             for step in trajectory.steps:
                 assert chosen[step.k][r] == step.chosen_index, (steps, r, step.k)
@@ -481,6 +491,80 @@ def test_pairwise_event_matches_enumeration_oracle():
         se = math.sqrt(max(exact * (1 - exact), 1e-12) / cfg.replications)
         assert coverage == pytest.approx(exact, abs=max(4.0 * se, 1e-3))
         assert coverage >= 1.0 - delta
+
+
+def test_pairwise_coverage_runs_no_stepper(monkeypatch):
+    problem = three_outcome_problem()
+    cfg = McConfig(replications=200, n_max=30, base_seed=3, grid=(5, 30))
+    event = PairwiseBernsteinEvent(delta=0.2)
+    algo = GermAlgorithm(gap=GapSpec(UniformConvergence(EmpiricalMcDiarmid()), 3))
+    # read from the outcomes a randomized learner was stepped on
+    _, (stepped,) = mc_experiment(problem, algo, cfg, (event,))
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a pairwise-only coverage stepped a learner")
+
+    monkeypatch.setattr(germ.montecarlo, "_step_block", no_step)
+    assert mc_bound_coverage(problem, event, cfg) == stepped
+
+
+def test_experiment_equals_separate_calls():
+    # the estimator-deviation event draws its own signs after each sample,
+    # which the randomized learner's signs must not disturb
+    problem = three_outcome_problem()
+    cfg = McConfig(replications=150, n_max=12, base_seed=17, grid=(3, 8, 12))
+    algo = GermAlgorithm(gap=GapSpec(UniformConvergence(EmpiricalMcDiarmid()), 3), initial_index=2)
+    events = (EstimatorDeviationEvent(0.3), ExcessBoundEvent(algo), PairwiseBernsteinEvent(0.3))
+    curve, coverages = mc_experiment(problem, algo, cfg, events)
+    assert curve == mc_risk_curve(problem, algo, cfg)
+    assert coverages == tuple(mc_bound_coverage(problem, event, cfg) for event in events)
+    assert mc_experiment(problem, None, cfg, events[::2]) == (None, coverages[::2])
+
+
+def test_experiment_excess_event_runs_the_experiment_algorithm():
+    problem = skewed_two_point()
+    cfg = McConfig(replications=10, n_max=6, base_seed=1, grid=(6,))
+    massart = GermAlgorithm(gap=GapSpec(UniformConvergence(MassartDeterministic()), 2))
+    event = ExcessBoundEvent(GermAlgorithm(gap=massart.gap, initial_index=1))
+    for algo in (massart, None):
+        with pytest.raises(ValueError, match="experiment's algorithm"):
+            mc_experiment(problem, algo, cfg, (event,))
+
+
+def test_no_more_processes_than_chunks(monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Records its process count and runs each task at once."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(germ.montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(germ.montecarlo, "CHUNK", 10)
+    problem = skewed_two_point()
+    # 25 replications in chunks of 10: three chunks
+    cfg = McConfig(replications=25, n_max=8, base_seed=1, grid=(4, 8))
+    serial = mc_risk_curve(problem, PlainErm(), cfg)
+    assert started == []
+    for workers, processes in ((8, 3), (3, 3), (2, 2)):
+        assert mc_risk_curve(problem, PlainErm(), cfg, workers=workers) == serial
+        assert started[-1] == processes
+    # a single chunk runs in the calling process
+    one = McConfig(replications=10, n_max=8, base_seed=1, grid=(4, 8))
+    mc_risk_curve(problem, PlainErm(), one, workers=8)
+    assert len(started) == 3
 
 
 def test_pairwise_event_needs_n_at_least_two():

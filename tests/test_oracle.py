@@ -254,6 +254,22 @@ def test_worker_count_does_not_change_results():
     assert curve_to_csv(solo) == curve_to_csv(multi)
 
 
+def test_exact_budget_counts_only_possible_outcomes():
+    # 3^16 sequences exceed the budget, but only 2^16 have nonzero
+    # probability, as in the two-outcome problem without the middle column
+    rows = [(0.0, 0.5, 1.0), (0.7, 0.5, 0.2)]
+    padded = make_problem(rows, (0.5, 0.0, 0.5))
+    plain = make_problem([(r[0], r[2]) for r in rows], (0.5, 0.5))
+    for algo in (PlainErm(), GermAlgorithm(gap=FixedDelta(0.1), initial_index=1)):
+        want = exact_risk_curve(plain, algo, 16)
+        got = exact_risk_curve(padded, algo, 16)
+        assert got.ns == want.ns
+        assert all(abs(a - b) <= 1e-14 for a, b in zip(got.values, want.values))
+    # 2^24 possible sequences still exceed it
+    with pytest.raises(ResourceLimitError, match="2\\^24 sequences of possible outcomes"):
+        exact_risk_curve(padded, PlainErm(), 24)
+
+
 def test_exact_curve_argument_validation():
     problem = two_point_problem()
     with pytest.raises(ValueError):
