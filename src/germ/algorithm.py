@@ -1,4 +1,4 @@
-"""The greedy gated ERM loop and its array step kernels.
+"""The greedy gated ERM learner and its one step kernel.
 
 At each step k the learner proposes the empirical risk minimizer over the
 first k observations, ties to the lowest index.  The incumbent is replaced
@@ -12,16 +12,20 @@ empirical-Bernstein gap), the expected population risk of the incumbent is
 non-increasing in k; that property is certified by the oracle and
 montecarlo modules, never asserted per run.
 
-``run_germ`` is the scalar reference: incremental per-hypothesis sums,
-per-outcome counts and signed counts for the sign supremum.  The array
-kernels below it (``_erm_candidates``, ``_scan_gate``, ``_bernstein_gate``)
-step many states at once, replications of the Monte Carlo engine or
-states of one exact-oracle layer, and mirror the scalar loop operation for
-operation, so both engines reproduce its gate decisions bit for bit.
+``_step_block`` is the one stepper.  It steps the rows of an outcome block
+in lockstep, a block of steps at a time, through the array kernels
+``_erm_candidates``, ``_scan_gate`` and ``_bernstein_gate`` (and the
+rademacher module's ``_sign_sups`` for the randomized gap).  ``run_germ``
+is one row of it over every step; the Monte Carlo engine calls it on
+chunks of replications, and the exact oracle steps each layer of its
+states through the same gate kernels.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +42,13 @@ from .gap import (
     step_schedule,
 )
 from .problem import LearningProblem, LossTable, Sample, _check_outcomes
-from .rademacher import rbar_from_signs
-from .rng import draw_signs
+from .rademacher import _sign_sups, mcdiarmid_radius
+
+# Most bytes of working arrays one block of steps of ``_step_block`` may
+# hold, about rows x steps x _step_bytes, and of uniforms the Monte Carlo
+# outcome draw buffers (at least one row).  Larger blocks save little time
+# and raise the peak memory of short runs.
+STEP_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -192,69 +201,54 @@ def run_germ(
     -------
     Trajectory
         One record per step; deterministic given inputs and seed.
+
+    The choices come from one row of ``_step_block``, and the records'
+    sums, candidates and gaps from the kernels it steps through.
     """
     loss = problem.loss
-    outcomes = sample.outcomes
-    n = len(outcomes)
-    class_size = loss.class_size
+    n = len(sample.outcomes)
+    H = loss.class_size
     if n == 0:
         raise ValueError("cannot run on an empty sample")
     _check_outcomes(sample, loss.outcome_count)
-    schedule = check_algorithm(GermAlgorithm(gap, initial_index=initial), class_size, n)
+    algo = GermAlgorithm(gap, initial_index=initial)
+    schedule = check_algorithm(algo, H, n)
     randomized = is_randomized(gap)
     if randomized and rng is None:
         raise ValueError("the EmpiricalMcDiarmid mode draws random signs; pass rng")
 
-    sums = [0.0] * class_size
-    counts = [0] * loss.outcome_count
-    incumbent = initial
-    steps: list[TrajectoryStep] = []
-
-    for k, z in enumerate(outcomes, start=1):
-        for h, row in enumerate(loss.rows):
-            sums[h] += row[z]
-        counts[z] += 1
-
-        cand = min(range(class_size), key=sums.__getitem__)
-        if schedule is not None:
-            delta, rbar = schedule[0][k - 1], schedule[1][k - 1]
-        elif randomized:
-            rbar = rbar_from_signs(loss, Sample(outcomes[:k]), draw_signs(rng, k))
-            delta = delta_uniform(k, rbar)
-        else:
-            rbar = None
-            cand_row, inc_row = loss.rows[cand], loss.rows[incumbent]
-            sq = 0.0
-            for zz in range(loss.outcome_count):
-                d = cand_row[zz] - inc_row[zz]
-                sq += counts[zz] * (d * d)
-            delta = bernstein_delta_from_sq(k, sq, class_size)
-
-        diff = (sums[cand] - sums[incumbent]) / k
-        updated = diff <= -delta
-        chosen = cand if updated else incumbent
-        steps.append(
-            TrajectoryStep(
-                k=k,
-                erm_index=cand,
-                chosen_index=chosen,
-                delta=delta,
-                erm_empirical_loss=sums[cand] / k,
-                incumbent_empirical_loss=sums[incumbent] / k,
-                updated=updated,
-                rbar=rbar,
-            )
-        )
-        incumbent = chosen
-
-    return Trajectory(initial_index=initial, steps=tuple(steps))
+    z = np.array(sample.outcomes)
+    ks = np.arange(1, n + 1)
+    chosen, rbars = _step_block(problem, algo, z[np.newaxis], [rng] if randomized else None, ks)
+    chosen = chosen[:, 0]
+    L = loss.as_array()
+    S = np.zeros((H, n + 1))
+    S[:, 1:] = L[:, z]
+    _accumulate_steps(S)
+    S = S[:, 1:]
+    cand, best = _erm_candidates(S)
+    inc = np.concatenate(([initial], chosen[:-1]))
+    inc_sums = S[inc, ks - 1]
+    if schedule is not None:
+        deltas, rbar = schedule
+    elif randomized:
+        deltas = delta_uniform(ks, rbars[:, 0]).tolist()
+        rbar = rbars[:, 0].tolist()
+    else:
+        C = _running_counts(np.zeros((loss.outcome_count, 1), dtype=np.int64), z[:, np.newaxis])[:, :, 0]
+        deltas = _bernstein_gaps(_sq_sums(C, _sq_diffs(L)[cand, inc]), H).tolist()
+        rbar = [None] * n
+    updated = (best - inc_sums) / ks <= -np.array(deltas)
+    losses = (best / ks).tolist(), (inc_sums / ks).tolist()
+    records = zip(ks.tolist(), cand.tolist(), chosen.tolist(), deltas, *losses, updated.tolist(), rbar)
+    return Trajectory(initial_index=initial, steps=tuple(TrajectoryStep(*r) for r in records))
 
 
 def _erm_candidates(S: np.ndarray):
     """Lowest-index empirical risk minimizer of the sums ``S[h, ...]``.
 
-    Ascending strict ``<`` comparisons keep the lowest index on ties, as the
-    single run's ``min`` over hypotheses does.  Returns the indices and the
+    Ascending strict ``<`` comparisons keep the lowest index on ties, as
+    ``min`` over hypotheses does.  Returns the indices and the
     minimal sums.
     """
     best = S[0].copy()
@@ -266,13 +260,36 @@ def _erm_candidates(S: np.ndarray):
     return cand, best
 
 
+def _sq_diffs(L: np.ndarray) -> np.ndarray:
+    """Squared loss differences indexed [candidate, incumbent, outcome]."""
+    return (L[:, np.newaxis, :] - L[np.newaxis, :, :]) ** 2
+
+
+def _sq_sums(counts: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Squared-difference sums: ``counts[z] * d2[:, z]`` summed over the
+    outcomes z in ascending order, from 0.0."""
+    q = np.zeros(len(d2))
+    for z in range(len(counts)):
+        q += counts[z] * d2[:, z]
+    return q
+
+
+def _bernstein_gaps(sq: np.ndarray, class_size: int) -> np.ndarray:
+    """The Bernstein gap at steps 1..len(sq) from their squared-difference
+    sums ``sq``; +inf at k = 1."""
+    gaps = np.full(len(sq), math.inf)
+    if len(sq) > 1:
+        gaps[1:] = bernstein_delta_from_sq(np.arange(2, len(sq) + 1), sq[1:], class_size)
+    return gaps
+
+
 def _accumulate_steps(X: np.ndarray) -> None:
     """Running sums along axis 1, in place and in step order.
 
     X[:, 0] holds the values carried into the block; afterwards X[:, t] is
-    X[:, t - 1] + X[:, t], the scalar loop's addition.  One vector add per
-    step over (axis 0, axis 2) slabs is several times faster than
-    ``np.cumsum`` along axis 1.
+    X[:, t - 1] + X[:, t], one step's ``sums[h] += loss[h][z]``.  One
+    vector add per step over (axis 0, axis 2) slabs is several times faster
+    than ``np.cumsum`` along axis 1.
     """
     for t in range(1, X.shape[1]):
         np.add(X[:, t - 1], X[:, t], out=X[:, t])
@@ -298,20 +315,17 @@ def _bernstein_gate(rows, lo, inc, cand, diff, fire, *, counts, z, k, D2, class_
 
     ``fire`` marks where the difference clears the gap with no variance
     term, a lower bound of the gap.  Only there are the squared-difference
-    sum, accumulated in ascending outcome order as in the scalar loop, and
-    the gap formed.  Arguments follow ``_scan_gate``; ``counts`` (m, B) holds
-    the outcome counts before the block, ``z`` its outcomes, ``D2`` the
-    squared loss differences indexed [candidate, incumbent, outcome].
+    sum (``_sq_sums``) and the gap formed.  Arguments follow ``_scan_gate``;
+    ``counts`` (m, B) holds the outcome counts before the block, ``z`` its
+    outcomes, ``D2`` the squared loss differences indexed [candidate,
+    incumbent, outcome].
     """
     t, r = np.nonzero(fire)
     if not t.size:
         return
     need, at_need = np.unique(rows[r], return_inverse=True)
     C = _running_counts(counts[:, need], z[:, need])
-    d2 = D2[cand[t, r], inc[r]]
-    q = np.zeros(t.size)
-    for zz in range(len(C)):
-        q += C[zz, lo + t, at_need] * d2[:, zz]
+    q = _sq_sums(C[:, lo + t, at_need], D2[cand[t, r], inc[r]])
     fire[t, r] = diff[t, r] <= -bernstein_delta_from_sq(k[lo + t, 0], q, class_size)
 
 
@@ -345,7 +359,7 @@ def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
         fire &= c != inc
         if scans > 1:
             fire &= np.arange(lo, T)[:, np.newaxis] >= first
-        if settle is not None:
+        if settle:
             settle(rows, lo, inc, c, diff, fire)
         hit = fire.any(axis=0)
         if not hit.any():
@@ -363,3 +377,108 @@ def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
         lo = int(first.min())
         cols = rows
     return picked, scans
+
+
+def _step_bytes(class_size: int) -> int:
+    """Working bytes per row and step of a block of ``_step_block``: one
+    running sum per hypothesis and about ten per-step arrays (outcome,
+    candidate, sums, difference, gap and temporaries) of 8 bytes or fewer."""
+    return 8 * (class_size + 10)
+
+
+def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndarray, gens, grid):
+    """Step each row of a (B, n) outcome block through steps 1..n, the rows
+    in lockstep and a block of steps at a time.
+
+    ``gens`` holds each row's generator, positioned where its signs start,
+    when the gap draws signs, and is None otherwise.  Per block, every
+    hypothesis's running loss sum at every step comes from the sums
+    carried from the block before, one vector add per step;
+    ``_erm_candidates`` gives the candidate at every step, and
+    ``_scan_gate`` the gate's decisions.  Each (row, step) pair goes
+    through the same float operations whatever the block length.  That
+    length starts at what STEP_BLOCK bytes allow, at most n, halves after a
+    block that needs more than 8 scans, so that frequent switching falls
+    back toward one step per block, and doubles again, up to the start,
+    after a block that needs at most 2.
+
+    Returns (chosen, rbars) at the steps of the increasing ``grid``, whose
+    entries lie in 1..n: ``chosen`` (len(grid), B) holds the chosen
+    indices.  ``rbars`` holds the Rademacher bounds of a
+    uniform-convergence gap, (len(grid), B) for EmpiricalMcDiarmid and
+    (len(grid), 1) for the other modes, and is None for other gaps.
+    """
+    loss = problem.loss
+    L = loss.as_array()
+    m = loss.outcome_count
+    H = loss.class_size
+    B, n = outcomes.shape
+    germ = isinstance(algo, GermAlgorithm)
+    schedule = check_algorithm(algo, H, n)
+    randomized = germ and is_randomized(algo.gap)
+    bernstein = germ and schedule is None and not randomized
+
+    ks = np.arange(1, n + 1)
+    if schedule is not None:
+        gaps = np.array(schedule[0])
+    elif randomized:
+        # max(0, sup + radius) at every step
+        rbar = _sign_sups(L, outcomes, gens, ks)
+        rbar += mcdiarmid_radius(ks)
+        np.maximum(0.0, rbar, out=rbar)
+    elif bernstein:
+        # the gap with no variance term, a lower bound ``_bernstein_gate`` settles
+        gaps = _bernstein_gaps(np.zeros(n), H)
+        settle = functools.partial(_bernstein_gate, D2=_sq_diffs(L), class_size=H)
+        counts = np.zeros((m, B), dtype=np.int64)
+    # steps along axis 0 and rows along axis 1, so a step is a slab
+    steps_first = np.ascontiguousarray(outcomes.T)
+    sums = np.zeros((H, B))
+    incumbent = np.full(B, algo.initial_index if germ else 0, dtype=np.intp)
+
+    chosen = np.empty((len(grid), B), dtype=np.intp)
+    most = min(n, max(1, STEP_BLOCK // (B * _step_bytes(H))))
+    steps = most
+    S_buf = np.empty((H, most + 1, B))
+    t0 = 0
+    while t0 < n:
+        t1 = min(n, t0 + steps)
+        T = t1 - t0
+        k = ks[t0:t1, np.newaxis]
+        z = steps_first[t0:t1]
+        # running sums from the sums carried into the block
+        S = S_buf[:, : T + 1]
+        S[:, 0] = sums
+        np.take(L, z, axis=1, out=S[:, 1:])
+        _accumulate_steps(S)
+        sums = S[:, T].copy()
+        S = S[:, 1:]
+        cand, best = _erm_candidates(S)
+        # grid positions g0..g1 fall in this block, at block positions ``at``
+        g0, g1 = bisect_right(grid, t0), bisect_right(grid, t1)
+        at = [g - t0 - 1 for g in grid[g0:g1]]
+        scans = 0
+        if not germ:
+            picked = cand[at]
+        else:
+            if randomized:
+                gap = delta_uniform(k, rbar[:, t0:t1].T)
+            else:
+                gap = np.broadcast_to(gaps[t0:t1, np.newaxis], (T, B))
+            block_settle = bernstein and functools.partial(settle, counts=counts, z=z, k=k)
+            picked, scans = _scan_gate(S, cand, best, k, gap, incumbent, at, block_settle)
+            if bernstein:
+                for j in range(m):
+                    counts[j] += np.count_nonzero(z == j, axis=0)
+        chosen[g0:g1] = picked
+        if scans > 8:
+            steps = max(1, steps // 2)
+        elif scans <= 2:
+            steps = min(most, 2 * steps)
+        t0 = t1
+    at = np.asarray(grid) - 1
+    if randomized:
+        return chosen, rbar[:, at].T
+    if schedule is not None and isinstance(algo.gap, GapSpec):
+        return chosen, np.array(schedule[1])[at, np.newaxis]
+    return chosen, None

@@ -346,6 +346,10 @@ def parse_experiment_config(doc: dict, config_dir: Path) -> ExperimentConfig:
     if not isinstance(checks_doc, list):
         raise ValueError("checks must be a list")
     checks = tuple(_check_from_config(c) for c in checks_doc)
+    events = [c.event for c in checks if isinstance(c, CoverageCheck)]
+    for event in events:
+        if events.count(event) > 1:
+            raise ValueError(f"coverage event {event!r} is checked more than once; it has one coverage-{event}.csv")
 
     seed = doc.get("seed")
     if seed is not None:

@@ -183,10 +183,10 @@ def _bernstein_log_table(size: int, class_size: int) -> np.ndarray:
 def bernstein_delta_from_sq(k, sq_sum, class_size: int):
     """Empirical-Bernstein gap from the precomputed squared-difference sum.
 
-    This is the kernel shared by ``delta_bernstein``, the greedy loop, the
-    exact oracle, and the vectorized Monte Carlo engine, so all paths
-    evaluate the same arithmetic.  ``sq_sum`` is a float, or an array of
-    per-replication sums.  +infinity at k = 1.
+    This is the kernel shared by ``delta_bernstein`` and the gated step of
+    the algorithm module, so all paths evaluate the same arithmetic.
+    ``sq_sum`` is a float, or an array of per-replication sums.  +infinity
+    at k = 1.
 
     ``k`` may also be an integer array of steps >= 2, broadcast against
     ``sq_sum``.  Its log terms come from a cached table of scalar
@@ -194,11 +194,7 @@ def bernstein_delta_from_sq(k, sq_sum, class_size: int):
     does.  Since the square-root term is >= 0 and rounding is monotone, the
     gap at ``sq_sum = 0.0`` is a lower bound of the gap at any sum.
     """
-    # ``run_germ`` calls this once per step with an int k and a float sum:
-    # isinstance against int and float is the cheapest dispatch (against
-    # np.ndarray it costs about 0.1 us more), and math.sqrt keeps the result a
-    # Python float
-    if isinstance(k, int) or not isinstance(k, np.ndarray):
+    if not isinstance(k, np.ndarray):
         if k == 1:
             return math.inf
         log_term = bernstein_log_term(k, class_size)

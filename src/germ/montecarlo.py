@@ -1,63 +1,47 @@
 """Seeded Monte Carlo estimation beyond the enumeration budget.
 
-Replications are simulated in lockstep: one replication per column of a
-vectorized state, stepping through k = 1..n_max together a block of steps
-at a time.  A block computes every running loss sum and ERM candidate in
-it, then scans the gate against each replication's incumbent, resuming a
-replication's scan after each switch.  Every float operation mirrors the
-scalar loop in the algorithm module (same kernels, same accumulation and
-association order), so a lockstep replication is bit-identical to running
-``run_germ`` on the same derived generator, whatever the block length.
+Replications are simulated in lockstep: each chunk of replications is one
+block of outcome rows for ``algorithm._step_block``, the stepper that
+``run_germ`` calls with one row.  So a replication is bit-identical to
+``run_germ`` on its sample and generator, whatever the block length.
 
 Determinism contract: replication r draws from the generator derived from
 (base_seed, r), consuming one ``random(n_max)`` block for the sample and,
 only in the EmpiricalMcDiarmid gap mode, k fresh signs for each step k in
-ascending order.  Where no signs follow, the samples of a block of
-replications come from one Philox re-keyed to (base_seed, r) per row
-(``rng.fill_uniforms``), which yields the same stream; a test pins this.  Those signs are drawn for a block of consecutive steps
-at once: one ``draw_signs`` call returns the concatenation of the per-step
-draws, so what a replication consumes is fixed by the replication alone,
-not by how its draws are split into calls, and matches the scalar loop's
-one k-sign call per step.  Replications are processed in fixed-size
-chunks and chunk results are reduced in chunk order, so means, standard
-errors, and coverage counts do not depend on the worker count.  One
-``mc_experiment`` call draws and steps each chunk once, and the risk curve
-and every coverage event read that one pass.
+ascending order.  The stepper draws the signs of a block of steps in one
+``draw_signs`` call, which consumes the stream as per-step calls would.
+
+Where no signs follow, the samples of a block of replications come from
+one Philox re-keyed to (base_seed, r) per row (``rng.fill_uniforms``),
+which yields the same stream; a test pins this.
+
+Replications are processed in fixed-size chunks and chunk results are
+reduced in chunk order, so means, standard errors, and coverage counts do
+not depend on the worker count.  One ``mc_experiment`` call draws and
+steps each chunk once, and the risk curve and every coverage event read
+that one pass.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithm import AlgorithmSpec, GermAlgorithm, algo_label, check_algorithm
-from .algorithm import _accumulate_steps, _bernstein_gate, _erm_candidates, _scan_gate
+from .algorithm import STEP_BLOCK, AlgorithmSpec, GermAlgorithm, algo_label, check_algorithm
+from .algorithm import _sq_diffs, _step_block
 from .analysis import excess_risk_bound, pairwise_rhs_from_sq
-from .gap import GapSpec, UniformConvergence, bernstein_delta_from_sq, delta_uniform, is_randomized
+from .gap import GapSpec, UniformConvergence, is_randomized
 from .oracle import RiskCurve
 from .problem import LearningProblem, optimal_risk, population_risk
-from .rademacher import deviation_radius, exact_rademacher, mcdiarmid_radius
-from .rng import check_integer, draw_signs, fill_uniforms, philox_stream
+from .rademacher import _sign_sups, deviation_radius, exact_rademacher
+from .rng import check_integer, fill_uniforms, philox_stream
 
 CHUNK = 4096
-
-# Most signs one replication draws in one call.  A block's arrays hold
-# CHUNK x steps-in-block x (outcomes + 3) floats; a larger cap saves little
-# time and costs memory.
-SIGN_BLOCK = 4096
-
-# Most bytes of working arrays one lockstep block of steps may hold, about
-# replications x steps x _step_bytes, and of uniforms the outcome draw
-# buffers (at least one row).  Larger blocks save little time and raise the
-# peak memory of short runs.
-STEP_BLOCK = 1 << 20
 
 POSITIVE_EXCESS_FLOOR = 1e-12
 
@@ -254,183 +238,9 @@ def _outcome_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return z
 
 
-def _sign_blocks(ks) -> list[tuple[int, int]]:
-    """Split positions of ``ks`` into consecutive [start, stop) blocks.
-
-    Each block holds at most SIGN_BLOCK signs in total; a single size
-    above the cap forms a block of its own.
-    """
-    blocks = []
-    start = 0
-    while start < len(ks):
-        stop = start + 1
-        total = ks[start]
-        while stop < len(ks) and total + ks[stop] <= SIGN_BLOCK:
-            total += ks[stop]
-            stop += 1
-        blocks.append((start, stop))
-        start = stop
-    return blocks
-
-
-def _sign_sups(loss_array: np.ndarray, outcomes: np.ndarray, gens, ks) -> np.ndarray:
-    """Sign-weighted supremum at each size in ``ks``, shape (B, len(ks)).
-
-    For each k in order, replication b pairs k fresh signs from its own
-    generator with its first k outcomes.  The signs of a block of sizes
-    come from one ``draw_signs`` call per replication, whose stream is the
-    concatenation of the per-size draws.  Arithmetic mirrors the scalar
-    kernel: integer signed counts per outcome, a float accumulation in
-    ascending outcome order, max over rows, divide by k.  Signed counts are
-    exact integers, so both paths round identically.
-    """
-    ks = np.asarray(ks, dtype=np.int64)
-    m = loss_array.shape[1]
-    B = outcomes.shape[0]
-    sups = np.empty((B, len(ks)))
-    for start, stop in _sign_blocks(ks.tolist()):
-        block = ks[start:stop]
-        steps = stop - start
-        # draw j pairs with outcome pos[j] of its step, and offset[j] puts
-        # that step's counts in its row of the flattened (steps, m) block
-        offset = np.repeat(np.arange(steps) * m, block)
-        pos = np.arange(int(block.sum())) - np.repeat(np.cumsum(block) - block, block)
-        W = np.empty((B, steps, m))
-        for i, gen in enumerate(gens):
-            signs = draw_signs(gen, len(pos))
-            W[i] = np.bincount(offset + outcomes[i, pos], weights=signs, minlength=steps * m).reshape(steps, m)
-        best = np.full((B, steps), -np.inf)
-        for row in loss_array:
-            t = np.zeros((B, steps))
-            for z in range(m):
-                t += W[:, :, z] * row[z]
-            np.maximum(best, t, out=best)
-        sups[:, start:stop] = best / block
-    return sups
-
-
-def _step_bytes(class_size: int) -> int:
-    """Working bytes per replication and step of a lockstep block.
-
-    The block holds one running sum per hypothesis and about ten per-step
-    arrays (outcome index, candidate, its sum, the incumbent's sum, the
-    difference, the gap and their temporaries), 8 bytes or fewer each.
-    """
-    return 8 * (class_size + 10)
-
-
 def _draws_signs(algo: AlgorithmSpec | None) -> bool:
     """Whether stepping ``algo`` draws signs after each replication's sample."""
     return isinstance(algo, GermAlgorithm) and is_randomized(algo.gap)
-
-
-def _step_block(problem: LearningProblem, algo: AlgorithmSpec, cfg: McConfig, outcomes: np.ndarray, gens, capture_rbar: bool):
-    """Step the replications of a (B, n_max) outcome block in lockstep, a
-    block of steps at a time.
-
-    ``gens`` holds each row's generator, positioned just after its sample,
-    when ``_draws_signs(algo)``, and is None otherwise.  Per block, every
-    hypothesis's running loss sum at every step comes from the sums
-    carried from the block before, one vector add per step;
-    ``_erm_candidates`` gives the candidate at every step, and
-    ``_scan_gate`` the gate's decisions.  Each (replication, step) pair
-    goes through the float operations of the scalar loop, so results do not
-    depend on the block length.  That length starts at what STEP_BLOCK
-    bytes allow, halves after a block that needs more than 8 scans, so that
-    frequent switching falls back toward one step per block, and doubles
-    again, up to the start, after a block that needs at most 2.
-
-    Returns (chosen, rbars): ``chosen`` maps each grid position to the
-    chosen indices (B,).  With ``capture_rbar``, ``rbars`` maps it to the
-    step's Rademacher bounds: per replication (EmpiricalMcDiarmid), one
-    scalar (other uniform modes), or None (other gaps); otherwise
-    ``rbars`` is None.
-    """
-    loss = problem.loss
-    L = loss.as_array()
-    m = loss.outcome_count
-    H = loss.class_size
-    n = cfg.n_max
-    germ = isinstance(algo, GermAlgorithm)
-    schedule = check_algorithm(algo, H, n)
-    randomized = _draws_signs(algo)
-    bernstein = germ and schedule is None and not randomized
-
-    B = len(outcomes)
-    ks = np.arange(1, n + 1)
-    if schedule is not None:
-        deltas = np.array(schedule[0])
-    elif randomized:
-        sups = _sign_sups(L, outcomes, gens, ks)
-        radius = mcdiarmid_radius(ks)
-    elif bernstein:
-        # the gap with no variance term; +inf at k = 1
-        floors = np.empty(n)
-        floors[0] = bernstein_delta_from_sq(1, 0.0, H)
-        if n > 1:
-            floors[1:] = bernstein_delta_from_sq(ks[1:], 0.0, H)
-        D2 = (L[:, np.newaxis, :] - L[np.newaxis, :, :]) ** 2
-        counts = np.zeros((m, B), dtype=np.int64)
-    # steps along axis 0 and replications along axis 1, so a step is a slab
-    steps_first = np.ascontiguousarray(outcomes.T)
-    sums = np.zeros((H, B))
-    incumbent = np.full(B, algo.initial_index if germ else 0, dtype=np.intp)
-
-    chosen: dict[int, np.ndarray] = {}
-    rbars: dict[int, np.ndarray | float | None] = {}
-    most = max(1, STEP_BLOCK // (B * _step_bytes(H)))
-    steps = most
-    S_buf = np.empty((H, most + 1, B))
-    t0 = 0
-    while t0 < n:
-        t1 = min(n, t0 + steps)
-        T = t1 - t0
-        k = ks[t0:t1, np.newaxis]
-        z = steps_first[t0:t1]
-        # running sums: each step adds its losses to the step before, starting
-        # from the carried sums, as the scalar loop's sums[h] += row[z] does
-        S = S_buf[:, : T + 1]
-        S[:, 0] = sums
-        np.take(L, z, axis=1, out=S[:, 1:])
-        _accumulate_steps(S)
-        sums = S[:, T].copy()
-        S = S[:, 1:]
-        cand, best = _erm_candidates(S)
-        # block positions of the grid steps
-        at = [g - t0 - 1 for g in cfg.grid[bisect_right(cfg.grid, t0) : bisect_right(cfg.grid, t1)]]
-        scans = 0
-        if not germ:
-            picked = cand[at]
-            incumbent = cand[-1]
-        elif bernstein:
-            floor = np.broadcast_to(floors[t0:t1, np.newaxis], (T, B))
-            settle = functools.partial(_bernstein_gate, counts=counts, z=z, k=k, D2=D2, class_size=H)
-            picked, scans = _scan_gate(S, cand, best, k, floor, incumbent, at, settle)
-            for j in range(m):
-                counts[j] += np.count_nonzero(z == j, axis=0)
-        else:
-            if randomized:
-                rbar = sups[:, t0:t1].T + radius[t0:t1, np.newaxis]
-                np.maximum(0.0, rbar, out=rbar)
-                gap = delta_uniform(k, rbar)
-            else:
-                gap = np.broadcast_to(deltas[t0:t1, np.newaxis], (T, B))
-            picked, scans = _scan_gate(S, cand, best, k, gap, incumbent, at)
-        for j, pos in enumerate(at):
-            step = t0 + pos + 1
-            chosen[step] = picked[j]
-            if schedule is not None:
-                rbars[step] = schedule[1][step - 1]
-            elif randomized:
-                rbars[step] = rbar[pos].copy()
-            else:
-                rbars[step] = None
-        if scans > 8:
-            steps = max(1, steps // 2)
-        elif scans <= 2:
-            steps = min(most, 2 * steps)
-        t0 = t1
-    return chosen, (rbars if capture_rbar else None)
 
 
 def _experiment_chunk(problem: LearningProblem, algo: AlgorithmSpec | None, cfg: McConfig, events: tuple, exact_sups: dict[int, float] | None, start: int, stop: int):
@@ -452,14 +262,8 @@ def _experiment_chunk(problem: LearningProblem, algo: AlgorithmSpec | None, cfg:
     if algo is not None or any(isinstance(e, PairwiseBernsteinEvent) for e in events):
         outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, _draws_signs(algo))
     if algo is not None:
-        excess = any(isinstance(e, ExcessBoundEvent) for e in events)
-        chosen, rbars = _step_block(problem, algo, cfg, outcomes, gens, capture_rbar=excess)
-        stats = []
-        for n in cfg.grid:
-            values = pop[chosen[n]]
-            stats.append(
-                (float(values.sum()), float((values * values).sum()), float(values.min()), float(values.max()))
-            )
+        chosen, rbars = _step_block(problem, algo, outcomes, gens, cfg.grid)
+        stats = [(float(v.sum()), float((v * v).sum()), float(v.min()), float(v.max())) for v in pop[chosen]]
     counts = []
     for event in events:
         if isinstance(event, ExcessBoundEvent):
@@ -474,9 +278,9 @@ def _experiment_chunk(problem: LearningProblem, algo: AlgorithmSpec | None, cfg:
 def _excess_counts(problem: LearningProblem, cfg: McConfig, pop: np.ndarray, chosen, rbars) -> list[int]:
     star = optimal_risk(problem)[0]
     counts = []
-    for n in cfg.grid:
-        excess = pop[chosen[n]] - star
-        counts.append(int(np.count_nonzero(excess <= excess_risk_bound(n, rbars[n]))))
+    for n, picked, rbar in zip(cfg.grid, chosen, rbars):
+        excess = pop[picked] - star
+        counts.append(int(np.count_nonzero(excess <= excess_risk_bound(n, rbar))))
     return counts
 
 
@@ -495,7 +299,7 @@ def _pairwise_counts(problem: LearningProblem, event: PairwiseBernsteinEvent, cf
     m = problem.loss.outcome_count
     L = problem.loss.as_array()
     H = problem.class_size
-    D2 = (L[:, np.newaxis, :] - L[np.newaxis, :, :]) ** 2
+    D2 = _sq_diffs(L)
     B = len(outcomes)
     counts = np.zeros((B, m), dtype=np.int64)
     prev = 0

@@ -5,11 +5,11 @@ every step n <= n_max is an exact finite sum over outcome sequences.  The
 oracle walks the sequences forward one depth at a time and merges prefixes
 that reach the same state (loss sums, outcome counts, incumbent), since
 their futures are identical; each state carries the total probability of
-its prefixes.  A depth is stepped as one block through the array step
-kernels of the algorithm module, the ones the Monte Carlo engine runs, so
-every gate decision matches ``run_germ`` on every sequence, and each curve
-value is the sequence average up to the rounding of the merged weight
-sums.  One walk yields the whole curve.
+its prefixes.  A depth is stepped as one block through the gate kernels
+of ``algorithm._step_block``, the stepper of ``run_germ`` and the Monte
+Carlo engine, so every gate decision matches ``run_germ`` on every
+sequence, and each curve value is the sequence average up to the rounding
+of the merged weight sums.  One walk yields the whole curve.
 
 The exact pairwise-coverage sum runs over outcome-count vectors instead
 (``problem.multinomial_blocks``), in blocks, with NumPy.
@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithm import AlgorithmSpec, GermAlgorithm, PlainErm, algo_label, check_algorithm
-from .algorithm import _bernstein_gate, _erm_candidates, _scan_gate
+from .algorithm import _bernstein_gaps, _bernstein_gate, _erm_candidates, _scan_gate, _sq_diffs
 from .analysis import pairwise_rhs_from_sq
 from .errors import ResourceLimitError
-from .gap import bernstein_delta_from_sq, is_randomized
+from .gap import is_randomized
 from .problem import (
     ENUMERATION_BUDGET,
     DiscreteDistribution,
@@ -150,9 +150,10 @@ def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: 
     bits of its per-hypothesis loss sums, its outcome counts and its chosen
     hypothesis, and beside it the total probability of those prefixes.  The
     children, one per state and possible outcome, take one step as one
-    block through the lockstep engine's kernels, so each gate decision is
-    the one ``run_germ`` makes on every path through the parent.  Equal rows
-    merge: sums are keyed bit for bit because ERM breaks ties on them.
+    block through the gate kernels of ``algorithm._step_block``, so each
+    gate decision is the one ``run_germ`` makes on every path through the
+    parent.  Equal rows merge: sums are keyed bit for bit because ERM
+    breaks ties on them.
     """
     L = problem.loss.as_array()
     H = problem.class_size
@@ -162,8 +163,8 @@ def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: 
     if germ and schedule is None:
         # the gate scans against the gap with no variance term, a lower bound
         # of the gap, and ``_bernstein_gate`` settles it
-        gaps = [bernstein_delta_from_sq(k, 0.0, H) for k in range(1, n_max + 1)]
-        bernstein = functools.partial(_bernstein_gate, D2=(L[:, np.newaxis, :] - L[np.newaxis, :, :]) ** 2, class_size=H)
+        gaps = _bernstein_gaps(np.zeros(n_max), H)
+        bernstein = functools.partial(_bernstein_gate, D2=_sq_diffs(L), class_size=H)
     elif germ:
         gaps, bernstein = schedule[0], None
     # a zero-probability outcome adds no weight to any depth

@@ -26,6 +26,11 @@ import numpy as np
 from .problem import LearningProblem, LossTable, Sample, _check_outcomes, multinomial_blocks
 from .rng import draw_signs
 
+# Most signs one row draws in one call of ``_sign_sups``.  A block's arrays
+# hold rows x steps-in-block x (outcomes + 3) floats; a larger cap saves
+# little time and costs memory.
+SIGN_BLOCK = 4096
+
 
 def mcdiarmid_radius(k):
     """sqrt(2 ln(2k) / k): the deviation radius at confidence level 1/k.
@@ -34,8 +39,7 @@ def mcdiarmid_radius(k):
     through ``math.log`` one step at a time, so every entry rounds as the
     scalar call does (``np.sqrt`` and ``math.sqrt`` round identically).
     """
-    # an int is tested first: isinstance against np.ndarray costs about 0.1 us
-    steps = not isinstance(k, int) and isinstance(k, np.ndarray)
+    steps = isinstance(k, np.ndarray)
     if (k.min() if steps else k) < 1:
         raise ValueError(f"step index must be >= 1, got {k}")
     if steps:
@@ -75,9 +79,9 @@ def rademacher_sup(loss: LossTable, sample: Sample, signs) -> float:
     Notes
     -----
     Computed through per-outcome signed counts, accumulated in ascending
-    outcome order.  The greedy loop and the vectorized Monte Carlo engine
-    reproduce this arithmetic step for step, so all three paths agree
-    bit-for-bit.
+    outcome order.  ``_sign_sups``, which the gated step draws its signs
+    through, reproduces this arithmetic step for step, so both agree bit for
+    bit.
     """
     k = len(sample)
     if k == 0:
@@ -100,6 +104,61 @@ def rademacher_sup(loss: LossTable, sample: Sample, signs) -> float:
         if t > best:
             best = t
     return best / k
+
+
+def _sign_blocks(ks) -> list[tuple[int, int]]:
+    """Split positions of ``ks`` into consecutive [start, stop) blocks.
+
+    Each block holds at most SIGN_BLOCK signs in total; a single size
+    above the cap forms a block of its own.
+    """
+    blocks = []
+    start = 0
+    while start < len(ks):
+        stop = start + 1
+        total = ks[start]
+        while stop < len(ks) and total + ks[stop] <= SIGN_BLOCK:
+            total += ks[stop]
+            stop += 1
+        blocks.append((start, stop))
+        start = stop
+    return blocks
+
+
+def _sign_sups(loss_array: np.ndarray, outcomes: np.ndarray, gens, ks) -> np.ndarray:
+    """Sign-weighted supremum at each size in ``ks``, shape (B, len(ks)).
+
+    For each k in order, row b of the (B, n) ``outcomes`` pairs k fresh
+    signs from its own generator ``gens[b]`` with its first k outcomes.  The
+    signs of a block of sizes come from one ``draw_signs`` call per row,
+    whose stream is the concatenation of the per-size draws.  Arithmetic
+    mirrors ``rademacher_sup``: integer signed counts per outcome, a float
+    accumulation in ascending outcome order, max over hypotheses, divide by
+    k.  Signed counts are exact integers, so both paths round identically.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    m = loss_array.shape[1]
+    B = outcomes.shape[0]
+    sups = np.empty((B, len(ks)))
+    for start, stop in _sign_blocks(ks.tolist()):
+        block = ks[start:stop]
+        steps = stop - start
+        # draw j pairs with outcome pos[j] of its step, and offset[j] puts
+        # that step's counts in its row of the flattened (steps, m) block
+        offset = np.repeat(np.arange(steps) * m, block)
+        pos = np.arange(int(block.sum())) - np.repeat(np.cumsum(block) - block, block)
+        W = np.empty((B, steps, m))
+        for i, gen in enumerate(gens):
+            signs = draw_signs(gen, len(pos))
+            W[i] = np.bincount(offset + outcomes[i, pos], weights=signs, minlength=steps * m).reshape(steps, m)
+        best = np.full((B, steps), -np.inf)
+        for row in loss_array:
+            t = np.zeros((B, steps))
+            for z in range(m):
+                t += W[:, :, z] * row[z]
+            np.maximum(best, t, out=best)
+        sups[:, start:stop] = best / block
+    return sups
 
 
 def rbar_from_signs(loss: LossTable, sample: Sample, signs) -> float:

@@ -36,6 +36,8 @@ from germ.problem import (
 )
 from germ.rademacher import rbar_from_signs, rbar_massart
 from germ.rng import draw_signs, philox_stream
+from germ.scenarios import load_scenario
+from scalar_reference import scalar_run_germ
 
 
 def two_point_problem():
@@ -209,6 +211,32 @@ def test_trajectory_invariants_across_gap_variants():
                     assert gate <= -step.delta
                 previous = step.chosen_index
             assert trajectory.final_index == previous
+
+
+def test_run_germ_equals_the_scalar_reference():
+    # run_germ is one row of the lockstep stepper; the reference writes each
+    # step out in plain Python.  repr tells apart values that compare equal,
+    # such as 0.0 and -0.0, True and 1, or a float and a NumPy scalar.
+    cases = []
+    for trial in range(30):
+        rng = philox_stream(4300, trial)
+        problem = random_problem(rng, class_size=4, outcome_count=3)
+        cases.append((problem, draw_sample(problem, 14, rng), 3, trial))
+    # on the biased coin the Massart and Bernstein gates fire by n = 200
+    coin = load_scenario("biased-coin-massart").problem
+    for trial in range(4):
+        cases.append((coin, draw_sample(coin, 200, philox_stream(4310, trial)), 0, trial))
+    fired = set()
+    for problem, sample, initial, trial in cases:
+        H = problem.class_size
+        for gap in (massart_gap(H), empirical_gap(H), bernstein_gap(H), FixedDelta(0.3), FixedDelta(0.0)):
+            got = run_germ(problem, sample, gap, initial=initial, rng=philox_stream(4301, trial))
+            want = scalar_run_germ(problem, sample, gap, initial=initial, rng=philox_stream(4301, trial))
+            assert got == want, gap
+            assert repr(trajectory_to_dict(got)) == repr(trajectory_to_dict(want)), gap
+            if any(s.chosen_index != initial for s in got.steps):
+                fired.add(algo_label(GermAlgorithm(gap)))
+    assert {"germ:uniform-massart:init0", "germ:bernstein:init0", "germ:fixed:init0"} <= fired
 
 
 def test_empirical_mode_is_deterministic_per_stream():

@@ -184,9 +184,9 @@ def test_run_steps_each_chunk_once(tmp_path, monkeypatch):
     rows = []
     step = germ.montecarlo._step_block
 
-    def counted(problem, algo, cfg, outcomes, *args, **kwargs):
+    def counted(problem, algo, outcomes, *args):
         rows.append(len(outcomes))
-        return step(problem, algo, cfg, outcomes, *args, **kwargs)
+        return step(problem, algo, outcomes, *args)
 
     monkeypatch.setattr(germ.montecarlo, "_step_block", counted)
     doc = mc_checks_config({"variant": "uniform", "mode": "empirical"})
@@ -202,6 +202,26 @@ def test_excess_bound_check_is_refused_before_simulating(tmp_path, capsys):
         assert main(["run", write_config(tmp_path, doc)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+
+def test_repeated_coverage_event_is_refused(tmp_path, capsys):
+    # both checks would write coverage-pairwise-bernstein.csv, the second
+    # over the first
+    doc = {
+        "scenario": "symmetric-coin",
+        "algorithm": {"kind": "germ", "gap": {"variant": "fixed", "value": 0.05}},
+        "engine": {"kind": "mc", "replications": 20, "n_max": 30, "grid": [10, 30]},
+        "seed": 5,
+        "checks": [
+            {"check": "coverage", "event": "pairwise-bernstein", "delta": delta, "level": 0.0}
+            for delta in (0.1, 0.5)
+        ],
+        "out_dir": "out",
+    }
+    assert main(["run", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'pairwise-bernstein'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_trajectory_artifact(tmp_path):

@@ -3,8 +3,9 @@
 Random loss tables on the 0.01 grid, where ERM ties are common and are
 decided by the rounding of the running sums, random distributions with
 zero-probability outcomes, random block lengths, and each of the
-Bernstein, Massart, constant and fixed gaps on every drawn problem.  At every step, every replication's chosen index must equal
-``run_germ``'s on the same stream.
+Bernstein, Massart, constant and fixed gaps on every drawn problem.  At
+every step, every replication's chosen index must equal the scalar
+reference loop's on the same stream.
 """
 
 import math
@@ -12,8 +13,8 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import germ.montecarlo
-from germ.algorithm import GermAlgorithm, run_germ
+import germ.algorithm
+from germ.algorithm import GermAlgorithm, _step_block, _step_bytes
 from germ.gap import (
     EmpiricalBernstein,
     FixedDelta,
@@ -22,9 +23,10 @@ from germ.gap import (
     UniformConvergence,
     UserConstant,
 )
-from germ.montecarlo import McConfig, _draw_outcome_block, _step_block, _step_bytes
+from germ.montecarlo import McConfig, _draw_outcome_block
 from germ.problem import DiscreteDistribution, LearningProblem, LossTable, draw_sample
 from germ.rng import philox_stream
+from scalar_reference import scalar_run_germ
 
 
 @st.composite
@@ -63,15 +65,15 @@ def test_lockstep_choices_equal_run_germ(case):
     cfg = McConfig(replications=replications, n_max=n_max, base_seed=seed, grid=tuple(range(1, n_max + 1)))
     samples = [draw_sample(problem, n_max, philox_stream(seed, r)) for r in range(replications)]
     outcomes, _ = _draw_outcome_block(problem, cfg, 0, replications, keep_generators=False)
-    cap = germ.montecarlo.STEP_BLOCK
+    cap = germ.algorithm.STEP_BLOCK
     if steps is not None:
-        germ.montecarlo.STEP_BLOCK = steps * replications * _step_bytes(problem.class_size)
+        germ.algorithm.STEP_BLOCK = steps * replications * _step_bytes(problem.class_size)
     try:
         for gap in gaps:
             algo = GermAlgorithm(gap=gap, initial_index=initial)
-            chosen, _ = _step_block(problem, algo, cfg, outcomes, None, capture_rbar=False)
+            chosen, _ = _step_block(problem, algo, outcomes, None, cfg.grid)
             for r, sample in enumerate(samples):
-                trajectory = run_germ(problem, sample, gap, initial=initial)
-                assert [int(chosen[k][r]) for k in cfg.grid] == list(trajectory.indices()), (gap, r)
+                trajectory = scalar_run_germ(problem, sample, gap, initial=initial)
+                assert chosen[:, r].tolist() == list(trajectory.indices()), (gap, r)
     finally:
-        germ.montecarlo.STEP_BLOCK = cap
+        germ.algorithm.STEP_BLOCK = cap

@@ -1,8 +1,8 @@
 """Monte Carlo engine tests.
 
 The central oracle: the vectorized lockstep engine must reproduce, bit for
-bit, the scalar per-replication loop built from draw_sample + run_germ on
-the same derived generators.  Every equality on curve values below is
+bit, the scalar per-replication loop built from draw_sample + the scalar
+reference loop (tests/scalar_reference.py) on the same derived generators.  Every equality on curve values below is
 exact (==), not approximate.
 """
 
@@ -12,8 +12,9 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+import germ.algorithm
 import germ.montecarlo
-from germ.algorithm import GermAlgorithm, PlainErm, algo_label, erm, run_germ
+from germ.algorithm import GermAlgorithm, PlainErm, _step_block, _step_bytes, algo_label, erm
 from germ.errors import ResourceLimitError
 from germ.gap import (
     EmpiricalBernstein,
@@ -26,7 +27,6 @@ from germ.gap import (
 )
 from germ.montecarlo import (
     CHUNK,
-    SIGN_BLOCK,
     STEP_BLOCK,
     CoverageResult,
     DecayFit,
@@ -40,10 +40,6 @@ from germ.montecarlo import (
     _draw_outcome_block,
     _draws_signs,
     _outcome_index,
-    _sign_blocks,
-    _sign_sups,
-    _step_block,
-    _step_bytes,
     mc_experiment,
     mc_risk_curve,
 )
@@ -57,9 +53,10 @@ from germ.problem import (
     optimal_risk,
     population_risk,
 )
-from germ.rademacher import rademacher_sup
+from germ.rademacher import SIGN_BLOCK, _sign_blocks, _sign_sups, rademacher_sup
 from germ.rng import draw_signs, philox_stream
 from germ.scenarios import load_scenario
+from scalar_reference import scalar_run_germ
 
 
 def three_outcome_problem() -> LearningProblem:
@@ -104,7 +101,7 @@ def scalar_reference_stats(problem, algo, cfg):
             for n in cfg.grid:
                 values[n][r] = pop[erm(problem.loss, sample.prefix(n))]
         else:
-            trajectory = run_germ(
+            trajectory = scalar_run_germ(
                 problem,
                 sample,
                 algo.gap,
@@ -135,7 +132,7 @@ def lockstep(problem, algo, cfg):
     """(chosen, rbars) of all cfg.replications as one chunk: the outcome
     draw, then the stepper."""
     outcomes, gens = _draw_outcome_block(problem, cfg, 0, cfg.replications, _draws_signs(algo))
-    return _step_block(problem, algo, cfg, outcomes, gens, capture_rbar=True)
+    return _step_block(problem, algo, outcomes, gens, cfg.grid)
 
 
 def test_lockstep_matches_scalar_loop_bitwise():
@@ -190,11 +187,11 @@ def test_lockstep_rbars_match_scalar_loop_across_sign_blocks():
     for r in range(cfg.replications):
         gen = philox_stream(cfg.base_seed, r)
         sample = draw_sample(problem, n_max, gen)
-        trajectory = run_germ(problem, sample, algo.gap, rng=gen)
+        trajectory = scalar_run_germ(problem, sample, algo.gap, rng=gen)
         for n in cfg.grid:
             step = trajectory.steps[n - 1]
-            assert rbars[n][r] == step.rbar, (r, n)
-            assert chosen[n][r] == step.chosen_index, (r, n)
+            assert rbars[n - 1][r] == step.rbar, (r, n)
+            assert chosen[n - 1][r] == step.chosen_index, (r, n)
 
 
 def test_outcome_draw_matches_searchsorted():
@@ -285,7 +282,7 @@ def test_lockstep_does_not_depend_on_block_length(monkeypatch, scenario, gap, n_
     for r in range(replications):
         gen = philox_stream(cfg.base_seed, r)
         sample = draw_sample(problem, n_max, gen)
-        trajectories.append(run_germ(problem, sample, algo.gap, rng=gen if gap == "randomized" else None))
+        trajectories.append(scalar_run_germ(problem, sample, algo.gap, rng=gen if gap == "randomized" else None))
     # the steps at which each replication's incumbent changes
     switches = [
         [s.k for s, before in zip(t.steps, (t.initial_index,) + t.indices()) if s.chosen_index != before]
@@ -298,18 +295,18 @@ def test_lockstep_does_not_depend_on_block_length(monkeypatch, scenario, gap, n_
     runs = []
     # one step per block, 7 steps per block, and the whole horizon in one block
     for steps in (1, 7, n_max):
-        monkeypatch.setattr(germ.montecarlo, "STEP_BLOCK", steps * replications * _step_bytes(problem.class_size))
+        monkeypatch.setattr(germ.algorithm, "STEP_BLOCK", steps * replications * _step_bytes(problem.class_size))
         chosen, rbars = lockstep(problem, algo, cfg)
         for r, trajectory in enumerate(trajectories):
             for step in trajectory.steps:
-                assert chosen[step.k][r] == step.chosen_index, (steps, r, step.k)
+                assert chosen[step.k - 1][r] == step.chosen_index, (steps, r, step.k)
                 if gap == "randomized":
-                    assert rbars[step.k][r] == step.rbar, (steps, r, step.k)
+                    assert rbars[step.k - 1][r] == step.rbar, (steps, r, step.k)
         runs.append((chosen, rbars))
     for chosen, rbars in runs[1:]:
-        for n in cfg.grid:
-            assert np.array_equal(chosen[n], runs[0][0][n])
-            assert np.array_equal(rbars[n], runs[0][1][n])
+        assert np.array_equal(chosen, runs[0][0])
+        assert (rbars is None) == (runs[0][1] is None)
+        assert rbars is None or np.array_equal(rbars, runs[0][1])
 
 
 def test_sign_blocks_respect_the_cap():

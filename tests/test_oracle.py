@@ -6,7 +6,7 @@ import pytest
 
 import germ.oracle
 import germ.problem
-from germ.algorithm import GermAlgorithm, PlainErm, erm, run_germ
+from germ.algorithm import GermAlgorithm, PlainErm, erm
 from germ.analysis import pairwise_bernstein_rhs, pairwise_rhs_from_sq
 from germ.errors import ResourceLimitError
 from germ.gap import (
@@ -40,6 +40,7 @@ from germ.problem import (
 )
 from germ.rng import philox_stream
 from germ.scenarios import load_scenario
+from scalar_reference import scalar_run_germ
 
 
 def make_problem(rows, probs):
@@ -83,14 +84,14 @@ def brute_force_curve(problem, algo, n_max):
                 seq = (z0, *rest)
                 weight = math.prod(probs[z] for z in seq)
                 if germ:
-                    final = run_germ(
+                    final = scalar_run_germ(
                         problem,
                         Sample(seq),
                         algo.gap,
                         initial=algo.initial_index,
                     ).final_index
                 else:
-                    final = run_germ(problem, Sample(seq), FixedDelta(0.0)).final_index
+                    final = scalar_run_germ(problem, Sample(seq), FixedDelta(0.0)).final_index
                 part += weight * pop[final]
             total += part
         values.append(total)
@@ -146,7 +147,7 @@ def test_bernstein_gate_fires_on_a_one_outcome_problem():
     problem = make_problem([(0.0,), (1.0,)], (1.0,))
     algo = GermAlgorithm(gap=bernstein(2), initial_index=1)
     curve = exact_risk_curve(problem, algo, 120)
-    chosen = run_germ(problem, Sample((0,) * 120), algo.gap, initial=1).indices()
+    chosen = scalar_run_germ(problem, Sample((0,) * 120), algo.gap, initial=1).indices()
     assert curve.values[1:] == tuple(population_risk(problem, h) for h in chosen)
     assert curve.values[-1] == 0.0
 
@@ -187,15 +188,16 @@ def exact_rational_curve(problem, algo, n_max):
     """Ground truth: exact-rational sums over every explicit prefix.
 
     Each prefix weighs the Fraction product of its float outcome
-    probabilities, and its hypothesis comes from ``run_germ`` (gated) or
-    ``erm`` (plain) on that prefix, so nothing is rounded before the sum.
+    probabilities, and its hypothesis comes from the scalar reference loop
+    (gated) or ``erm`` (plain) on that prefix, so nothing is rounded before
+    the sum.
     """
     probs = [Fraction(p) for p in problem.distribution.probs]
     pop = [Fraction(population_risk(problem, h)) for h in range(problem.class_size)]
     chosen = {}
     for seq in itertools.product(range(problem.loss.outcome_count), repeat=n_max):
         if isinstance(algo, GermAlgorithm):
-            picks = run_germ(problem, Sample(seq), algo.gap, initial=algo.initial_index).indices()
+            picks = scalar_run_germ(problem, Sample(seq), algo.gap, initial=algo.initial_index).indices()
         else:
             picks = [erm(problem.loss, Sample(seq[:k])) for k in range(1, n_max + 1)]
         for k, h in enumerate(picks, start=1):
