@@ -19,6 +19,14 @@ rademacher module's ``_sign_sups`` for the randomized gap).  ``run_germ``
 is one row of it over every step; the Monte Carlo engine calls it on
 chunks of replications, and the exact oracle steps each layer of its
 states through the same gate kernels.
+
+The kernels read running sums step-major, indexed [step, row, hypothesis],
+so that one step of every row is one contiguous slab.  Per block, only
+the rows whose incumbent can fall k * floor(k) behind the minimum sum
+within the block go through the candidate and gate kernels, where
+floor(k) is a lower bound of the gap at step k; the bound and its float
+headroom are set out in ``_step_block``.  The others provably keep their
+incumbent, and no result depends on which rows were skipped.
 """
 
 from __future__ import annotations
@@ -222,20 +230,20 @@ def run_germ(
     chosen, rbars = _step_block(problem, algo, z[np.newaxis], [rng] if randomized else None, ks)
     chosen = chosen[:, 0]
     L = loss.as_array()
-    S = np.zeros((H, n + 1))
-    S[:, 1:] = L[:, z]
+    S = np.zeros((n + 1, H))
+    S[1:] = L.T[z]
     _accumulate_steps(S)
-    S = S[:, 1:]
+    S = S[1:]
     cand, best = _erm_candidates(S)
     inc = np.concatenate(([initial], chosen[:-1]))
-    inc_sums = S[inc, ks - 1]
+    inc_sums = S[ks - 1, inc]
     if schedule is not None:
         deltas, rbar = schedule
     elif randomized:
         deltas = delta_uniform(ks, rbars[:, 0]).tolist()
         rbar = rbars[:, 0].tolist()
     else:
-        C = _running_counts(np.zeros((loss.outcome_count, 1), dtype=np.int64), z[:, np.newaxis])[:, :, 0]
+        C = np.cumsum(z[:, np.newaxis] == np.arange(loss.outcome_count), axis=0)
         deltas = _bernstein_gaps(_sq_sums(C, _sq_diffs(L)[cand, inc]), H).tolist()
         rbar = [None] * n
     updated = (best - inc_sums) / ks <= -np.array(deltas)
@@ -245,18 +253,19 @@ def run_germ(
 
 
 def _erm_candidates(S: np.ndarray):
-    """Lowest-index empirical risk minimizer of the sums ``S[h, ...]``.
+    """Lowest-index empirical risk minimizer of the sums ``S[..., h]``.
 
     Ascending strict ``<`` comparisons keep the lowest index on ties, as
     ``min`` over hypotheses does.  Returns the indices and the
     minimal sums.
     """
-    best = S[0].copy()
-    cand = np.zeros(best.shape, dtype=np.min_scalar_type(len(S) - 1))
-    for h in range(1, len(S)):
-        better = S[h] < best
+    H = S.shape[-1]
+    best = S[..., 0].copy()
+    cand = np.zeros(best.shape, dtype=np.min_scalar_type(H - 1))
+    for h in range(1, H):
+        better = S[..., h] < best
         np.copyto(cand, h, where=better)
-        np.minimum(best, S[h], out=best)
+        np.minimum(best, S[..., h], out=best)
     return cand, best
 
 
@@ -266,11 +275,11 @@ def _sq_diffs(L: np.ndarray) -> np.ndarray:
 
 
 def _sq_sums(counts: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Squared-difference sums: ``counts[z] * d2[:, z]`` summed over the
-    outcomes z in ascending order, from 0.0."""
+    """Squared-difference sums: ``counts[..., z] * d2[:, z]`` summed over
+    the outcomes z in ascending order, from 0.0."""
     q = np.zeros(len(d2))
-    for z in range(len(counts)):
-        q += counts[z] * d2[:, z]
+    for z in range(counts.shape[-1]):
+        q += counts[..., z] * d2[:, z]
     return q
 
 
@@ -284,55 +293,38 @@ def _bernstein_gaps(sq: np.ndarray, class_size: int) -> np.ndarray:
 
 
 def _accumulate_steps(X: np.ndarray) -> None:
-    """Running sums along axis 1, in place and in step order.
+    """Running sums along axis 0, in place and in step order.
 
-    X[:, 0] holds the values carried into the block; afterwards X[:, t] is
-    X[:, t - 1] + X[:, t], one step's ``sums[h] += loss[h][z]``.  One
-    vector add per step over (axis 0, axis 2) slabs is several times faster
-    than ``np.cumsum`` along axis 1.
+    X[0] holds the values carried into the block; afterwards X[t] is
+    X[t - 1] + X[t], one step's ``sums[h] += loss[h][z]``.  Each step is
+    one contiguous slab, and one vector add per step is several times
+    faster than ``np.cumsum`` along axis 0.
     """
-    for t in range(1, X.shape[1]):
-        np.add(X[:, t - 1], X[:, t], out=X[:, t])
+    for t in range(1, len(X)):
+        np.add(X[t - 1], X[t], out=X[t])
 
 
-def _running_counts(counts: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Outcome counts after each step of a block, indexed [outcome, step, row].
-
-    ``counts`` (m, R) holds the counts before the block and ``z`` (steps, R)
-    the block's outcomes.
-    """
-    m = len(counts)
-    C = np.empty((m, len(z) + 1, z.shape[1]), dtype=np.int64)
-    C[:, 0] = counts
-    for j in range(m):
-        np.equal(z, j, out=C[j, 1:])
-    _accumulate_steps(C)
-    return C[:, 1:]
-
-
-def _bernstein_gate(rows, lo, inc, cand, diff, fire, *, counts, z, k, D2, class_size) -> None:
+def _bernstein_gate(rows, lo, inc, cand, diff, fire, *, counts, k, D2, class_size) -> None:
     """Settle the Bernstein gate at the steps ``fire`` marks, in place.
 
     ``fire`` marks where the difference clears the gap with no variance
     term, a lower bound of the gap.  Only there are the squared-difference
     sum (``_sq_sums``) and the gap formed.  Arguments follow ``_scan_gate``;
-    ``counts`` (m, B) holds the outcome counts before the block, ``z`` its
-    outcomes, ``D2`` the squared loss differences indexed [candidate,
+    ``counts`` (T, B, m) holds the outcome counts after each step of the
+    block, and ``D2`` the squared loss differences indexed [candidate,
     incumbent, outcome].
     """
     t, r = np.nonzero(fire)
     if not t.size:
         return
-    need, at_need = np.unique(rows[r], return_inverse=True)
-    C = _running_counts(counts[:, need], z[:, need])
-    q = _sq_sums(C[:, lo + t, at_need], D2[cand[t, r], inc[r]])
+    q = _sq_sums(counts[lo + t, rows[r]], D2[cand[t, r], inc[r]])
     fire[t, r] = diff[t, r] <= -bernstein_delta_from_sq(k[lo + t, 0], q, class_size)
 
 
 def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
     """Gate decisions of one block of steps; updates ``incumbent`` in place.
 
-    ``S`` (H, T, B) holds the running loss sums, ``cand`` and ``best`` (T, B)
+    ``S`` (T, B, H) holds the running loss sums, ``cand`` and ``best`` (T, B)
     the ERM candidate and its sum, ``k`` (T, 1) the step indices and ``gap``
     (T, B) the gap, or a lower bound of it that ``settle`` (see
     ``_bernstein_gate``) turns into the gate's decision.  The gate fires
@@ -354,7 +346,7 @@ def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
         scans += 1
         inc = incumbent[rows]
         c = cand[lo:, cols]
-        diff = (best[lo:, cols] - S[inc, lo:, rows].T) / k[lo:]
+        diff = (best[lo:, cols] - S[lo:, rows, inc]) / k[lo:]
         fire = diff <= -gap[lo:, cols]
         fire &= c != inc
         if scans > 1:
@@ -382,7 +374,8 @@ def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
 def _step_bytes(class_size: int) -> int:
     """Working bytes per row and step of a block of ``_step_block``: one
     running sum per hypothesis and about ten per-step arrays (outcome,
-    candidate, sums, difference, gap and temporaries) of 8 bytes or fewer."""
+    candidate, sums, difference, gap, the Bernstein gap's outcome counts
+    and temporaries) of 8 bytes or fewer."""
     return 8 * (class_size + 10)
 
 
@@ -391,16 +384,40 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     in lockstep and a block of steps at a time.
 
     ``gens`` holds each row's generator, positioned where its signs start,
-    when the gap draws signs, and is None otherwise.  Per block, every
-    hypothesis's running loss sum at every step comes from the sums
-    carried from the block before, one vector add per step;
-    ``_erm_candidates`` gives the candidate at every step, and
-    ``_scan_gate`` the gate's decisions.  Each (row, step) pair goes
-    through the same float operations whatever the block length.  That
-    length starts at what STEP_BLOCK bytes allow, at most n, halves after a
-    block that needs more than 8 scans, so that frequent switching falls
-    back toward one step per block, and doubles again, up to the start,
-    after a block that needs at most 2.
+    when the gap draws signs, and is None otherwise.  Per block of T steps,
+    every hypothesis's running loss sum at every step comes from the sums
+    carried from the block before, one vector add per step over a
+    step-major (T, B, H) array, so each step is one contiguous slab.  The
+    Bernstein gap also needs each row's outcome counts; they ride in m
+    more columns, the indicators of the step's outcome, so the same take
+    and add carry them.  Plain ERM forms its candidate at the grid steps
+    only.  For a gated learner, ``_erm_candidates`` gives the candidate at
+    every step of the block and ``_scan_gate`` the gate's decisions, for
+    the live rows only.
+
+    A row is live when its incumbent can fall far enough behind within the
+    block for the gate to fire.  The gap at step k is at least a floor
+    that depends on k alone: the schedule itself for the fixed, Massart
+    and constant gaps, the gap with no variance term for Bernstein, and
+    the gap at R-bar = 0 for the randomized gap (R-bar >= 0); a NaN floor
+    counts as 0.  The gate fires only where the lag S_inc - min_h S_h is
+    at least k * floor(k), and the lag grows by at most reach[inc] =
+    max_z (L[inc, z] - min_h L[h, z]) per step.  So a row whose lag at the
+    block start plus T * reach[inc] is below the least k * floor(k) over
+    the block keeps its incumbent through the block.  The test grants
+    1e-9 * t1 of headroom, t1 the block's last step: sums of losses in
+    [0, 1] stay below t1, so each rounding moves the float lag by at most
+    eps * t1, and a block of T < 2**14 steps (the STEP_BLOCK cap) adds up
+    about (T + 4) * eps * t1 < 4e-12 * t1 of them.  Rows that are not live
+    skip the candidate and gate kernels; their sums and counts are carried
+    as for every row.
+
+    Each (row, step) pair goes through the same float operations whatever
+    the block length and whichever rows are live.  The block length starts
+    at what STEP_BLOCK bytes allow, at most n, halves after a block that
+    needs more than 8 scans, so that frequent switching falls back toward
+    one step per block, and doubles again, up to the start, after a block
+    that needs at most 2.
 
     Returns (chosen, rbars) at the steps of the increasing ``grid``, whose
     entries lie in 1..n: ``chosen`` (len(grid), B) holds the chosen
@@ -420,57 +437,71 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
 
     ks = np.arange(1, n + 1)
     if schedule is not None:
-        gaps = np.array(schedule[0])
+        gaps = floor = np.array(schedule[0])
     elif randomized:
         # max(0, sup + radius) at every step
         rbar = _sign_sups(L, outcomes, gens, ks)
         rbar += mcdiarmid_radius(ks)
         np.maximum(0.0, rbar, out=rbar)
+        floor = delta_uniform(ks, 0.0)
     elif bernstein:
         # the gap with no variance term, a lower bound ``_bernstein_gate`` settles
-        gaps = _bernstein_gaps(np.zeros(n), H)
+        gaps = floor = _bernstein_gaps(np.zeros(n), H)
         settle = functools.partial(_bernstein_gate, D2=_sq_diffs(L), class_size=H)
-        counts = np.zeros((m, B), dtype=np.int64)
-    # steps along axis 0 and rows along axis 1, so a step is a slab
-    steps_first = np.ascontiguousarray(outcomes.T)
-    sums = np.zeros((H, B))
+    if germ:
+        lag_needed = ks * np.fmax(floor, 0.0)
+        reach = (L - L.min(axis=0)).max(axis=1)
+    # one row per outcome: its H losses, then for Bernstein its indicator
+    # among the m outcomes, so the running sums carry the outcome counts
+    losses = np.hstack([L.T, np.eye(m)]) if bernstein else np.ascontiguousarray(L.T)
+    sums = np.zeros((B, losses.shape[1]))
+    rows = np.arange(B)
     incumbent = np.full(B, algo.initial_index if germ else 0, dtype=np.intp)
 
     chosen = np.empty((len(grid), B), dtype=np.intp)
     most = min(n, max(1, STEP_BLOCK // (B * _step_bytes(H))))
     steps = most
-    S_buf = np.empty((H, most + 1, B))
+    S_buf = np.empty((most + 1, B, losses.shape[1]))
     t0 = 0
     while t0 < n:
         t1 = min(n, t0 + steps)
         T = t1 - t0
         k = ks[t0:t1, np.newaxis]
-        z = steps_first[t0:t1]
+        z = outcomes[:, t0:t1].T
         # running sums from the sums carried into the block
-        S = S_buf[:, : T + 1]
-        S[:, 0] = sums
-        np.take(L, z, axis=1, out=S[:, 1:])
+        S = S_buf[: T + 1]
+        S[0] = sums
+        # outcomes lie in 0..m-1, so "clip" changes no value; it spares the
+        # buffered copy of ``out`` that the default mode makes
+        np.take(losses, z, axis=0, out=S[1:], mode="clip")
         _accumulate_steps(S)
-        sums = S[:, T].copy()
-        S = S[:, 1:]
-        cand, best = _erm_candidates(S)
+        S = S[1:]
         # grid positions g0..g1 fall in this block, at block positions ``at``
         g0, g1 = bisect_right(grid, t0), bisect_right(grid, t1)
         at = [g - t0 - 1 for g in grid[g0:g1]]
         scans = 0
         if not germ:
-            picked = cand[at]
+            chosen[g0:g1] = _erm_candidates(S[at])[0]
         else:
-            if randomized:
-                gap = delta_uniform(k, rbar[:, t0:t1].T)
-            else:
-                gap = np.broadcast_to(gaps[t0:t1, np.newaxis], (T, B))
-            block_settle = bernstein and functools.partial(settle, counts=counts, z=z, k=k)
-            picked, scans = _scan_gate(S, cand, best, k, gap, incumbent, at, block_settle)
-            if bernstein:
-                for j in range(m):
-                    counts[j] += np.count_nonzero(z == j, axis=0)
-        chosen[g0:g1] = picked
+            # rows whose lag can reach k * floor(k) within the block, less
+            # the rounding headroom; the others keep their incumbent
+            lag = sums[rows, incumbent] - functools.reduce(np.minimum, sums[:, :H].T)
+            live = np.flatnonzero(lag + T * reach[incumbent] >= lag_needed[t0:t1].min() - 1e-9 * t1)
+            chosen[g0:g1] = incumbent
+            if live.size:
+                # every row live reads the block without a copy
+                sel = slice(None) if live.size == B else live
+                S_live, inc = S[:, sel], incumbent[sel]
+                cand, best = _erm_candidates(S_live[..., :H])
+                if randomized:
+                    gap = delta_uniform(k, rbar[sel, t0:t1].T)
+                else:
+                    gap = np.broadcast_to(gaps[t0:t1, np.newaxis], cand.shape)
+                block_settle = bernstein and functools.partial(settle, counts=S_live[..., H:], k=k)
+                picked, scans = _scan_gate(S_live, cand, best, k, gap, inc, at, block_settle)
+                chosen[g0:g1, sel] = picked
+                incumbent[sel] = inc
+        sums = S[-1].copy()
         if scans > 8:
             steps = max(1, steps // 2)
         elif scans <= 2:

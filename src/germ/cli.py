@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,11 +164,32 @@ class ExperimentResult:
     trajectory_path: Path | None
 
 
+_DIGITS = re.compile(r"[0-9]+")
+_DECIMAL = re.compile(r"([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _digits(text: str, what: str) -> int:
+    """The integer that ``text`` writes in ASCII decimal digits and nothing else."""
+    if not _DIGITS.fullmatch(text):
+        raise ValueError(f"{what} must be ASCII decimal digits, got {text!r}")
+    return int(text)
+
+
+def _option_int(text: str) -> int:
+    """The value of an integer option, in ASCII decimal digits only."""
+    try:
+        return _digits(text, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def parse_algo_spec(text: str, class_size: int) -> AlgorithmSpec:
     """Parse a colon-separated algorithm label into an algorithm spec.
 
     Grammar: ``erm`` or ``germ:<gap>[:init<i>]`` with gap one of
-    uniform-empirical, uniform-massart, bernstein, or fixed=<x>.  The
+    uniform-empirical, uniform-massart, bernstein, or fixed=<x>.  ``<i>``
+    is ASCII decimal digits and ``<x>`` a decimal number in ASCII digits
+    such as 0.05 or 5e-2, with no sign, space or underscore.  The
     uniform-constant mode needs a value sequence, so it is reachable only
     through config files.
     """
@@ -180,7 +202,7 @@ def parse_algo_spec(text: str, class_size: int) -> AlgorithmSpec:
     if len(parts) == 3:
         if not parts[2].startswith("init"):
             raise ValueError(f"cannot parse algorithm spec {text!r}")
-        initial = int(parts[2][len("init"):])
+        initial = _digits(parts[2][len("init"):], "the initial index")
     gap_text = parts[1]
     if gap_text == "uniform-empirical":
         gap = GapSpec(UniformConvergence(EmpiricalMcDiarmid()), class_size)
@@ -189,7 +211,10 @@ def parse_algo_spec(text: str, class_size: int) -> AlgorithmSpec:
     elif gap_text == "bernstein":
         gap = GapSpec(EmpiricalBernstein(), class_size)
     elif gap_text.startswith("fixed="):
-        gap = FixedDelta(float(gap_text[len("fixed="):]))
+        value = gap_text[len("fixed="):]
+        if not _DECIMAL.fullmatch(value):
+            raise ValueError(f"the fixed gap must be a decimal number, got {value!r}")
+        gap = FixedDelta(float(value))
     else:
         raise ValueError(f"unknown gap {gap_text!r} in algorithm spec {text!r}")
     return GermAlgorithm(gap=gap, initial_index=initial)
@@ -592,7 +617,7 @@ def _cmd_curve(args) -> int:
         if args.seed is None:
             raise ValueError("the mc engine requires --seed")
         n_max = args.n_max if args.n_max is not None else MC_DEFAULT_N_MAX
-        grid = tuple(int(n) for n in args.grid.split(",")) if args.grid else tuple(
+        grid = tuple(_digits(n, "a grid entry") for n in args.grid.split(",")) if args.grid else tuple(
             n for n in MC_DEFAULT_GRID if n <= n_max
         )
         algo = parse_algo_spec(args.algo, problem.class_size)
@@ -668,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="path to a JSON experiment config")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=_option_int, default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_scen = sub.add_parser("scenarios", help="inspect built-in scenarios")
@@ -679,12 +704,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("scenario")
     p_curve.add_argument("--algo", required=True, help="erm | germ:<gap>[:init<i>]")
     p_curve.add_argument("--engine", choices=["exact", "mc"], required=True)
-    p_curve.add_argument("--seed", type=int, default=None)
+    p_curve.add_argument("--seed", type=_option_int, default=None)
     p_curve.add_argument("--out", required=True)
-    p_curve.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p_curve.add_argument("--replications", type=int, default=MC_DEFAULT_REPLICATIONS)
+    p_curve.add_argument("--n-max", type=_option_int, default=None, dest="n_max")
+    p_curve.add_argument("--replications", type=_option_int, default=MC_DEFAULT_REPLICATIONS)
     p_curve.add_argument("--grid", default=None, help="comma-separated n values")
-    p_curve.add_argument("--workers", type=int, default=1)
+    p_curve.add_argument("--workers", type=_option_int, default=1)
     p_curve.set_defaults(func=_cmd_curve)
 
     p_check = sub.add_parser("check-monotone", help="check a stored curve CSV")
@@ -694,9 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rad = sub.add_parser("rademacher", help="per-step complexity bounds")
     p_rad.add_argument("scenario")
-    p_rad.add_argument("--k", type=int, required=True)
+    p_rad.add_argument("--k", type=_option_int, required=True)
     p_rad.add_argument("--mode", choices=["empirical", "massart", "exact"], required=True)
-    p_rad.add_argument("--seed", type=int, default=None)
+    p_rad.add_argument("--seed", type=_option_int, default=None)
     p_rad.set_defaults(func=_cmd_rademacher)
 
     p_bern = sub.add_parser("bernstein", help="variance-to-mean certificate")

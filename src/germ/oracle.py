@@ -176,18 +176,18 @@ def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: 
     for k in range(1, n_max + 1):
         # child j * N + i is state i followed by outcome outcomes[j]
         parents = np.tile(layer, (len(outcomes), 1))
-        z = np.repeat(outcomes, len(layer))[np.newaxis, :]
-        S = (parents[:, :H].T.view(np.float64) + L[:, z[0]])[:, np.newaxis]
-        counts, chosen = parents[:, H:-1].T, parents[:, -1]
+        z = np.repeat(outcomes, len(layer))
+        S = (parents[:, :H].view(np.float64) + L.T[z])[np.newaxis]
+        counts = parents[:, H:-1] + (z[:, np.newaxis] == np.arange(len(probs)))
+        chosen = parents[:, -1]
         cand, best = _erm_candidates(S)
         if germ:
             step = np.array([[k]])
-            settle = bernstein and functools.partial(bernstein, counts=counts, z=z, k=step)
+            settle = bernstein and functools.partial(bernstein, counts=counts[np.newaxis], k=step)
             _scan_gate(S, cand, best, step, np.full(cand.shape, gaps[k - 1]), chosen, [], settle)
         else:
             chosen = cand[0]
-        counts = counts + (np.arange(len(counts))[:, np.newaxis] == z)
-        layer, merged = np.unique(np.vstack([S[:, 0].view(np.int64), counts, chosen]).T, axis=0, return_inverse=True)
+        layer, merged = np.unique(np.column_stack([S[0].view(np.int64), counts, chosen]), axis=0, return_inverse=True)
         weights = np.bincount(merged, weights=(probs[outcomes, np.newaxis] * weights).ravel())
         values[k] = math.fsum((weights * pop[layer[:, -1]]).tolist())
     return values

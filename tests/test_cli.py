@@ -333,6 +333,64 @@ def test_curve_mc_with_seed(tmp_path, capsys):
     assert "points=2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "algo",
+    [
+        "germ:bernstein:init0_1",  # int() reads 1
+        "germ:bernstein:init 1",  # int() strips the space
+        "germ:bernstein:init+1",
+        "germ:bernstein:init\u0661",  # ARABIC-INDIC DIGIT ONE, which int() reads as 1
+        "germ:bernstein:init",
+        "germ:fixed=1_0",  # float() reads 10.0
+        "germ:fixed= 0.5",
+        "germ:fixed=inf",
+        "germ:fixed=nan",
+        "germ:fixed=-0.1",
+    ],
+)
+def test_curve_refuses_a_loose_algo_spec(tmp_path, capsys, algo):
+    out = str(tmp_path / "curves")
+    code = main(["curve", "symmetric-coin", "--algo", algo, "--engine", "exact", "--n-max", "3", "--out", out])
+    assert code == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "curves").exists()
+
+
+@pytest.mark.parametrize("grid", ["5,2_0", "5, 20", "5,+20", "5,\u0662\u0660", "5,,20", "5,20.0", "5,-20"])
+def test_curve_refuses_a_grid_entry_that_is_not_decimal_digits(tmp_path, capsys, grid):
+    out = str(tmp_path / "curves")
+    code = main(
+        [
+            "curve", "symmetric-coin", "--algo", "erm", "--engine", "mc", "--seed", "3", "--out", out,
+            "--replications", "5", "--n-max", "20", "--grid", grid,
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "symmetric-coin", "--algo", "erm", "--engine", "mc", "--seed", "3", "--replications", "1_0"],
+        ["curve", "symmetric-coin", "--algo", "erm", "--engine", "mc", "--seed", "3", "--n-max", " 20"],
+        ["curve", "symmetric-coin", "--algo", "erm", "--engine", "mc", "--seed", "+3"],
+        ["curve", "symmetric-coin", "--algo", "erm", "--engine", "exact", "--workers", "0_1"],
+        ["rademacher", "symmetric-coin", "--k", "1_0", "--mode", "massart"],
+    ],
+)
+def test_integer_options_refuse_what_is_not_decimal_digits(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "curves")] if argv[0] == "curve" else argv) == EXIT_CONFIG
+    assert "must be ASCII decimal digits" in capsys.readouterr().err
+    assert not (tmp_path / "curves").exists()
+
+
+def test_parse_algo_spec_reads_decimal_forms():
+    assert parse_algo_spec("germ:bernstein:init01", 2).initial_index == 1
+    for text, value in (("0", 0.0), ("0.05", 0.05), ("5e-2", 0.05), (".5", 0.5), ("1.", 1.0), ("2E+1", 20.0)):
+        assert parse_algo_spec(f"germ:fixed={text}", 2).gap == FixedDelta(value)
+
+
 def test_rademacher_subcommand(capsys):
     assert main(["rademacher", "biased-coin-massart", "--k", "10", "--mode", "massart"]) == EXIT_PASS
     assert "mode=massart" in capsys.readouterr().out

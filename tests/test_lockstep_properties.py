@@ -3,9 +3,11 @@
 Random loss tables on the 0.01 grid, where ERM ties are common and are
 decided by the rounding of the running sums, random distributions with
 zero-probability outcomes, random block lengths, and each of the
-Bernstein, Massart, constant and fixed gaps on every drawn problem.  At
-every step, every replication's chosen index must equal the scalar
-reference loop's on the same stream.
+Bernstein, Massart, constant and fixed gaps on every drawn problem.  Two
+of the fixed gaps are one-step loss differences on the same grid, so k
+times the gap lands exactly on sums the gate compares, at the edge of the
+stepper's reach bound.  At every step, every replication's chosen index
+must equal the scalar reference loop's on the same stream.
 """
 
 import math
@@ -39,10 +41,13 @@ def cases(draw):
     probs = tuple((b - a) / 100 for a, b in zip(edges, edges[1:]))
     # losses at 0 and 1 half the time, so that bound-derived gates fire by n = 150
     entry = st.one_of(st.sampled_from([0, 100]), st.integers(0, 100))
-    rows = tuple(
-        tuple(v / 100 for v in draw(st.lists(entry, min_size=m, max_size=m)))
-        for _ in range(H)
-    )
+    hundredths = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(H)]
+    rows = tuple(tuple(v / 100 for v in row) for row in hundredths)
+    initial = draw(st.integers(0, H - 1))
+    # what one step can add to a hypothesis's lag behind the minimum, and
+    # the most it adds to the initial hypothesis's
+    gains = sorted({a[z] - b[z] for a in hundredths for b in hundredths for z in range(m) if a[z] > b[z]}) or [0]
+    reach = max(hundredths[initial][z] - min(row[z] for row in hundredths) for z in range(m))
     n_max = draw(st.one_of(st.integers(100, 150), st.integers(1, 150)))
     scale = draw(st.integers(0, 50)) / 100
     gaps = [
@@ -50,9 +55,10 @@ def cases(draw):
         GapSpec(UniformConvergence(MassartDeterministic()), H),
         GapSpec(UniformConvergence(UserConstant(tuple(scale / math.sqrt(k) for k in range(1, n_max + 1)))), H),
         FixedDelta(draw(st.integers(0, 30)) / 100),
+        FixedDelta(draw(st.sampled_from(gains)) / 100),
+        FixedDelta(reach / 100),
     ]
     problem = LearningProblem("drawn", DiscreteDistribution(probs), LossTable(rows))
-    initial = draw(st.integers(0, H - 1))
     replications = draw(st.integers(1, 16))
     steps = draw(st.sampled_from([1, 2, 7, 40, None]))
     return problem, gaps, initial, n_max, replications, steps, draw(st.integers(0, 2**32))
