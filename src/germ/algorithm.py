@@ -13,19 +13,20 @@ non-increasing in k; that property is certified by the oracle and
 montecarlo modules, never asserted per run.
 
 ``_step_block`` is the one stepper.  It steps the rows of an outcome block
-in lockstep, a block of steps at a time, through the array kernels
-``_erm_candidates``, ``_scan_gate`` and ``_bernstein_gate`` (and the
-rademacher module's ``_sign_sups`` for the randomized gap).  ``run_germ``
+in lockstep, a block of steps at a time, through ``_gate_block``, the one
+gate, which ``_gate`` sets up once per run and which runs the array
+kernels ``_erm_candidates``, ``_scan_gate`` and ``_bernstein_gate`` (the
+rademacher module's ``_sign_sups`` gives the randomized gap's R-bar).  ``run_germ``
 is one row of it over every step; the Monte Carlo engine calls it on
 chunks of replications, and the exact oracle steps each layer of its
-states through the same gate kernels.
+states through ``_gate_block`` as a one-step block.
 
 The kernels read running sums step-major, indexed [step, row, hypothesis],
 so that one step of every row is one contiguous slab.  Per block, only
 the rows whose incumbent can fall k * floor(k) behind the minimum sum
 within the block go through the candidate and gate kernels, where
 floor(k) is a lower bound of the gap at step k; the bound and its float
-headroom are set out in ``_step_block``.  The others provably keep their
+headroom are set out in ``_gate_block``.  The others provably keep their
 incumbent, and no result depends on which rows were skipped.
 """
 
@@ -379,6 +380,82 @@ def _step_bytes(class_size: int) -> int:
     return 8 * (class_size + 10)
 
 
+def _gate(algo: GermAlgorithm, L: np.ndarray, n: int, schedule):
+    """The gate of ``algo`` over steps 1..n on loss array ``L``, built once
+    per run for ``_gate_block``; ``schedule`` is ``check_algorithm``'s.
+
+    Returns (gaps, lag_needed, reach, settle).  ``gaps`` holds the gap the
+    scan compares at each step: the schedule for the fixed, Massart and
+    constant gaps, the gap with no variance term for Bernstein, which
+    ``settle`` (``_bernstein_gate``) turns into the gate's decision, and
+    None for the randomized gap, which ``_gate_block`` forms from each
+    row's R-bar.  ``lag_needed`` holds k * floor(k) and ``reach`` the
+    largest lag growth per step of each incumbent; ``_gate_block`` sets
+    them out.
+    """
+    H = len(L)
+    ks = np.arange(1, n + 1)
+    gaps = settle = None
+    if schedule is not None:
+        gaps = floor = np.array(schedule[0])
+    elif is_randomized(algo.gap):
+        # the gap at R-bar = 0, and R-bar >= 0
+        floor = delta_uniform(ks, 0.0)
+    else:
+        gaps = floor = _bernstein_gaps(np.zeros(n), H)
+        settle = functools.partial(_bernstein_gate, D2=_sq_diffs(L), class_size=H)
+    return gaps, ks * np.fmax(floor, 0.0), (L - L.min(axis=0)).max(axis=1), settle
+
+
+def _gate_block(S, sums, k, incumbent, at, gate, rbar):
+    """Gate decisions of one block of steps; updates ``incumbent`` in place.
+
+    Rows follow the stepper's layout: H loss sums, then the m outcome
+    counts, which only the Bernstein settle reads.  ``S`` (T, B, columns) holds the running sums after
+    each step of the block and ``sums`` (B, columns) those carried into
+    it, ``k`` (T, 1) the step indices, ``gate`` comes from ``_gate``, and
+    ``rbar`` (B, T) holds each row's R-bar at the block's steps for the
+    randomized gap and is None otherwise.  Returns the incumbents after
+    the block positions ``at``, (len(at), B), and the number of scans.
+
+    A row is live when its incumbent can fall far enough behind within the
+    block for the gate to fire, and only live rows go through
+    ``_erm_candidates`` and ``_scan_gate``.  The gap at step k is at least
+    a floor that depends on k alone: the schedule itself for the fixed,
+    Massart and constant gaps, the gap with no variance term for
+    Bernstein, and the gap at R-bar = 0 for the randomized gap; a NaN
+    floor counts as 0.  The gate fires only where the lag S_inc - min_h
+    S_h is at least k * floor(k), and the lag grows by at most reach[inc]
+    = max_z (L[inc, z] - min_h L[h, z]) per step.  So a row whose lag at
+    the block start plus T * reach[inc] is below the least k * floor(k)
+    over the block keeps its incumbent through the block.  The test grants
+    1e-9 * t1 of headroom, t1 the block's last step: sums of losses in
+    [0, 1] stay below t1, so each rounding moves the float lag by at most
+    eps * t1, and a block of T < 2**14 steps (the STEP_BLOCK cap) adds up
+    about (T + 4) * eps * t1 < 4e-12 * t1 of them.  Each live row goes
+    through the same float operations whichever rows are live.
+    """
+    gaps, lag_needed, reach, settle = gate
+    H = len(reach)
+    T, t1 = len(k), int(k[-1, 0])
+    lag = sums[np.arange(len(incumbent)), incumbent] - functools.reduce(np.minimum, sums[:, :H].T)
+    live = (lag + T * reach[incumbent] >= lag_needed[t1 - T : t1].min() - 1e-9 * t1).nonzero()[0]
+    picked, scans = incumbent[np.newaxis].repeat(len(at), axis=0), 0
+    if live.size:
+        # every row live reads the block without a copy
+        sel = slice(None) if live.size == len(incumbent) else live
+        S_live, inc = S[:, sel], incumbent[sel]
+        cand, best = _erm_candidates(S_live[..., :H])
+        if rbar is None:
+            gap = np.broadcast_to(gaps[t1 - T : t1, np.newaxis], cand.shape)
+        else:
+            gap = delta_uniform(k, rbar[sel].T)
+        block_settle = settle and functools.partial(settle, counts=S_live[..., H:], k=k)
+        picked[:, sel], scans = _scan_gate(S_live, cand, best, k, gap, inc, at, block_settle)
+        incumbent[sel] = inc
+    return picked, scans
+
+
 def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndarray, gens, grid):
     """Step each row of a (B, n) outcome block through steps 1..n, the rows
     in lockstep and a block of steps at a time.
@@ -391,33 +468,14 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     Bernstein gap also needs each row's outcome counts; they ride in m
     more columns, the indicators of the step's outcome, so the same take
     and add carry them.  Plain ERM forms its candidate at the grid steps
-    only.  For a gated learner, ``_erm_candidates`` gives the candidate at
-    every step of the block and ``_scan_gate`` the gate's decisions, for
-    the live rows only.
-
-    A row is live when its incumbent can fall far enough behind within the
-    block for the gate to fire.  The gap at step k is at least a floor
-    that depends on k alone: the schedule itself for the fixed, Massart
-    and constant gaps, the gap with no variance term for Bernstein, and
-    the gap at R-bar = 0 for the randomized gap (R-bar >= 0); a NaN floor
-    counts as 0.  The gate fires only where the lag S_inc - min_h S_h is
-    at least k * floor(k), and the lag grows by at most reach[inc] =
-    max_z (L[inc, z] - min_h L[h, z]) per step.  So a row whose lag at the
-    block start plus T * reach[inc] is below the least k * floor(k) over
-    the block keeps its incumbent through the block.  The test grants
-    1e-9 * t1 of headroom, t1 the block's last step: sums of losses in
-    [0, 1] stay below t1, so each rounding moves the float lag by at most
-    eps * t1, and a block of T < 2**14 steps (the STEP_BLOCK cap) adds up
-    about (T + 4) * eps * t1 < 4e-12 * t1 of them.  Rows that are not live
-    skip the candidate and gate kernels; their sums and counts are carried
-    as for every row.
+    only.  A gated learner's block goes through ``_gate_block``, which
+    skips the rows that cannot switch within it.
 
     Each (row, step) pair goes through the same float operations whatever
-    the block length and whichever rows are live.  The block length starts
-    at what STEP_BLOCK bytes allow, at most n, halves after a block that
-    needs more than 8 scans, so that frequent switching falls back toward
-    one step per block, and doubles again, up to the start, after a block
-    that needs at most 2.
+    the block length.  The block length starts at what STEP_BLOCK bytes
+    allow, at most n, halves after a block that needs more than 8 scans,
+    so that frequent switching falls back toward one step per block, and
+    doubles again, up to the start, after a block that needs at most 2.
 
     Returns (chosen, rbars) at the steps of the increasing ``grid``, whose
     entries lie in 1..n: ``chosen`` (len(grid), B) holds the chosen
@@ -432,30 +490,19 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     B, n = outcomes.shape
     germ = isinstance(algo, GermAlgorithm)
     schedule = check_algorithm(algo, H, n)
-    randomized = germ and is_randomized(algo.gap)
-    bernstein = germ and schedule is None and not randomized
-
+    gate = germ and _gate(algo, L, n, schedule)
     ks = np.arange(1, n + 1)
-    if schedule is not None:
-        gaps = floor = np.array(schedule[0])
-    elif randomized:
+    rbar = None
+    if germ and is_randomized(algo.gap):
         # max(0, sup + radius) at every step
         rbar = _sign_sups(L, outcomes, gens, ks)
         rbar += mcdiarmid_radius(ks)
         np.maximum(0.0, rbar, out=rbar)
-        floor = delta_uniform(ks, 0.0)
-    elif bernstein:
-        # the gap with no variance term, a lower bound ``_bernstein_gate`` settles
-        gaps = floor = _bernstein_gaps(np.zeros(n), H)
-        settle = functools.partial(_bernstein_gate, D2=_sq_diffs(L), class_size=H)
-    if germ:
-        lag_needed = ks * np.fmax(floor, 0.0)
-        reach = (L - L.min(axis=0)).max(axis=1)
-    # one row per outcome: its H losses, then for Bernstein its indicator
-    # among the m outcomes, so the running sums carry the outcome counts
-    losses = np.hstack([L.T, np.eye(m)]) if bernstein else np.ascontiguousarray(L.T)
+    # one row per outcome: its H losses, then, when the gate settles on
+    # counts (Bernstein), its indicator among the m outcomes, so the
+    # running sums carry the outcome counts
+    losses = np.hstack([L.T, np.eye(m)]) if gate and gate[3] else np.ascontiguousarray(L.T)
     sums = np.zeros((B, losses.shape[1]))
-    rows = np.arange(B)
     incumbent = np.full(B, algo.initial_index if germ else 0, dtype=np.intp)
 
     chosen = np.empty((len(grid), B), dtype=np.intp)
@@ -466,7 +513,6 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     while t0 < n:
         t1 = min(n, t0 + steps)
         T = t1 - t0
-        k = ks[t0:t1, np.newaxis]
         z = outcomes[:, t0:t1].T
         # running sums from the sums carried into the block
         S = S_buf[: T + 1]
@@ -483,24 +529,8 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
         if not germ:
             chosen[g0:g1] = _erm_candidates(S[at])[0]
         else:
-            # rows whose lag can reach k * floor(k) within the block, less
-            # the rounding headroom; the others keep their incumbent
-            lag = sums[rows, incumbent] - functools.reduce(np.minimum, sums[:, :H].T)
-            live = np.flatnonzero(lag + T * reach[incumbent] >= lag_needed[t0:t1].min() - 1e-9 * t1)
-            chosen[g0:g1] = incumbent
-            if live.size:
-                # every row live reads the block without a copy
-                sel = slice(None) if live.size == B else live
-                S_live, inc = S[:, sel], incumbent[sel]
-                cand, best = _erm_candidates(S_live[..., :H])
-                if randomized:
-                    gap = delta_uniform(k, rbar[sel, t0:t1].T)
-                else:
-                    gap = np.broadcast_to(gaps[t0:t1, np.newaxis], cand.shape)
-                block_settle = bernstein and functools.partial(settle, counts=S_live[..., H:], k=k)
-                picked, scans = _scan_gate(S_live, cand, best, k, gap, inc, at, block_settle)
-                chosen[g0:g1, sel] = picked
-                incumbent[sel] = inc
+            block_rbar = None if rbar is None else rbar[:, t0:t1]
+            chosen[g0:g1], scans = _gate_block(S, sums, ks[t0:t1, np.newaxis], incumbent, at, gate, block_rbar)
         sums = S[-1].copy()
         if scans > 8:
             steps = max(1, steps // 2)
@@ -508,7 +538,7 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
             steps = min(most, 2 * steps)
         t0 = t1
     at = np.asarray(grid) - 1
-    if randomized:
+    if rbar is not None:
         return chosen, rbar[:, at].T
     if schedule is not None and isinstance(algo.gap, GapSpec):
         return chosen, np.array(schedule[1])[at, np.newaxis]

@@ -129,6 +129,25 @@ def pairwise_rhs_from_sq(sq_sum, n: int, class_size: int, delta: float):
     return sqrt(2.0 * sq_sum * log_term) / (n - 1) + 5.0 * log_term / (n - 1)
 
 
+def _pairwise_covered(counts: np.ndarray, n: int, L: np.ndarray, pop: np.ndarray, delta: float) -> np.ndarray:
+    """Whether every pairwise empirical-Bernstein bound holds, per row of
+    outcome counts of a sample of size n.
+
+    For each ordered pair (h, h') of rows of the loss array ``L``, with
+    population risks ``pop``, the bound is the inequality stated in
+    ``pairwise_bernstein_rhs``; both orders of a pair share its slack.
+    """
+    H = len(L)
+    emp = counts @ L.T / n
+    ok = np.ones(len(counts), dtype=bool)
+    for a in range(H):
+        for b in range(a + 1, H):
+            rhs = pairwise_rhs_from_sq(counts @ ((L[a] - L[b]) ** 2), n, H, delta)
+            ok &= pop[a] - pop[b] <= emp[:, a] - emp[:, b] + rhs
+            ok &= pop[b] - pop[a] <= emp[:, b] - emp[:, a] + rhs
+    return ok
+
+
 def pairwise_bernstein_rhs(
     h_losses, hprime_losses, class_size: int, delta: float
 ) -> float:

@@ -175,10 +175,26 @@ def _digits(text: str, what: str) -> int:
     return int(text)
 
 
+def _decimal(text: str, what: str) -> float:
+    """The number that ``text`` writes as an ASCII decimal such as 0.05, .5
+    or 5e-2, with no sign, space or underscore."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"{what} must be a decimal number, got {text!r}")
+    return float(text)
+
+
 def _option_int(text: str) -> int:
     """The value of an integer option, in ASCII decimal digits only."""
     try:
         return _digits(text, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _option_float(text: str) -> float:
+    """The value of a real-valued option, an ASCII decimal number only."""
+    try:
+        return _decimal(text, "the value")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -211,10 +227,7 @@ def parse_algo_spec(text: str, class_size: int) -> AlgorithmSpec:
     elif gap_text == "bernstein":
         gap = GapSpec(EmpiricalBernstein(), class_size)
     elif gap_text.startswith("fixed="):
-        value = gap_text[len("fixed="):]
-        if not _DECIMAL.fullmatch(value):
-            raise ValueError(f"the fixed gap must be a decimal number, got {value!r}")
-        gap = FixedDelta(float(value))
+        gap = FixedDelta(_decimal(gap_text[len("fixed="):], "the fixed gap"))
     else:
         raise ValueError(f"unknown gap {gap_text!r} in algorithm spec {text!r}")
     return GermAlgorithm(gap=gap, initial_index=initial)
@@ -714,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check-monotone", help="check a stored curve CSV")
     p_check.add_argument("curve")
-    p_check.add_argument("--tol", type=float, default=None)
+    p_check.add_argument("--tol", type=_option_float, default=None)
     p_check.set_defaults(func=_cmd_check_monotone)
 
     p_rad = sub.add_parser("rademacher", help="per-step complexity bounds")
@@ -726,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bern = sub.add_parser("bernstein", help="variance-to-mean certificate")
     p_bern.add_argument("scenario")
-    p_bern.add_argument("--beta", type=float, required=True)
+    p_bern.add_argument("--beta", type=_option_float, required=True)
     p_bern.set_defaults(func=_cmd_bernstein)
 
     return parser

@@ -32,12 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithm import STEP_BLOCK, AlgorithmSpec, GermAlgorithm, algo_label, check_algorithm
-from .algorithm import _sq_diffs, _step_block
-from .analysis import excess_risk_bound, pairwise_rhs_from_sq
+from .algorithm import STEP_BLOCK, AlgorithmSpec, GermAlgorithm, _step_block, algo_label, check_algorithm
+from .analysis import _pairwise_covered, excess_risk_bound
 from .gap import GapSpec, UniformConvergence, is_randomized
 from .oracle import RiskCurve
-from .problem import LearningProblem, optimal_risk, population_risk
+from .problem import LearningProblem, optimal_risk, population_risks
 from .rademacher import _sign_sups, deviation_radius, exact_rademacher
 from .rng import check_integer, fill_uniforms, philox_stream
 
@@ -196,10 +195,6 @@ def _map_chunks(chunk, replications: int, workers: int, *args) -> list:
         return [f.result() for f in futures]
 
 
-def _population_risks(problem: LearningProblem) -> np.ndarray:
-    return np.array([population_risk(problem, h) for h in range(problem.class_size)])
-
-
 def _draw_outcome_block(problem: LearningProblem, cfg: McConfig, start: int, stop: int, keep_generators: bool):
     """Per-replication samples; generators returned when signs follow.
 
@@ -257,7 +252,7 @@ def _experiment_chunk(problem: LearningProblem, algo: AlgorithmSpec | None, cfg:
     algorithm; ``counts`` holds, per event, how many replications satisfy
     it at each grid n.
     """
-    pop = _population_risks(problem)
+    pop = population_risks(problem)
     outcomes = gens = chosen = rbars = stats = None
     if algo is not None or any(isinstance(e, PairwiseBernsteinEvent) for e in events):
         outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, _draws_signs(algo))
@@ -298,10 +293,7 @@ def _estimator_counts(problem: LearningProblem, event: EstimatorDeviationEvent, 
 def _pairwise_counts(problem: LearningProblem, event: PairwiseBernsteinEvent, cfg: McConfig, pop: np.ndarray, outcomes: np.ndarray) -> list[int]:
     m = problem.loss.outcome_count
     L = problem.loss.as_array()
-    H = problem.class_size
-    D2 = _sq_diffs(L)
-    B = len(outcomes)
-    counts = np.zeros((B, m), dtype=np.int64)
+    counts = np.zeros((len(outcomes), m), dtype=np.int64)
     prev = 0
     counts_out = []
     for n in cfg.grid:
@@ -309,14 +301,7 @@ def _pairwise_counts(problem: LearningProblem, event: PairwiseBernsteinEvent, cf
         for j in range(m):
             counts[:, j] += np.count_nonzero(seg == j, axis=1)
         prev = n
-        emp = counts @ L.T / n
-        ok = np.ones(B, dtype=bool)
-        for a in range(H):
-            for c in range(a + 1, H):
-                rhs = pairwise_rhs_from_sq(counts @ D2[a, c], n, H, event.delta)
-                gap = (pop[a] - pop[c]) - (emp[:, a] - emp[:, c])
-                ok &= np.abs(gap) <= rhs
-        counts_out.append(int(np.count_nonzero(ok)))
+        counts_out.append(int(np.count_nonzero(_pairwise_covered(counts, n, L, pop, event.delta))))
     return counts_out
 
 

@@ -5,20 +5,22 @@ every step n <= n_max is an exact finite sum over outcome sequences.  The
 oracle walks the sequences forward one depth at a time and merges prefixes
 that reach the same state (loss sums, outcome counts, incumbent), since
 their futures are identical; each state carries the total probability of
-its prefixes.  A depth is stepped as one block through the gate kernels
-of ``algorithm._step_block``, the stepper of ``run_germ`` and the Monte
-Carlo engine, so every gate decision matches ``run_germ`` on every
-sequence, and each curve value is the sequence average up to the rounding
-of the merged weight sums.  One walk yields the whole curve.
+its prefixes.  A depth is stepped as one one-step block through
+``algorithm._gate_block``, the pruned gate that the stepper of
+``run_germ`` and the Monte Carlo engine calls per block of steps, with
+the states in the stepper's row layout.  So every gate decision matches
+``run_germ`` on every sequence, and each curve value is the sequence
+average up to the rounding of the merged weight sums.  One walk yields
+the whole curve.
 
 The exact pairwise-coverage sum runs over outcome-count vectors instead
-(``problem.multinomial_blocks``), in blocks, with NumPy.
+(``problem.multinomial_blocks``), in blocks, with NumPy, through the
+event that the Monte Carlo engine counts (``analysis._pairwise_covered``).
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithm import AlgorithmSpec, GermAlgorithm, PlainErm, algo_label, check_algorithm
-from .algorithm import _bernstein_gaps, _bernstein_gate, _erm_candidates, _scan_gate, _sq_diffs
-from .analysis import pairwise_rhs_from_sq
+from .algorithm import _erm_candidates, _gate, _gate_block
+from .analysis import _pairwise_covered
 from .errors import ResourceLimitError
 from .gap import is_randomized
 from .problem import (
@@ -37,6 +39,7 @@ from .problem import (
     LossTable,
     multinomial_blocks,
     population_risk,
+    population_risks,
 )
 
 CURVE_COLUMNS = ("n", "value", "stderr", "kind", "problem", "algo", "seed")
@@ -146,50 +149,45 @@ def check_monotone(curve: RiskCurve, tolerance: float | None = None) -> Monotoni
 def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: int) -> list[float]:
     """Expected population risk of the chosen hypothesis at each depth 1..n_max.
 
-    Layer k holds one int64 row per state that length-k prefixes reach, the
-    bits of its per-hypothesis loss sums, its outcome counts and its chosen
-    hypothesis, and beside it the total probability of those prefixes.  The
-    children, one per state and possible outcome, take one step as one
-    block through the gate kernels of ``algorithm._step_block``, so each
-    gate decision is the one ``run_germ`` makes on every path through the
-    parent.  Equal rows merge: sums are keyed bit for bit because ERM
-    breaks ties on them.
+    Layer k holds one row per state that length-k prefixes reach, in the
+    stepper's row layout: the per-hypothesis loss sums, then the outcome
+    counts.  Beside each row lie its chosen hypothesis and the total
+    probability of those prefixes.  The children, one per state and
+    possible outcome, take one step as a one-step block of
+    ``algorithm._gate_block``, the gate of ``run_germ`` and the Monte
+    Carlo engine, so each gate decision is the one ``run_germ`` makes on
+    every path through the parent, and states that cannot switch skip the
+    gate kernels as Monte Carlo rows do.  States merge on the bits of
+    their row and their chosen hypothesis: sums are keyed bit for bit
+    because ERM breaks ties on them.
     """
     L = problem.loss.as_array()
     H = problem.class_size
     probs = problem.distribution.as_array()
-    pop = np.array([population_risk(problem, h) for h in range(H)])
+    pop = population_risks(problem)
     germ = isinstance(algo, GermAlgorithm)
-    if germ and schedule is None:
-        # the gate scans against the gap with no variance term, a lower bound
-        # of the gap, and ``_bernstein_gate`` settles it
-        gaps = _bernstein_gaps(np.zeros(n_max), H)
-        bernstein = functools.partial(_bernstein_gate, D2=_sq_diffs(L), class_size=H)
-    elif germ:
-        gaps, bernstein = schedule[0], None
+    gate = germ and _gate(algo, L, n_max, schedule)
+    # one row per outcome: its H losses, then its indicator among the outcomes
+    losses = np.hstack([L.T, np.eye(len(probs))])
     # a zero-probability outcome adds no weight to any depth
     outcomes = np.flatnonzero(probs > 0.0)
-    layer = np.zeros((1, H + len(probs) + 1), dtype=np.int64)  # all-zero bits are the sums 0.0
-    layer[0, -1] = algo.initial_index if germ else 0
+    sums = np.zeros((1, losses.shape[1]))
+    chosen = np.full(1, algo.initial_index if germ else 0)
     weights = np.ones(1)
     values = [0.0] * (n_max + 1)
     for k in range(1, n_max + 1):
         # child j * N + i is state i followed by outcome outcomes[j]
-        parents = np.tile(layer, (len(outcomes), 1))
-        z = np.repeat(outcomes, len(layer))
-        S = (parents[:, :H].view(np.float64) + L.T[z])[np.newaxis]
-        counts = parents[:, H:-1] + (z[:, np.newaxis] == np.arange(len(probs)))
-        chosen = parents[:, -1]
-        cand, best = _erm_candidates(S)
+        parents = np.tile(sums, (len(outcomes), 1))
+        S = (parents + losses[np.repeat(outcomes, len(sums))])[np.newaxis]
+        chosen = np.tile(chosen, len(outcomes))
         if germ:
-            step = np.array([[k]])
-            settle = bernstein and functools.partial(bernstein, counts=counts[np.newaxis], k=step)
-            _scan_gate(S, cand, best, step, np.full(cand.shape, gaps[k - 1]), chosen, [], settle)
+            _gate_block(S, parents, np.array([[k]]), chosen, [], gate, None)
         else:
-            chosen = cand[0]
-        layer, merged = np.unique(np.column_stack([S[0].view(np.int64), counts, chosen]), axis=0, return_inverse=True)
+            chosen = _erm_candidates(S[0, :, :H])[0]
+        layer, merged = np.unique(np.column_stack([S[0].view(np.int64), chosen]), axis=0, return_inverse=True)
+        sums, chosen = layer[:, :-1].view(np.float64), layer[:, -1]
         weights = np.bincount(merged, weights=(probs[outcomes, np.newaxis] * weights).ravel())
-        values[k] = math.fsum((weights * pop[layer[:, -1]]).tolist())
+        values[k] = math.fsum((weights * pop[chosen]).tolist())
     return values
 
 
@@ -318,20 +316,11 @@ def pairwise_bernstein_coverage(problem: LearningProblem, n: int, delta: float) 
     if not 0.0 < delta < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {delta}")
     L = problem.loss.as_array()
-    class_size = problem.class_size
-    pop = [population_risk(problem, h) for h in range(class_size)]
+    pop = population_risks(problem)
 
     def covered_weights():
         for counts, weights in multinomial_blocks(problem.distribution.probs, n):
-            emp = counts @ L.T / n
-            ok = np.ones(len(counts), dtype=bool)
-            for a in range(class_size):
-                for b in range(a + 1, class_size):
-                    # (a, b) and (b, a) share the sum of squared differences
-                    rhs = pairwise_rhs_from_sq(counts @ ((L[a] - L[b]) ** 2), n, class_size, delta)
-                    ok &= ~(pop[a] - pop[b] > emp[:, a] - emp[:, b] + rhs)
-                    ok &= ~(pop[b] - pop[a] > emp[:, b] - emp[:, a] + rhs)
-            yield from weights[ok].tolist()
+            yield from weights[_pairwise_covered(counts, n, L, pop, delta)].tolist()
 
     return math.fsum(covered_weights())
 

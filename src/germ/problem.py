@@ -182,15 +182,20 @@ def population_risk(problem: LearningProblem, h: int) -> float:
     return math.fsum(p * v for p, v in zip(problem.distribution.probs, row))
 
 
+def population_risks(problem: LearningProblem) -> np.ndarray:
+    """The population risk of every hypothesis, in index order."""
+    return np.array([population_risk(problem, h) for h in range(problem.class_size)])
+
+
 def optimal_risk(problem: LearningProblem) -> tuple[float, int]:
     """Minimum population risk over the class and its argmin index.
 
     Ties break toward the lowest index, matching every other argmin in the
     package.
     """
-    risks = [population_risk(problem, h) for h in range(problem.class_size)]
-    best = min(range(len(risks)), key=risks.__getitem__)
-    return risks[best], best
+    risks = population_risks(problem)
+    best = int(np.argmin(risks))
+    return float(risks[best]), best
 
 
 def draw_sample(problem: LearningProblem, n: int, rng: np.random.Generator) -> Sample:

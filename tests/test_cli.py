@@ -385,6 +385,30 @@ def test_integer_options_refuse_what_is_not_decimal_digits(tmp_path, capsys, arg
     assert not (tmp_path / "curves").exists()
 
 
+@pytest.mark.parametrize("value", ["0_0", " 1", "+1", "inf", "nan", "\u0661", "1_0", "-1", ""])
+@pytest.mark.parametrize("option", ["--tol", "--beta"])
+def test_real_options_refuse_what_is_not_a_decimal_number(tmp_path, capsys, option, value):
+    # float() reads "0_0" as 0.0, " 1" as 1.0 and "\u0661" (ARABIC-INDIC DIGIT ONE) as 1.0
+    path = tmp_path / "curve.csv"
+    path.write_text("n,value,stderr,kind,problem,algo,seed\n1,0.2,,exact,p,erm,\n", encoding="utf-8")
+    argv = ["check-monotone", str(path)] if option == "--tol" else ["bernstein", "symmetric-coin"]
+    assert main([*argv, option, value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "must be a decimal number" in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("value", ["0", ".5", "5e-2"])
+def test_real_options_read_decimal_forms(tmp_path, capsys, value):
+    path = tmp_path / "curve.csv"
+    path.write_text("n,value,stderr,kind,problem,algo,seed\n1,0.1,,exact,p,erm,\n2,0.9,,exact,p,erm,\n", encoding="utf-8")
+    # the curve rises by 0.8, past each tolerance
+    assert main(["check-monotone", str(path), "--tol", value]) == EXIT_CHECK_FAILED
+    assert f"tolerance={float(value)}" in capsys.readouterr().out
+    assert main(["bernstein", "symmetric-coin", "--beta", value]) == EXIT_PASS
+    assert f"beta={float(value)!r}" in capsys.readouterr().out
+
+
 def test_parse_algo_spec_reads_decimal_forms():
     assert parse_algo_spec("germ:bernstein:init01", 2).initial_index == 1
     for text, value in (("0", 0.0), ("0.05", 0.05), ("5e-2", 0.05), (".5", 0.5), ("1.", 1.0), ("2E+1", 20.0)):

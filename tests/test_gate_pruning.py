@@ -1,10 +1,11 @@
 """Gate pruning in the step kernel: rows that cannot switch within a block.
 
-``algorithm._step_block`` sends a row through the candidate and gate
+``algorithm._gate_block`` sends a row through the candidate and gate
 kernels only when its incumbent can fall k * floor(k) behind the minimum
 within the block.  These tests hold the pruned stepper to the scalar
 reference loop on gaps at the edges of that bound, and check that the
-pruning is engaged where the learner has settled.
+pruning is engaged where the learner has settled, in the stepper and in
+the exact oracle's layers.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import germ.algorithm
+import germ.oracle
 from germ.algorithm import GermAlgorithm, _step_block, _step_bytes
 from germ.gap import (
     EmpiricalBernstein,
@@ -23,6 +25,7 @@ from germ.gap import (
     UserConstant,
 )
 from germ.montecarlo import McConfig, _draw_outcome_block, mc_risk_curve
+from germ.oracle import exact_risk_curve
 from germ.problem import DiscreteDistribution, LearningProblem, LossTable, Sample, draw_sample
 from germ.rng import philox_stream
 from germ.scenarios import load_scenario
@@ -148,3 +151,27 @@ def test_massart_rows_are_scanned_only_where_they_can_switch(monkeypatch, gate_r
     assert chosen == expected
     assert gate_rows["row_steps"] < cfg.replications * cfg.n_max
     assert np.ptp(np.array(expected)) > 0
+
+
+@pytest.mark.parametrize("variant", [UniformConvergence(MassartDeterministic()), EmpiricalBernstein()], ids=["massart", "bernstein"])
+def test_exact_bound_gates_send_no_state_to_the_gate_at_small_n(gate_rows, variant):
+    # both gaps stay above 1 through n = 10, and losses lie in [0, 1]
+    problem = load_scenario("three-outcome-misspecified").problem
+    curve = exact_risk_curve(problem, GermAlgorithm(GapSpec(variant, problem.class_size)), 10)
+    assert gate_rows["calls"] == 0
+    assert len(curve.values) == 11
+
+
+def test_exact_zero_fixed_gap_sends_every_state_to_the_gate(monkeypatch, gate_rows):
+    children = {"count": 0}
+    gate_block = germ.oracle._gate_block
+
+    def counted(S, *args):
+        children["count"] += S.shape[1]
+        return gate_block(S, *args)
+
+    monkeypatch.setattr(germ.oracle, "_gate_block", counted)
+    problem = load_scenario("three-outcome-misspecified").problem
+    exact_risk_curve(problem, GermAlgorithm(FixedDelta(0.0)), 8)
+    assert gate_rows["calls"] == 8
+    assert gate_rows["row_steps"] == children["count"] > 3 * 8

@@ -21,6 +21,7 @@ from germ.problem import (
     multinomial_blocks,
     optimal_risk,
     population_risk,
+    population_risks,
     problem_from_json,
     problem_to_json,
     save_problem,
@@ -78,6 +79,15 @@ def test_optimal_risk_examples():
     assert (value, index) == (pytest.approx(0.4), 0)
     value, index = optimal_risk(make_problem((0.5, 0.5), [(0.2, 0.6)]))
     assert (value, index) == (pytest.approx(0.4), 0)
+    # plain Python numbers, which the report writes with repr
+    assert type(value) is float and type(index) is int
+
+
+def test_population_risks_equal_each_population_risk():
+    problem = make_problem((0.1, 0.3, 0.6), [(0.2, 0.6, 0.1), (1.0, 0.0, 0.35), (0.0, 0.0, 0.0)])
+    risks = population_risks(problem)
+    assert risks.dtype == np.float64
+    assert risks.tolist() == [population_risk(problem, h) for h in range(3)]
 
 
 def test_optimal_risk_tie_break_stable_under_permutation():
