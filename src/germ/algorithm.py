@@ -16,7 +16,7 @@ montecarlo modules, never asserted per run.
 in lockstep, a block of steps at a time, through ``_gate_block``, the one
 gate, which ``_gate`` sets up once per run and which runs the array
 kernels ``_erm_candidates``, ``_scan_gate`` and ``_bernstein_gate`` (the
-rademacher module's ``_sign_sups`` gives the randomized gap's R-bar).  ``run_germ``
+rademacher module's ``_rbars`` gives the randomized gap's R-bar).  ``run_germ``
 is one row of it over every step; the Monte Carlo engine calls it on
 chunks of replications, and the exact oracle steps each layer of its
 states through ``_gate_block`` as a one-step block.
@@ -51,7 +51,7 @@ from .gap import (
     step_schedule,
 )
 from .problem import LearningProblem, LossTable, Sample, _check_outcomes
-from .rademacher import _sign_sups, mcdiarmid_radius
+from .rademacher import _rbars
 
 # Most bytes of working arrays one block of steps of ``_step_block`` may
 # hold, about rows x steps x _step_bytes, and of uniforms the Monte Carlo
@@ -122,7 +122,11 @@ def check_algorithm(algo: AlgorithmSpec, class_size: int, n: int):
 
 @dataclass(frozen=True)
 class TrajectoryStep:
-    """One gated step: the proposal, the gap, and the gate's outcome."""
+    """One gated step: the proposal, the gap, and the gate's outcome.
+
+    ``updated`` is whether the step switched the incumbent, so it is False
+    where the gate clears but the candidate already is the incumbent.
+    """
 
     k: int
     erm_index: int
@@ -239,17 +243,15 @@ def run_germ(
     inc = np.concatenate(([initial], chosen[:-1]))
     inc_sums = S[ks - 1, inc]
     if schedule is not None:
-        deltas, rbar = schedule
+        deltas = schedule[0]
     elif randomized:
-        deltas = delta_uniform(ks, rbars[:, 0]).tolist()
-        rbar = rbars[:, 0].tolist()
+        deltas = delta_uniform(ks, rbars[:, 0])
     else:
         C = np.cumsum(z[:, np.newaxis] == np.arange(loss.outcome_count), axis=0)
-        deltas = _bernstein_gaps(_sq_sums(C, _sq_diffs(L)[cand, inc]), H).tolist()
-        rbar = [None] * n
-    updated = (best - inc_sums) / ks <= -np.array(deltas)
+        deltas = _bernstein_gaps(_sq_sums(C, _sq_diffs(L)[cand, inc]), H)
+    rbar = [None] * n if rbars is None else rbars[:, 0].tolist()
     losses = (best / ks).tolist(), (inc_sums / ks).tolist()
-    records = zip(ks.tolist(), cand.tolist(), chosen.tolist(), deltas, *losses, updated.tolist(), rbar)
+    records = zip(ks.tolist(), cand.tolist(), chosen.tolist(), deltas.tolist(), *losses, (chosen != inc).tolist(), rbar)
     return Trajectory(initial_index=initial, steps=tuple(TrajectoryStep(*r) for r in records))
 
 
@@ -286,7 +288,7 @@ def _sq_sums(counts: np.ndarray, d2: np.ndarray) -> np.ndarray:
 
 def _bernstein_gaps(sq: np.ndarray, class_size: int) -> np.ndarray:
     """The Bernstein gap at steps 1..len(sq) from their squared-difference
-    sums ``sq``; +inf at k = 1."""
+    sums ``sq``; +inf at k = 1, which freezes the incumbent at step 1."""
     gaps = np.full(len(sq), math.inf)
     if len(sq) > 1:
         gaps[1:] = bernstein_delta_from_sq(np.arange(2, len(sq) + 1), sq[1:], class_size)
@@ -335,22 +337,21 @@ def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
     incumbent, until no row switches.
 
     Returns the incumbents after the block positions ``at``, shape
-    (len(at), B), and the number of scans.
+    (len(at), B).
     """
     T, B = best.shape
     picked = np.repeat(incumbent[np.newaxis, :], len(at), axis=0)
     rows = np.arange(B)
     lo = 0
     cols = slice(None)  # the first scan reads every row without a copy
-    scans = 0
     while True:
-        scans += 1
         inc = incumbent[rows]
         c = cand[lo:, cols]
         diff = (best[lo:, cols] - S[lo:, rows, inc]) / k[lo:]
         fire = diff <= -gap[lo:, cols]
         fire &= c != inc
-        if scans > 1:
+        # a rescan starts at lo >= 1, and each row from its step after the switch
+        if lo:
             fire &= np.arange(lo, T)[:, np.newaxis] >= first
         if settle:
             settle(rows, lo, inc, c, diff, fire)
@@ -369,7 +370,7 @@ def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
             break
         lo = int(first.min())
         cols = rows
-    return picked, scans
+    return picked
 
 
 def _step_bytes(class_size: int) -> int:
@@ -397,7 +398,7 @@ def _gate(algo: GermAlgorithm, L: np.ndarray, n: int, schedule):
     ks = np.arange(1, n + 1)
     gaps = settle = None
     if schedule is not None:
-        gaps = floor = np.array(schedule[0])
+        gaps = floor = schedule[0]
     elif is_randomized(algo.gap):
         # the gap at R-bar = 0, and R-bar >= 0
         floor = delta_uniform(ks, 0.0)
@@ -416,7 +417,7 @@ def _gate_block(S, sums, k, incumbent, at, gate, rbar):
     it, ``k`` (T, 1) the step indices, ``gate`` comes from ``_gate``, and
     ``rbar`` (B, T) holds each row's R-bar at the block's steps for the
     randomized gap and is None otherwise.  Returns the incumbents after
-    the block positions ``at``, (len(at), B), and the number of scans.
+    the block positions ``at``, (len(at), B).
 
     A row is live when its incumbent can fall far enough behind within the
     block for the gate to fire, and only live rows go through
@@ -440,7 +441,7 @@ def _gate_block(S, sums, k, incumbent, at, gate, rbar):
     T, t1 = len(k), int(k[-1, 0])
     lag = sums[np.arange(len(incumbent)), incumbent] - functools.reduce(np.minimum, sums[:, :H].T)
     live = (lag + T * reach[incumbent] >= lag_needed[t1 - T : t1].min() - 1e-9 * t1).nonzero()[0]
-    picked, scans = incumbent[np.newaxis].repeat(len(at), axis=0), 0
+    picked = incumbent[np.newaxis].repeat(len(at), axis=0)
     if live.size:
         # every row live reads the block without a copy
         sel = slice(None) if live.size == len(incumbent) else live
@@ -451,9 +452,9 @@ def _gate_block(S, sums, k, incumbent, at, gate, rbar):
         else:
             gap = delta_uniform(k, rbar[sel].T)
         block_settle = settle and functools.partial(settle, counts=S_live[..., H:], k=k)
-        picked[:, sel], scans = _scan_gate(S_live, cand, best, k, gap, inc, at, block_settle)
+        picked[:, sel] = _scan_gate(S_live, cand, best, k, gap, inc, at, block_settle)
         incumbent[sel] = inc
-    return picked, scans
+    return picked
 
 
 def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndarray, gens, grid):
@@ -472,10 +473,8 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     skips the rows that cannot switch within it.
 
     Each (row, step) pair goes through the same float operations whatever
-    the block length.  The block length starts at what STEP_BLOCK bytes
-    allow, at most n, halves after a block that needs more than 8 scans,
-    so that frequent switching falls back toward one step per block, and
-    doubles again, up to the start, after a block that needs at most 2.
+    the block length, which is as many steps as STEP_BLOCK bytes allow, at
+    least one and at most n.
 
     Returns (chosen, rbars) at the steps of the increasing ``grid``, whose
     entries lie in 1..n: ``chosen`` (len(grid), B) holds the chosen
@@ -492,12 +491,7 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     schedule = check_algorithm(algo, H, n)
     gate = germ and _gate(algo, L, n, schedule)
     ks = np.arange(1, n + 1)
-    rbar = None
-    if germ and is_randomized(algo.gap):
-        # max(0, sup + radius) at every step
-        rbar = _sign_sups(L, outcomes, gens, ks)
-        rbar += mcdiarmid_radius(ks)
-        np.maximum(0.0, rbar, out=rbar)
+    rbar = _rbars(L, outcomes, gens, ks) if germ and is_randomized(algo.gap) else None
     # one row per outcome: its H losses, then, when the gate settles on
     # counts (Bernstein), its indicator among the m outcomes, so the
     # running sums carry the outcome counts
@@ -506,11 +500,9 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     incumbent = np.full(B, algo.initial_index if germ else 0, dtype=np.intp)
 
     chosen = np.empty((len(grid), B), dtype=np.intp)
-    most = min(n, max(1, STEP_BLOCK // (B * _step_bytes(H))))
-    steps = most
-    S_buf = np.empty((most + 1, B, losses.shape[1]))
-    t0 = 0
-    while t0 < n:
+    steps = min(n, max(1, STEP_BLOCK // (B * _step_bytes(H))))
+    S_buf = np.empty((steps + 1, B, losses.shape[1]))
+    for t0 in range(0, n, steps):
         t1 = min(n, t0 + steps)
         T = t1 - t0
         z = outcomes[:, t0:t1].T
@@ -525,21 +517,15 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
         # grid positions g0..g1 fall in this block, at block positions ``at``
         g0, g1 = bisect_right(grid, t0), bisect_right(grid, t1)
         at = [g - t0 - 1 for g in grid[g0:g1]]
-        scans = 0
         if not germ:
             chosen[g0:g1] = _erm_candidates(S[at])[0]
         else:
             block_rbar = None if rbar is None else rbar[:, t0:t1]
-            chosen[g0:g1], scans = _gate_block(S, sums, ks[t0:t1, np.newaxis], incumbent, at, gate, block_rbar)
+            chosen[g0:g1] = _gate_block(S, sums, ks[t0:t1, np.newaxis], incumbent, at, gate, block_rbar)
         sums = S[-1].copy()
-        if scans > 8:
-            steps = max(1, steps // 2)
-        elif scans <= 2:
-            steps = min(most, 2 * steps)
-        t0 = t1
     at = np.asarray(grid) - 1
     if rbar is not None:
         return chosen, rbar[:, at].T
-    if schedule is not None and isinstance(algo.gap, GapSpec):
-        return chosen, np.array(schedule[1])[at, np.newaxis]
+    if schedule is not None and schedule[1] is not None:
+        return chosen, schedule[1][at, np.newaxis]
     return chosen, None

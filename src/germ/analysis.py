@@ -1,11 +1,13 @@
 """Risk-bound formulas and certificates.
 
-Everything here is a closed-form function of a problem or of scalar
+Everything here is a closed-form function of a problem or of per-sample
 summaries: the high-probability excess-risk bound for the gated loop, the
 minimal Bernstein-condition constant of a discrete problem, the pairwise
 empirical-Bernstein deviation slack, and the scalar minimization lemma the
-fast-rate analysis rests on.  The oracle and montecarlo modules measure
-these; nothing in this module samples.
+fast-rate analysis rests on.  The bound formulas take NumPy arrays of
+per-replication or per-count-vector summaries, and a scalar broadcasts
+through them as a zero-dimensional array.  The oracle and montecarlo
+modules measure these; nothing in this module samples.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gap import _nonnegative
 from .problem import LearningProblem, optimal_risk
 from .rademacher import mcdiarmid_radius
 
@@ -36,17 +37,18 @@ def excess_risk_bound(n: int, rbar_n):
     n:
         Number of observations, at least 1.
     rbar_n:
-        Rademacher complexity bound at step n, nonnegative; a float or an
-        array of per-replication bounds.
+        Rademacher complexity bound at step n, nonnegative; an array of
+        per-replication bounds, or a scalar.
 
     Returns
     -------
-    float or array
-        The additive slack over the best population risk in the class.
+    array
+        The additive slack over the best population risk in the class,
+        shaped as ``rbar_n``.
     """
     if n < 1:
         raise ValueError(f"step count must be >= 1, got {n}")
-    if not _nonnegative(rbar_n):
+    if not np.min(rbar_n) >= 0.0:
         raise ValueError(f"complexity bound must be nonnegative, got {rbar_n}")
     return 12.0 * rbar_n + 3.0 * mcdiarmid_radius(n) + 2.0 / n
 
@@ -107,50 +109,6 @@ def bernstein_certificate(problem: LearningProblem, beta: float) -> BernsteinCer
 
 
 def pairwise_rhs_from_sq(sq_sum, n: int, class_size: int, delta: float):
-    """Pairwise empirical-Bernstein slack from a precomputed sum of squares.
-
-    Kernel behind ``pairwise_bernstein_rhs`` for callers that already hold
-    sum_i (a_i - b_i)^2, such as outcome-count enumerations; ``sq_sum`` is
-    a float or an array of per-replication sums.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 observations, got {n}")
-    # the exact coverage sum and the Monte Carlo event pass one array per
-    # block and pair; a float is tested inline, as in gap.bernstein_delta_from_sq
-    scalar = isinstance(sq_sum, float)
-    if not (sq_sum >= 0.0 if scalar else _nonnegative(sq_sum)):
-        raise ValueError(f"sum of squares must be nonnegative, got {sq_sum}")
-    if class_size < 1:
-        raise ValueError(f"class size must be >= 1, got {class_size}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {delta}")
-    log_term = math.log(2.0 * class_size * class_size / delta)
-    sqrt = math.sqrt if scalar else np.sqrt
-    return sqrt(2.0 * sq_sum * log_term) / (n - 1) + 5.0 * log_term / (n - 1)
-
-
-def _pairwise_covered(counts: np.ndarray, n: int, L: np.ndarray, pop: np.ndarray, delta: float) -> np.ndarray:
-    """Whether every pairwise empirical-Bernstein bound holds, per row of
-    outcome counts of a sample of size n.
-
-    For each ordered pair (h, h') of rows of the loss array ``L``, with
-    population risks ``pop``, the bound is the inequality stated in
-    ``pairwise_bernstein_rhs``; both orders of a pair share its slack.
-    """
-    H = len(L)
-    emp = counts @ L.T / n
-    ok = np.ones(len(counts), dtype=bool)
-    for a in range(H):
-        for b in range(a + 1, H):
-            rhs = pairwise_rhs_from_sq(counts @ ((L[a] - L[b]) ** 2), n, H, delta)
-            ok &= pop[a] - pop[b] <= emp[:, a] - emp[:, b] + rhs
-            ok &= pop[b] - pop[a] <= emp[:, b] - emp[:, a] + rhs
-    return ok
-
-
-def pairwise_bernstein_rhs(
-    h_losses, hprime_losses, class_size: int, delta: float
-) -> float:
     """Deviation slack of the pairwise empirical Bernstein inequality.
 
     For loss sequences a_1..a_n and b_1..b_n of two hypotheses, with
@@ -161,18 +119,39 @@ def pairwise_bernstein_rhs(
                         + sqrt(2 sum_i (a_i - b_i)^2 ln(2|H|^2/delta)) / (n-1)
                         + 5 ln(2|H|^2/delta) / (n-1)
 
-    and this function returns the two slack terms.
+    and this function returns the two slack terms from the sums of squares
+    ``sq_sum`` = sum_i (a_i - b_i)^2, an array of them (one per count
+    vector or replication) or a scalar.
     """
-    a = [float(v) for v in h_losses]
-    b = [float(v) for v in hprime_losses]
-    if len(a) != len(b):
-        raise ValueError(f"sequence lengths differ: {len(a)} vs {len(b)}")
-    for seq in (a, b):
-        for v in seq:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"loss {v!r} outside [0, 1]")
-    sq = math.fsum((x - y) ** 2 for x, y in zip(a, b))
-    return pairwise_rhs_from_sq(sq, len(a), class_size, delta)
+    if n < 2:
+        raise ValueError(f"need at least 2 observations, got {n}")
+    if not np.min(sq_sum) >= 0.0:
+        raise ValueError(f"sum of squares must be nonnegative, got {sq_sum}")
+    if class_size < 1:
+        raise ValueError(f"class size must be >= 1, got {class_size}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"confidence level must lie in (0, 1), got {delta}")
+    log_term = math.log(2.0 * class_size * class_size / delta)
+    return np.sqrt(2.0 * sq_sum * log_term) / (n - 1) + 5.0 * log_term / (n - 1)
+
+
+def _pairwise_covered(counts: np.ndarray, n: int, L: np.ndarray, pop: np.ndarray, delta: float) -> np.ndarray:
+    """Whether every pairwise empirical-Bernstein bound holds, per row of
+    outcome counts of a sample of size n.
+
+    For each ordered pair (h, h') of rows of the loss array ``L``, with
+    population risks ``pop``, the bound is the inequality stated in
+    ``pairwise_rhs_from_sq``; both orders of a pair share its slack.
+    """
+    H = len(L)
+    emp = counts @ L.T / n
+    ok = np.ones(len(counts), dtype=bool)
+    for a in range(H):
+        for b in range(a + 1, H):
+            rhs = pairwise_rhs_from_sq(counts @ ((L[a] - L[b]) ** 2), n, H, delta)
+            ok &= pop[a] - pop[b] <= emp[:, a] - emp[:, b] + rhs
+            ok &= pop[b] - pop[a] <= emp[:, b] - emp[:, a] + rhs
+    return ok
 
 
 def minimizer_bound(A: float, B: float, beta: float) -> float:

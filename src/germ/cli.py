@@ -24,6 +24,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .algorithm import (
     AlgorithmSpec,
@@ -57,7 +59,7 @@ from .montecarlo import (
 )
 from .oracle import check_monotone, exact_risk_curve, read_curve, write_curve
 from .problem import LearningProblem, draw_sample, load_problem
-from .rademacher import exact_rademacher, rbar_empirical, rbar_massart
+from .rademacher import _rbars, exact_rademacher, rbar_massart
 from .rng import philox_stream
 from .scenarios import builtin_scenarios, load_scenario
 
@@ -77,8 +79,8 @@ class MonotoneCheck:
     tolerance: float | None = None
 
     def __post_init__(self) -> None:
-        if self.tolerance is not None and not self.tolerance >= 0.0:
-            raise ValueError(f"monotone tolerance must be >= 0, got {self.tolerance!r}")
+        if self.tolerance is not None and not 0.0 <= self.tolerance < math.inf:
+            raise ValueError(f"monotone tolerance must be finite and >= 0, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -372,7 +374,10 @@ def parse_experiment_config(doc: dict, config_dir: Path) -> ExperimentConfig:
         grid_doc = engine_doc.get("grid")
         if grid_doc is not None and not isinstance(grid_doc, list):
             raise ValueError(f"engine.grid must be a list, got {grid_doc!r}")
-        grid = MC_DEFAULT_GRID if grid_doc is None else tuple(_config_int(n, "engine.grid entry") for n in grid_doc)
+        if grid_doc is None:
+            grid = tuple(n for n in MC_DEFAULT_GRID if n <= n_max)
+        else:
+            grid = tuple(_config_int(n, "engine.grid entry") for n in grid_doc)
     else:
         raise ValueError(f"engine kind must be exact or mc, got {kind!r}")
 
@@ -674,7 +679,7 @@ def _cmd_rademacher(args) -> int:
     if args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")
     if args.mode == "massart":
-        value = rbar_massart(problem.class_size, args.k)
+        value = float(rbar_massart(problem.class_size, args.k))
     elif args.mode == "exact":
         value = exact_rademacher(problem, args.k)
     else:
@@ -682,7 +687,7 @@ def _cmd_rademacher(args) -> int:
             raise ValueError("the empirical mode requires --seed")
         gen = philox_stream(args.seed, 0)
         sample = draw_sample(problem, args.k, gen)
-        value = rbar_empirical(problem.loss, sample, gen)
+        value = float(_rbars(problem.loss.as_array(), np.array([sample.outcomes]), [gen], [args.k])[0, 0])
     print(f"rademacher scenario={args.scenario} k={args.k} mode={args.mode} value={value!r}")
     return EXIT_PASS
 

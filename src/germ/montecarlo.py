@@ -36,7 +36,7 @@ from .algorithm import STEP_BLOCK, AlgorithmSpec, GermAlgorithm, _step_block, al
 from .analysis import _pairwise_covered, excess_risk_bound
 from .gap import GapSpec, UniformConvergence, is_randomized
 from .oracle import RiskCurve
-from .problem import LearningProblem, optimal_risk, population_risks
+from .problem import LearningProblem, _outcome_index, optimal_risk, population_risks
 from .rademacher import _sign_sups, deviation_radius, exact_rademacher
 from .rng import check_integer, fill_uniforms, philox_stream
 
@@ -222,15 +222,6 @@ def _draw_outcome_block(problem: LearningProblem, cfg: McConfig, start: int, sto
             fill_uniforms(cfg.base_seed, start + a, u)
         outcomes[a : a + len(u)] = _outcome_index(cum, u)
     return outcomes, gens
-
-
-def _outcome_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF outcome of each uniform in ``u``: the count of cum[j] <= u
-    over j < m - 1, which is ``min(searchsorted(cum, u, "right"), m - 1)``."""
-    z = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum) - 1))
-    for c in cum[:-1]:
-        z += c <= u
-    return z
 
 
 def _draws_signs(algo: AlgorithmSpec | None) -> bool:

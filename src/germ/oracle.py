@@ -116,8 +116,8 @@ def check_monotone(curve: RiskCurve, tolerance: float | None = None) -> Monotoni
     With no explicit tolerance, exact curves use EXACT_TOLERANCE and Monte
     Carlo curves use three pooled standard errors per step.
     """
-    if tolerance is not None and not tolerance >= 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     diffs = [b - a for a, b in zip(curve.values, curve.values[1:])]
     if tolerance is not None:
         tols = [tolerance] * len(diffs)

@@ -150,31 +150,6 @@ def _check_outcomes(sample: Sample, m: int) -> None:
             raise ValueError(f"outcome index {z} out of range for {m} outcomes")
 
 
-def empirical_risk(loss: LossTable, h: int, sample: Sample) -> float:
-    """Average loss of hypothesis h over the sample.
-
-    Parameters
-    ----------
-    loss:
-        Loss table defining the class.
-    h:
-        Hypothesis index.
-    sample:
-        Nonempty sample of outcome indices.
-
-    Returns
-    -------
-    float
-        (1/n) sum_i loss[h][z_i].
-    """
-    _check_hypothesis(loss, h)
-    if len(sample) == 0:
-        raise ValueError("empirical risk of an empty sample is undefined")
-    _check_outcomes(sample, loss.outcome_count)
-    row = loss.rows[h]
-    return math.fsum(row[z] for z in sample.outcomes) / len(sample)
-
-
 def population_risk(problem: LearningProblem, h: int) -> float:
     """Expected loss of hypothesis h under the problem's distribution."""
     _check_hypothesis(problem.loss, h)
@@ -207,9 +182,16 @@ def draw_sample(problem: LearningProblem, n: int, rng: np.random.Generator) -> S
     if n < 0:
         raise ValueError(f"sample size must be nonnegative, got {n}")
     cum = np.cumsum(problem.distribution.as_array())
-    u = rng.random(n)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), problem.outcome_count - 1)
-    return Sample(tuple(int(z) for z in idx))
+    return Sample(tuple(_outcome_index(cum, rng.random(n)).tolist()))
+
+
+def _outcome_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF outcome of each uniform in ``u``: the count of cum[j] <= u
+    over j < m - 1, which is ``min(searchsorted(cum, u, "right"), m - 1)``."""
+    z = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum) - 1))
+    for c in cum[:-1]:
+        z += c <= u
+    return z
 
 
 def _count_vectors(total: int, parts: int) -> np.ndarray:

@@ -4,10 +4,14 @@ The quantity of interest is R_k = E[sup_h (1/k) sum_i sigma_i loss(h, Z_i)]
 over i.i.d. fair signs sigma and i.i.d. outcomes Z.  Three routes to an
 upper bound R-bar_k are provided:
 
-* ``rbar_empirical``: a single-draw estimate padded by a concentration
-  radius, correct with probability at least 1 - 1/k per draw;
+* ``_rbars``: the single-draw estimate max(0, sup + sqrt(2 ln(2k) / k)),
+  correct with probability at least 1 - 1/k per draw, at a list of sizes
+  for a block of rows (the randomized gap and ``germ rademacher``);
 * ``rbar_massart``: the deterministic finite-class bound sqrt(2 ln|H| / k);
 * the exact value (``exact_rademacher``), the ground truth in tests.
+
+Each formula has one NumPy implementation; a scalar argument broadcasts
+through it as a zero-dimensional array.
 
 The exact quantities sum over count vectors instead of sequences: a
 signed draw is one of 2m categories (outcome z with sign +1 or -1, each
@@ -23,7 +27,7 @@ import math
 
 import numpy as np
 
-from .problem import LearningProblem, LossTable, Sample, _check_outcomes, multinomial_blocks
+from .problem import LearningProblem, multinomial_blocks
 from .rng import draw_signs
 
 # Most signs one row draws in one call of ``_sign_sups``.  A block's arrays
@@ -35,18 +39,16 @@ SIGN_BLOCK = 4096
 def mcdiarmid_radius(k):
     """sqrt(2 ln(2k) / k): the deviation radius at confidence level 1/k.
 
-    ``k`` is a step index or an integer array of them.  An array's logs go
-    through ``math.log`` one step at a time, so every entry rounds as the
-    scalar call does (``np.sqrt`` and ``math.sqrt`` round identically).
+    ``k`` is a step index or an integer array of them.  The logs go through
+    ``math.log`` one step at a time, so every entry rounds as
+    ``math.sqrt(2 * math.log(2 * k) / k)`` does (``np.sqrt`` rounds as
+    ``math.sqrt``).
     """
-    steps = isinstance(k, np.ndarray)
-    if (k.min() if steps else k) < 1:
+    k = np.asarray(k)
+    if k.min() < 1:
         raise ValueError(f"step index must be >= 1, got {k}")
-    if steps:
-        log = np.array([math.log(2.0 * x) for x in k.ravel().tolist()]).reshape(k.shape)
-    else:
-        log = math.log(2.0 * k)
-    return (np.sqrt if steps else math.sqrt)(2.0 * log / k)
+    log = np.array([math.log(2.0 * x) for x in k.ravel().tolist()]).reshape(k.shape)
+    return np.sqrt(2.0 * log / k)
 
 
 def deviation_radius(n: int, delta: float) -> float:
@@ -62,48 +64,6 @@ def deviation_radius(n: int, delta: float) -> float:
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     return math.sqrt(2.0 * math.log(2.0 / delta) / n)
-
-
-def rademacher_sup(loss: LossTable, sample: Sample, signs) -> float:
-    """sup over h of (1/k) sum_i signs[i] * loss[h][z_i], exactly over the class.
-
-    Parameters
-    ----------
-    loss:
-        Loss table defining the class.
-    sample:
-        Observed outcomes, length k >= 1.
-    signs:
-        Sequence of k values from {-1, +1}.
-
-    Notes
-    -----
-    Computed through per-outcome signed counts, accumulated in ascending
-    outcome order.  ``_sign_sups``, which the gated step draws its signs
-    through, reproduces this arithmetic step for step, so both agree bit for
-    bit.
-    """
-    k = len(sample)
-    if k == 0:
-        raise ValueError("the sign-weighted supremum needs a nonempty sample")
-    signs = [int(s) for s in signs]
-    if len(signs) != k:
-        raise ValueError(f"{len(signs)} signs for {k} observations")
-    if any(s not in (-1, 1) for s in signs):
-        raise ValueError("signs must be +1 or -1")
-    _check_outcomes(sample, loss.outcome_count)
-
-    w = [0] * loss.outcome_count
-    for z, s in zip(sample.outcomes, signs):
-        w[z] += s
-    best = -math.inf
-    for row in loss.rows:
-        t = 0.0
-        for z in range(loss.outcome_count):
-            t += w[z] * row[z]
-        if t > best:
-            best = t
-    return best / k
 
 
 def _sign_blocks(ks) -> list[tuple[int, int]]:
@@ -131,10 +91,9 @@ def _sign_sups(loss_array: np.ndarray, outcomes: np.ndarray, gens, ks) -> np.nda
     For each k in order, row b of the (B, n) ``outcomes`` pairs k fresh
     signs from its own generator ``gens[b]`` with its first k outcomes.  The
     signs of a block of sizes come from one ``draw_signs`` call per row,
-    whose stream is the concatenation of the per-size draws.  Arithmetic
-    mirrors ``rademacher_sup``: integer signed counts per outcome, a float
-    accumulation in ascending outcome order, max over hypotheses, divide by
-    k.  Signed counts are exact integers, so both paths round identically.
+    whose stream is the concatenation of the per-size draws.  Per size:
+    integer signed counts per outcome, a float accumulation in ascending
+    outcome order, max over hypotheses, divide by k.
     """
     ks = np.asarray(ks, dtype=np.int64)
     m = loss_array.shape[1]
@@ -161,32 +120,28 @@ def _sign_sups(loss_array: np.ndarray, outcomes: np.ndarray, gens, ks) -> np.nda
     return sups
 
 
-def rbar_from_signs(loss: LossTable, sample: Sample, signs) -> float:
-    """Deterministic kernel of the single-draw bound: max(0, sup + radius).
+def _rbars(loss_array: np.ndarray, outcomes: np.ndarray, gens, ks) -> np.ndarray:
+    """Single-draw bound max(0, sup + mcdiarmid_radius(k)) at each size in
+    ``ks``, shape (B, len(ks)); the suprema and their signs come from
+    ``_sign_sups`` on the same arguments.
 
-    Exposed so tests can force specific sign vectors; production code draws
-    signs through ``rbar_empirical``.
+    Each entry is at least R_k with probability at least 1 - 1/k.
     """
-    k = len(sample)
-    return max(0.0, rademacher_sup(loss, sample, signs) + mcdiarmid_radius(k))
+    ks = np.asarray(ks)
+    rbar = _sign_sups(loss_array, outcomes, gens, ks)
+    rbar += mcdiarmid_radius(ks)
+    return np.maximum(0.0, rbar, out=rbar)
 
 
-def rbar_empirical(loss: LossTable, sample: Sample, rng: np.random.Generator) -> float:
-    """Single-draw upper estimate of R_k, valid with probability >= 1 - 1/k.
-
-    Draws k fresh fair signs from ``rng`` (exactly one ``integers`` call)
-    and returns max(0, rademacher_sup + sqrt(2 ln(2k) / k)).
-    """
-    return rbar_from_signs(loss, sample, draw_signs(rng, len(sample)))
-
-
-def rbar_massart(class_size: int, k: int) -> float:
-    """Deterministic finite-class bound sqrt(2 ln|H| / k) on R_k."""
+def rbar_massart(class_size: int, k):
+    """Deterministic finite-class bound sqrt(2 ln|H| / k) on R_k; ``k`` is a
+    step index or an integer array of them."""
     if class_size < 1:
         raise ValueError(f"class size must be >= 1, got {class_size}")
-    if k < 1:
+    k = np.asarray(k)
+    if k.min() < 1:
         raise ValueError(f"step index must be >= 1, got {k}")
-    return math.sqrt(2.0 * math.log(class_size) / k)
+    return np.sqrt(2.0 * math.log(class_size) / k)
 
 
 def _expect(problem: LearningProblem, k: int, value) -> float:
@@ -217,7 +172,8 @@ def exact_rademacher(problem: LearningProblem, k: int) -> float:
 
 
 def estimator_deviation_exceedance(problem: LearningProblem, k: int, delta: float) -> float:
-    """Exact probability that |rademacher_sup - R_k| exceeds deviation_radius(k, delta)."""
+    """Exact probability that the sign-weighted supremum deviates from R_k
+    by more than deviation_radius(k, delta)."""
     radius = deviation_radius(k, delta)
     exact = exact_rademacher(problem, k)
     return _expect(problem, k, lambda sups: np.abs(sups - exact) > radius)

@@ -1,25 +1,102 @@
-"""Scalar reference loop of the gated learner, for tests only.
+"""Scalar reference formulas and loop of the gated learner, for tests only.
+
+The package evaluates each gap and bound formula through one NumPy kernel.
+This module writes each one out once more in plain Python floats, with
+``math.sqrt`` and ``math.log``, and without input validation, so that tests
+can hold the kernels to an independent definition.  The float operations
+are those of the kernels, in the same order, so the comparisons are exact.
 
 ``scalar_run_germ`` takes ``germ.algorithm.run_germ``'s arguments and
 returns the same ``Trajectory``, but writes each step out in plain Python:
-incremental per-hypothesis sums, the ERM ``min``, the Bernstein sum of
-squares and the gate's comparison, one step at a time.  It shares no step
-kernel with the package's stepper (``germ.algorithm._step_block``), which
-serves ``run_germ``, the Monte Carlo engine and the exact oracle, so tests
-that compare those engines with it do not compare the kernel with itself.
-Its float operations are the ones the kernels' docstrings promise to
-mirror, so the comparisons are exact.
+incremental per-hypothesis sums, the ERM ``min``, the gap formulas below,
+the Bernstein sum of squares and the gate's comparison, one step at a
+time.  It shares no kernel with the package's stepper
+(``germ.algorithm._step_block``), which serves ``run_germ``, the Monte
+Carlo engine and the exact oracle, so tests that compare those engines
+with it do not compare the kernel with itself.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from germ.algorithm import GermAlgorithm, Trajectory, TrajectoryStep, check_algorithm
-from germ.gap import FixedDelta, GapSpec, bernstein_delta_from_sq, delta_uniform, is_randomized
-from germ.problem import LearningProblem, Sample, _check_outcomes
-from germ.rademacher import rbar_from_signs
+from germ.gap import FixedDelta, GapSpec, MassartDeterministic, UniformConvergence, is_randomized
+from germ.problem import LearningProblem, LossTable, Sample, _check_outcomes
 from germ.rng import draw_signs
+
+
+def mcdiarmid_radius(k: int) -> float:
+    """sqrt(2 ln(2k) / k), the deviation radius at confidence level 1/k."""
+    return math.sqrt(2.0 * math.log(2.0 * k) / k)
+
+
+def rbar_massart(class_size: int, k: int) -> float:
+    """Finite-class bound sqrt(2 ln|H| / k)."""
+    return math.sqrt(2.0 * math.log(class_size) / k)
+
+
+def delta_uniform(k: int, rbar: float) -> float:
+    """Uniform-convergence gap 4 rbar + sqrt(2 ln(2k) / k) + 2/k."""
+    return 4.0 * rbar + mcdiarmid_radius(k) + 2.0 / k
+
+
+def bernstein_delta_from_sq(k: int, sq_sum: float, class_size: int) -> float:
+    """Empirical-Bernstein gap from the squared-difference sum; +inf at k = 1."""
+    if k == 1:
+        return math.inf
+    log_term = math.log(2.0 * k * class_size * class_size)
+    return math.sqrt(2.0 * sq_sum * log_term) / (k - 1) + 5.0 * log_term / (k - 1) + 2.0 / k
+
+
+def delta_bernstein(k: int, cand_losses, inc_losses, class_size: int) -> float:
+    """Empirical-Bernstein gap at step k from the k losses of the candidate
+    and of the incumbent."""
+    sq_sum = math.fsum((a - b) ** 2 for a, b in zip(cand_losses, inc_losses))
+    return bernstein_delta_from_sq(k, sq_sum, class_size)
+
+
+def pairwise_rhs_from_sq(sq_sum: float, n: int, class_size: int, delta: float) -> float:
+    """Pairwise empirical-Bernstein slack from the sum of squared differences."""
+    log_term = math.log(2.0 * class_size * class_size / delta)
+    return math.sqrt(2.0 * sq_sum * log_term) / (n - 1) + 5.0 * log_term / (n - 1)
+
+
+def pairwise_bernstein_rhs(h_losses, hprime_losses, class_size: int, delta: float) -> float:
+    """Pairwise empirical-Bernstein slack of two loss sequences of length n."""
+    sq_sum = math.fsum((a - b) ** 2 for a, b in zip(h_losses, hprime_losses))
+    return pairwise_rhs_from_sq(sq_sum, len(h_losses), class_size, delta)
+
+
+def empirical_risk(loss: LossTable, h: int, sample: Sample) -> float:
+    """(1/n) sum_i loss[h][z_i] over a nonempty sample."""
+    row = loss.rows[h]
+    return math.fsum(row[z] for z in sample.outcomes) / len(sample)
+
+
+def rademacher_sup(loss: LossTable, sample: Sample, signs) -> float:
+    """sup over h of (1/k) sum_i signs[i] * loss[h][z_i].
+
+    Through integer signed counts per outcome and a float accumulation in
+    ascending outcome order, as ``germ.rademacher._sign_sups`` does.
+    """
+    w = [0] * loss.outcome_count
+    for z, s in zip(sample.outcomes, signs):
+        w[z] += int(s)
+    best = -math.inf
+    for row in loss.rows:
+        t = 0.0
+        for z in range(loss.outcome_count):
+            t += w[z] * row[z]
+        best = max(best, t)
+    return best / len(sample)
+
+
+def rbar_from_signs(loss: LossTable, sample: Sample, signs) -> float:
+    """Single-draw bound max(0, sup + sqrt(2 ln(2k) / k)) for given signs."""
+    return max(0.0, rademacher_sup(loss, sample, signs) + mcdiarmid_radius(len(sample)))
 
 
 def scalar_run_germ(
@@ -58,7 +135,7 @@ def scalar_run_germ(
     if n == 0:
         raise ValueError("cannot run on an empty sample")
     _check_outcomes(sample, loss.outcome_count)
-    schedule = check_algorithm(GermAlgorithm(gap, initial_index=initial), class_size, n)
+    check_algorithm(GermAlgorithm(gap, initial_index=initial), class_size, n)
     randomized = is_randomized(gap)
     if randomized and rng is None:
         raise ValueError("the EmpiricalMcDiarmid mode draws random signs; pass rng")
@@ -74,13 +151,19 @@ def scalar_run_germ(
         counts[z] += 1
 
         cand = min(range(class_size), key=sums.__getitem__)
-        if schedule is not None:
-            delta, rbar = schedule[0][k - 1], schedule[1][k - 1]
-        elif randomized:
-            rbar = rbar_from_signs(loss, Sample(outcomes[:k]), draw_signs(rng, k))
+        rbar = None
+        if isinstance(gap, FixedDelta):
+            delta = float(gap.value)
+        elif isinstance(gap.variant, UniformConvergence):
+            mode = gap.variant.mode
+            if randomized:
+                rbar = rbar_from_signs(loss, Sample(outcomes[:k]), draw_signs(rng, k))
+            elif isinstance(mode, MassartDeterministic):
+                rbar = rbar_massart(class_size, k)
+            else:
+                rbar = mode.values[k - 1]
             delta = delta_uniform(k, rbar)
         else:
-            rbar = None
             cand_row, inc_row = loss.rows[cand], loss.rows[incumbent]
             sq = 0.0
             for zz in range(loss.outcome_count):
@@ -89,7 +172,7 @@ def scalar_run_germ(
             delta = bernstein_delta_from_sq(k, sq, class_size)
 
         diff = (sums[cand] - sums[incumbent]) / k
-        updated = diff <= -delta
+        updated = diff <= -delta and cand != incumbent
         chosen = cand if updated else incumbent
         steps.append(
             TrajectoryStep(

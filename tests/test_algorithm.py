@@ -32,12 +32,11 @@ from germ.problem import (
     LossTable,
     Sample,
     draw_sample,
-    empirical_risk,
 )
-from germ.rademacher import rbar_from_signs, rbar_massart
+from germ.rademacher import rbar_massart
 from germ.rng import draw_signs, philox_stream
 from germ.scenarios import load_scenario
-from scalar_reference import scalar_run_germ
+from scalar_reference import empirical_risk, rbar_from_signs, scalar_run_germ
 
 
 def two_point_problem():
@@ -117,16 +116,32 @@ def test_huge_fixed_gap_never_updates():
 
 def test_zero_fixed_gap_tracks_the_erm():
     # diff <= 0 always holds for the lowest-index ERM, so a zero gap
-    # reduces the loop to plain ERM.
+    # reduces the loop to plain ERM; a step is an update where that
+    # changes the chosen index.
     for trial in range(10):
         rng = philox_stream(4100, trial)
         problem = random_problem(rng, class_size=4, outcome_count=3)
         sample = draw_sample(problem, 15, rng)
         trajectory = run_germ(problem, sample, FixedDelta(0.0), initial=2)
+        previous = 2
         for step in trajectory.steps:
-            assert step.updated
+            assert step.updated == (step.chosen_index != previous)
             assert step.chosen_index == step.erm_index
             assert step.erm_index == erm(problem.loss, sample.prefix(step.k))
+            previous = step.chosen_index
+
+
+def test_updated_counts_the_switches_of_a_zero_gap_trajectory():
+    # under a zero gap the gate clears at every step, also where the ERM
+    # already is the incumbent; only a change of index is an update
+    problem = load_scenario("symmetric-coin").problem
+    sample = draw_sample(problem, 200, philox_stream(4150, 0))
+    trajectory = run_germ(problem, sample, FixedDelta(0.0), initial=0)
+    indices = (0, *trajectory.indices())
+    switches = sum(a != b for a, b in zip(indices, indices[1:]))
+    assert 0 < switches < len(trajectory.steps)
+    assert sum(step.updated for step in trajectory.steps) == switches
+    assert [s["updated"] for s in trajectory_to_dict(trajectory)["steps"]] == [a != b for a, b in zip(indices, indices[1:])]
 
 
 def test_first_update_step_with_massart_gap():

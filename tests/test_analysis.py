@@ -8,11 +8,12 @@ from germ.analysis import (
     bernstein_certificate,
     excess_risk_bound,
     minimizer_bound,
-    pairwise_bernstein_rhs,
+    pairwise_rhs_from_sq,
 )
-from germ.gap import delta_bernstein
+from germ.gap import bernstein_delta_from_sq
 from germ.problem import DiscreteDistribution, LearningProblem, LossTable
 from germ.rng import philox_stream
+import scalar_reference as ref
 
 
 def make_problem(rows, probs=None):
@@ -145,24 +146,28 @@ def test_bernstein_certificate_validation():
         BernsteinCertificate(beta=0.5, minimal_B=1.0, hstar_index=-1)
 
 
+def sq_sum(a, b):
+    return math.fsum((x - y) ** 2 for x, y in zip(a, b))
+
+
 def test_pairwise_bernstein_examples():
     # identical sequences leave only the 5 ln(2|H|^2/delta)/(n-1) term
-    assert pairwise_bernstein_rhs((0.3, 0.3), (0.3, 0.3), 2, 0.5) == pytest.approx(
-        5.0 * math.log(16.0)
-    )
-    assert pairwise_bernstein_rhs((0.3, 0.3), (0.3, 0.3), 2, 0.5) == pytest.approx(
-        13.862944, abs=5e-7
-    )
+    assert pairwise_rhs_from_sq(0.0, 2, 2, 0.5) == pytest.approx(5.0 * math.log(16.0))
+    assert pairwise_rhs_from_sq(0.0, 2, 2, 0.5) == pytest.approx(13.862944, abs=5e-7)
     # unit differences at n=2, |H|=1, delta=1/e
     log_term = math.log(2.0) + 1.0
-    got = pairwise_bernstein_rhs((1.0, 1.0), (0.0, 0.0), 1, 1.0 / math.e)
+    got = pairwise_rhs_from_sq(sq_sum((1.0, 1.0), (0.0, 0.0)), 2, 1, 1.0 / math.e)
     assert got == pytest.approx(math.sqrt(4.0 * log_term) + 5.0 * log_term)
     assert got == pytest.approx(11.068156, abs=5e-7)
+    # each entry of an array of sums rounds as the plain-float formula
+    sq = np.linspace(0.0, 30.0, 301)
+    want = [ref.pairwise_rhs_from_sq(float(q), 31, 5, 0.05) for q in sq]
+    assert pairwise_rhs_from_sq(sq, 31, 5, 0.05).tolist() == want
 
 
 def test_pairwise_bernstein_slack_decreases_with_n():
     values = [
-        pairwise_bernstein_rhs((0.9,) * n, (0.1,) * n, 3, 0.1) for n in range(2, 60)
+        pairwise_rhs_from_sq(sq_sum((0.9,) * n, (0.1,) * n), n, 3, 0.1) for n in range(2, 60)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -173,24 +178,24 @@ def test_pairwise_bernstein_matches_gap_kernel_at_delta_one_over_k():
     for k in (2, 5, 17, 40):
         a = tuple(round(float(v), 3) for v in rng.random(k))
         b = tuple(round(float(v), 3) for v in rng.random(k))
-        assert delta_bernstein(k, a, b, 4) == pytest.approx(
-            pairwise_bernstein_rhs(a, b, 4, 1.0 / k) + 2.0 / k, rel=1e-12
+        assert bernstein_delta_from_sq(k, sq_sum(a, b), 4) == pytest.approx(
+            pairwise_rhs_from_sq(sq_sum(a, b), k, 4, 1.0 / k) + 2.0 / k, rel=1e-12
         )
 
 
 def test_pairwise_bernstein_validation():
     with pytest.raises(ValueError):
-        pairwise_bernstein_rhs((0.1,), (0.2,), 2, 0.5)
+        pairwise_rhs_from_sq(0.01, 1, 2, 0.5)
     with pytest.raises(ValueError):
-        pairwise_bernstein_rhs((0.1, 0.2), (0.2,), 2, 0.5)
+        pairwise_rhs_from_sq(-0.01, 2, 2, 0.5)
     with pytest.raises(ValueError):
-        pairwise_bernstein_rhs((0.1, 1.2), (0.2, 0.3), 2, 0.5)
+        pairwise_rhs_from_sq(np.array([0.1, np.nan]), 2, 2, 0.5)
     with pytest.raises(ValueError):
-        pairwise_bernstein_rhs((0.1, 0.2), (0.2, 0.3), 0, 0.5)
+        pairwise_rhs_from_sq(0.02, 2, 0, 0.5)
     with pytest.raises(ValueError):
-        pairwise_bernstein_rhs((0.1, 0.2), (0.2, 0.3), 2, 0.0)
+        pairwise_rhs_from_sq(0.02, 2, 2, 0.0)
     with pytest.raises(ValueError):
-        pairwise_bernstein_rhs((0.1, 0.2), (0.2, 0.3), 2, 1.0)
+        pairwise_rhs_from_sq(0.02, 2, 2, 1.0)
 
 
 def eta_grid():

@@ -27,6 +27,10 @@ from germ.montecarlo import (
     mc_risk_curve,
 )
 from germ.oracle import curve_to_csv
+from germ.problem import draw_sample
+from germ.rng import draw_signs, philox_stream
+from germ.scenarios import load_scenario
+from scalar_reference import rbar_from_signs
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -293,6 +297,26 @@ def test_check_monotone_rejects_nan_tolerance(tmp_path, capsys):
     assert "verdict" not in capsys.readouterr().out
 
 
+def test_non_finite_monotone_tolerance_exits_2(tmp_path, capsys):
+    # the exact ERM curve of the witness rises at n = 4; an infinite
+    # tolerance would pass it
+    out = str(tmp_path / "curves")
+    assert main(["curve", "erm-dip-witness", "--algo", "erm", "--engine", "exact", "--n-max", "6", "--out", out]) == EXIT_PASS
+    path = capsys.readouterr().out.strip().split("out=")[1]
+    assert main(["check-monotone", path, "--tol", "1e999"]) == EXIT_CONFIG
+    assert "verdict" not in capsys.readouterr().out
+    doc = exact_config(
+        tmp_path,
+        scenario="erm-dip-witness",
+        algorithm={"kind": "erm"},
+        engine={"kind": "exact", "n_max": 6},
+        checks=[{"check": "monotone", "tolerance": 1e999}],
+    )
+    assert main(["run", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_monotone_rejects_non_finite_stderr(tmp_path, capsys):
     # an MC curve that rises from 0.2 to 0.9; a NaN or infinite standard
     # error would widen the pooled tolerance until the rise passed
@@ -429,6 +453,17 @@ def test_rademacher_subcommand(capsys):
     assert main(["rademacher", "three-outcome-misspecified", "--k", "63", "--mode", "exact"]) == EXIT_RESOURCE
 
 
+def test_rademacher_empirical_is_the_single_draw_bound(capsys):
+    # k outcomes, then k signs, from stream (seed, 0)
+    problem = load_scenario("three-outcome-misspecified").problem
+    for k, seed in ((1, 0), (6, 2), (40, 9)):
+        assert main(["rademacher", "three-outcome-misspecified", "--k", str(k), "--mode", "empirical", "--seed", str(seed)]) == EXIT_PASS
+        gen = philox_stream(seed, 0)
+        sample = draw_sample(problem, k, gen)
+        want = rbar_from_signs(problem.loss, sample, draw_signs(gen, k))
+        assert capsys.readouterr().out.strip().endswith(f"value={want!r}")
+
+
 def test_bernstein_subcommand(capsys):
     assert main(["bernstein", "symmetric-coin", "--beta", "0"]) == EXIT_PASS
     assert "minimal_B=1.0" in capsys.readouterr().out
@@ -472,6 +507,25 @@ def test_config_defaults_echoed(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["grid"] == [10, 20, 50, 100, 200]
     assert report["config"]["n_max"] == 200
+
+
+def test_default_mc_grid_fits_n_max(tmp_path, capsys):
+    # as germ curve does, the default grid keeps its points up to n_max
+    doc = {
+        "scenario": "symmetric-coin",
+        "algorithm": {"kind": "erm"},
+        "engine": {"kind": "mc", "replications": 40, "n_max": 100},
+        "seed": 1,
+        "out_dir": "out",
+    }
+    assert main(["run", write_config(tmp_path, doc)]) == EXIT_PASS
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["grid"] == [10, 20, 50, 100]
+    out = str(tmp_path / "curves")
+    capsys.readouterr()
+    argv = ["curve", "symmetric-coin", "--algo", "erm", "--engine", "mc", "--seed", "1", "--replications", "40"]
+    assert main([*argv, "--n-max", "100", "--out", out]) == EXIT_PASS
+    assert "points=4" in capsys.readouterr().out
 
 
 def test_unwritable_out_dir_exits_2(tmp_path, capsys):

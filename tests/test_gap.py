@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from germ.algorithm import _bernstein_gaps
 from germ.gap import (
     EmpiricalBernstein,
     EmpiricalMcDiarmid,
@@ -16,9 +17,10 @@ from germ.gap import (
     UniformConvergence,
     UserConstant,
     bernstein_delta_from_sq,
-    delta_bernstein,
     delta_uniform,
 )
+import scalar_reference as ref
+from scalar_reference import delta_bernstein
 
 
 def test_delta_uniform_examples():
@@ -50,40 +52,34 @@ def test_delta_uniform_validation():
         delta_uniform(3, -0.1)
 
 
+def sq_sum(a, b):
+    return math.fsum((x - y) ** 2 for x, y in zip(a, b))
+
+
 def test_delta_bernstein_examples():
-    same = delta_bernstein(2, (0.3, 0.7), (0.3, 0.7), 2)
+    # identical sequences (0.3, 0.7), then (1, 0, 0.5) against (0, 1, 0.5)
+    same = bernstein_delta_from_sq(2, sq_sum((0.3, 0.7), (0.3, 0.7)), 2)
     assert same == pytest.approx(5.0 * math.log(16.0) + 1.0)
-    diffs = delta_bernstein(3, (1.0, 0.0, 0.5), (0.0, 1.0, 0.5), 2)
+    diffs = bernstein_delta_from_sq(3, sq_sum((1.0, 0.0, 0.5), (0.0, 1.0, 0.5)), 2)
     expected = math.sqrt(2.0 * 2.0 * math.log(24.0)) / 2.0 + 5.0 * math.log(24.0) / 2.0 + 2.0 / 3.0
     assert diffs == pytest.approx(expected)
-    assert delta_bernstein(1, (0.4,), (0.9,), 5) == math.inf
+    assert _bernstein_gaps(np.array([0.25]), 5)[0] == math.inf
 
 
 def test_delta_bernstein_floor_and_identical_sequences():
     for k in (2, 3, 10, 50):
         seq = tuple(((i * 37) % 11) / 10.0 for i in range(k))
-        value = delta_bernstein(k, seq, seq, 3)
+        value = bernstein_delta_from_sq(k, sq_sum(seq, seq), 3)
         assert value == pytest.approx(2.0 / k + 5.0 * math.log(2.0 * k * 9.0) / (k - 1))
         assert value >= 2.0 / k
         other = tuple(((i * 13) % 7) / 10.0 for i in range(k))
-        assert delta_bernstein(k, seq, other, 3) >= 2.0 / k
-
-
-def test_delta_bernstein_validation():
-    with pytest.raises(ValueError):
-        delta_bernstein(3, (0.1, 0.2), (0.1, 0.2, 0.3), 2)
-    with pytest.raises(ValueError):
-        delta_bernstein(2, (0.1, 1.4), (0.1, 0.2), 2)
-    with pytest.raises(ValueError):
-        delta_bernstein(2, (0.1, 0.4), (0.1, 0.2), 0)
+        assert bernstein_delta_from_sq(k, sq_sum(seq, other), 3) >= 2.0 / k
 
 
 def test_gaps_are_bit_deterministic():
     for _ in range(3):
         assert delta_uniform(17, 0.123) == delta_uniform(17, 0.123)
-        assert delta_bernstein(9, (0.5,) * 9, (0.25,) * 9, 4) == delta_bernstein(
-            9, (0.5,) * 9, (0.25,) * 9, 4
-        )
+        assert bernstein_delta_from_sq(9, 0.5625, 4) == bernstein_delta_from_sq(9, 0.5625, 4)
 
 
 def test_bernstein_kernel_matches_sequence_form():
@@ -91,7 +87,9 @@ def test_bernstein_kernel_matches_sequence_form():
     seq_b = (0.3, 0.2, 0.4, 0.1, 0.8)
     sq = sum((a - b) ** 2 for a, b in zip(seq_a, seq_b))
     assert delta_bernstein(5, seq_a, seq_b, 3) == pytest.approx(bernstein_delta_from_sq(5, sq, 3))
-    assert bernstein_delta_from_sq(1, 0.7, 3) == math.inf
+    # the kernel starts at k = 2; the stepper pins step 1 to +inf
+    assert _bernstein_gaps(np.array([0.7, 0.7]), 3)[0] == math.inf
+    assert _bernstein_gaps(np.array([0.7, 0.7]), 3)[1] == bernstein_delta_from_sq(2, 0.7, 3)
 
 
 def test_spec_type_validation():
@@ -115,29 +113,34 @@ def test_spec_type_validation():
 
 
 def test_per_step_arrays_round_as_scalar_calls():
+    # each kernel entry, and a scalar argument, rounds as the plain-float formula
     ks = np.arange(1, 5001)
     rbar = np.linspace(0.0, 0.7, ks.size)
-    want = [delta_uniform(int(k), float(r)) for k, r in zip(ks, rbar)]
+    want = [ref.delta_uniform(int(k), float(r)) for k, r in zip(ks, rbar)]
     assert delta_uniform(ks, rbar).tolist() == want
+    assert [float(delta_uniform(int(k), float(r))) for k, r in zip(ks[:50], rbar[:50])] == want[:50]
     steps = ks[1:]
     for class_size in (1, 2, 4):
         sq = np.linspace(0.0, 900.0, steps.size)
-        want = [bernstein_delta_from_sq(int(k), float(q), class_size) for k, q in zip(steps, sq)]
+        want = [ref.bernstein_delta_from_sq(int(k), float(q), class_size) for k, q in zip(steps, sq)]
         assert bernstein_delta_from_sq(steps, sq, class_size).tolist() == want
+        assert float(bernstein_delta_from_sq(int(steps[7]), float(sq[7]), class_size)) == want[7]
         # the gap with no variance term is a lower bound, as the lockstep engine uses it
         floor = bernstein_delta_from_sq(steps, 0.0, class_size)
-        assert floor.tolist() == [bernstein_delta_from_sq(int(k), 0.0, class_size) for k in steps]
+        assert floor.tolist() == [ref.bernstein_delta_from_sq(int(k), 0.0, class_size) for k in steps]
         assert np.all(floor <= bernstein_delta_from_sq(steps, sq, class_size))
     # a two-dimensional block of steps broadcast against per-replication sums
     block = np.arange(40, 43)[:, np.newaxis]
     sq = np.array([[0.0, 1.5], [2.0, 0.25], [7.0, 3.0]])
-    want = [[bernstein_delta_from_sq(int(k), float(q), 3) for q in row] for k, row in zip(block[:, 0], sq)]
+    want = [[ref.bernstein_delta_from_sq(int(k), float(q), 3) for q in row] for k, row in zip(block[:, 0], sq)]
     assert bernstein_delta_from_sq(block, sq, 3).tolist() == want
 
 
 def test_per_step_array_validation():
     with pytest.raises(ValueError, match="k = 2"):
         bernstein_delta_from_sq(np.arange(1, 4), 0.0, 2)
+    with pytest.raises(ValueError, match="k = 2"):
+        bernstein_delta_from_sq(1, 0.0, 2)
     with pytest.raises(ValueError):
         bernstein_delta_from_sq(np.arange(2, 4), 0.0, 0)
     with pytest.raises(ValueError, match="step index"):

@@ -39,7 +39,6 @@ from germ.montecarlo import (
     mc_bound_coverage,
     _draw_outcome_block,
     _draws_signs,
-    _outcome_index,
     mc_experiment,
     mc_risk_curve,
 )
@@ -49,14 +48,15 @@ from germ.problem import (
     LearningProblem,
     LossTable,
     Sample,
+    _outcome_index,
     draw_sample,
     optimal_risk,
     population_risk,
 )
-from germ.rademacher import SIGN_BLOCK, _sign_blocks, _sign_sups, rademacher_sup
+from germ.rademacher import SIGN_BLOCK, _sign_blocks, _sign_sups
 from germ.rng import draw_signs, philox_stream
 from germ.scenarios import load_scenario
-from scalar_reference import scalar_run_germ
+from scalar_reference import rademacher_sup, scalar_run_germ
 
 
 def three_outcome_problem() -> LearningProblem:

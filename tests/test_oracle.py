@@ -7,7 +7,6 @@ import pytest
 import germ.oracle
 import germ.problem
 from germ.algorithm import GermAlgorithm, PlainErm, erm
-from germ.analysis import pairwise_bernstein_rhs, pairwise_rhs_from_sq
 from germ.errors import ResourceLimitError
 from germ.gap import (
     EmpiricalBernstein,
@@ -40,7 +39,7 @@ from germ.problem import (
 )
 from germ.rng import philox_stream
 from germ.scenarios import load_scenario
-from scalar_reference import scalar_run_germ
+from scalar_reference import pairwise_bernstein_rhs, pairwise_rhs_from_sq, scalar_run_germ
 
 
 def make_problem(rows, probs):
@@ -367,7 +366,10 @@ def test_check_monotone_rejects_nan_tolerance():
     curve = RiskCurve(ns=(1, 2), values=(0.4, 0.5), stderrs=None, kind="exact", problem="p", algo="erm")
     with pytest.raises(ValueError, match="nonnegative"):
         check_monotone(curve, tolerance=math.nan)
-    assert check_monotone(curve, tolerance=math.inf).verdict == "monotone"
+    # an infinite tolerance would pass any curve
+    with pytest.raises(ValueError, match="finite"):
+        check_monotone(curve, tolerance=math.inf)
+    assert check_monotone(curve, tolerance=1e300).verdict == "monotone"
 
 
 def test_monotonicity_report_validation():

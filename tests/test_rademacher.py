@@ -12,18 +12,18 @@ import germ.problem
 from germ.errors import ResourceLimitError
 from germ.problem import DiscreteDistribution, LearningProblem, LossTable, Sample
 from germ.rademacher import (
+    _rbars,
     deviation_radius,
     estimator_deviation_exceedance,
     exact_rademacher,
     mcdiarmid_radius,
-    rademacher_sup,
-    rbar_empirical,
-    rbar_from_signs,
     rbar_massart,
     rbar_undershoot_rate,
 )
-from germ.rng import philox_stream
+from germ.rng import draw_signs, philox_stream
 from germ.scenarios import builtin_scenarios
+import scalar_reference as ref
+from scalar_reference import rademacher_sup, rbar_from_signs
 
 
 def make_problem(probs, rows, name="p"):
@@ -36,16 +36,6 @@ def test_rademacher_sup_examples():
     assert rademacher_sup(const, Sample((0, 1)), (1, 1)) == pytest.approx(0.5)
     two = LossTable(((0.0, 0.0), (1.0, 1.0)))
     assert rademacher_sup(two, Sample((0, 1, 0, 1)), (-1, -1, -1, -1)) == pytest.approx(0.0)
-
-
-def test_rademacher_sup_validation():
-    loss = LossTable(((0.5, 0.5),))
-    with pytest.raises(ValueError):
-        rademacher_sup(loss, Sample((0,)), (1, -1))
-    with pytest.raises(ValueError):
-        rademacher_sup(loss, Sample(()), ())
-    with pytest.raises(ValueError):
-        rademacher_sup(loss, Sample((0, 1)), (1, 2))
 
 
 def test_rademacher_sup_matches_direct_dot_product():
@@ -72,14 +62,20 @@ def test_rbar_kernel_examples():
 
 
 def test_rbar_empirical_nonnegative_and_deterministic():
+    # the single-draw kernel, one row per stream, against the scalar
+    # formula on the replayed signs
     loss = LossTable(((0.1, 0.9), (0.8, 0.2)))
     sample = Sample((0, 1, 1, 0, 1))
-    a = rbar_empirical(loss, sample, philox_stream(5, 0))
-    b = rbar_empirical(loss, sample, philox_stream(5, 0))
-    assert a == b
-    assert a >= 0.0
+    outcomes = np.array([sample.outcomes] * 20)
+    a = _rbars(loss.as_array(), outcomes, [philox_stream(5, r) for r in range(20)], [5, 2])
+    b = _rbars(loss.as_array(), outcomes, [philox_stream(5, r) for r in range(20)], [5, 2])
+    assert a.shape == (20, 2)
+    assert np.array_equal(a, b)
+    assert np.all(a >= 0.0)
     for r in range(20):
-        assert rbar_empirical(loss, sample, philox_stream(5, r)) >= 0.0
+        replay = philox_stream(5, r)
+        assert a[r, 0] == rbar_from_signs(loss, sample, draw_signs(replay, 5))
+        assert a[r, 1] == rbar_from_signs(loss, sample.prefix(2), draw_signs(replay, 2))
 
 
 def test_rbar_massart_examples():
@@ -87,6 +83,10 @@ def test_rbar_massart_examples():
     assert rbar_massart(2, 2) == pytest.approx(math.sqrt(math.log(2.0)))
     assert rbar_massart(16, 8) == pytest.approx(math.sqrt(2.0 * math.log(16.0) / 8.0))
     assert rbar_massart(16, 8) == pytest.approx(0.832555, abs=5e-7)
+    ks = np.arange(1, 200)
+    assert rbar_massart(16, ks).tolist() == [ref.rbar_massart(16, int(k)) for k in ks]
+    with pytest.raises(ValueError):
+        rbar_massart(2, np.arange(0, 3))
 
 
 def test_deviation_radius_examples():
@@ -220,8 +220,9 @@ def test_mcdiarmid_radius_is_confidence_one_over_k():
 
 def test_mcdiarmid_radius_of_an_array_rounds_as_scalar_calls():
     ks = np.arange(1, 5001)
-    assert mcdiarmid_radius(ks).tolist() == [mcdiarmid_radius(int(k)) for k in ks]
+    assert mcdiarmid_radius(ks).tolist() == [ref.mcdiarmid_radius(int(k)) for k in ks]
+    assert [float(mcdiarmid_radius(int(k))) for k in ks[:50]] == [ref.mcdiarmid_radius(int(k)) for k in ks[:50]]
     block = ks[:6].reshape(3, 2)
-    assert mcdiarmid_radius(block).tolist() == [[mcdiarmid_radius(int(k)) for k in row] for row in block]
+    assert mcdiarmid_radius(block).tolist() == [[ref.mcdiarmid_radius(int(k)) for k in row] for row in block]
     with pytest.raises(ValueError):
         mcdiarmid_radius(np.arange(0, 3))
