@@ -179,10 +179,14 @@ def _digits(text: str, what: str) -> int:
 
 def _decimal(text: str, what: str) -> float:
     """The number that ``text`` writes as an ASCII decimal such as 0.05, .5
-    or 5e-2, with no sign, space or underscore."""
+    or 5e-2, with no sign, space or underscore, and that a float holds
+    without overflowing to inf."""
     if not _DECIMAL.fullmatch(text):
         raise ValueError(f"{what} must be a decimal number, got {text!r}")
-    return float(text)
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"{what} must be finite, got {text!r}")
+    return value
 
 
 def _option_int(text: str) -> int:
@@ -236,22 +240,29 @@ def parse_algo_spec(text: str, class_size: int) -> AlgorithmSpec:
 
 
 def _config_int(value, field: str) -> int:
-    """An integer config value; booleans and fractional numbers are errors."""
+    """An integer config value; booleans, fractional numbers and integral
+    floats of magnitude 2**53 or more, which may be the rounding of another
+    integer, are errors."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
         raise ValueError(f"{field} must be an integer, got {value!r}")
+    if isinstance(value, float) and abs(value) >= 2.0**53:
+        raise ValueError(f"{field} of 2**53 or more must be written without a point or exponent, got {value!r}")
     return int(value)
 
 
 def _config_float(value, field: str) -> float:
-    """A real config value; booleans, strings, null, lists and integers too
-    large for a float are errors."""
+    """A finite real config value; booleans, strings, null, lists, integers
+    too large for a float, inf and nan are errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field} must be a number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise ValueError(f"{field} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{field} must be finite, got {value!r}")
+    return value
 
 
 def _algo_from_config(doc: dict, class_size: int, n_max: int) -> AlgorithmSpec:

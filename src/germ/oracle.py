@@ -146,6 +146,23 @@ def check_monotone(curve: RiskCurve, tolerance: float | None = None) -> Monotoni
     )
 
 
+def _merge_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a nonempty int64 ``key`` in ascending
+    lexicographic order, and the index of each row of ``key`` among them.
+
+    This is ``np.unique(key, axis=0, return_inverse=True)``, which orders
+    rows the same way, computed with one lexsort.
+    """
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    first = np.empty(len(key), dtype=bool)
+    first[0] = True
+    np.any(key[1:] != key[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(key), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return key[first], inverse
+
+
 def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: int) -> list[float]:
     """Expected population risk of the chosen hypothesis at each depth 1..n_max.
 
@@ -159,7 +176,10 @@ def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: 
     every path through the parent, and states that cannot switch skip the
     gate kernels as Monte Carlo rows do.  States merge on the bits of
     their row and their chosen hypothesis: sums are keyed bit for bit
-    because ERM breaks ties on them.
+    because ERM breaks ties on them.  One lexsort of the keys merges a
+    layer (``_merge_rows``), so a layer's states lie in the ascending
+    order of their keys read as int64 columns, the order
+    ``np.unique(axis=0)`` gives.
     """
     L = problem.loss.as_array()
     H = problem.class_size
@@ -184,7 +204,7 @@ def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: 
             _gate_block(S, parents, np.array([[k]]), chosen, [], gate, None)
         else:
             chosen = _erm_candidates(S[0, :, :H])[0]
-        layer, merged = np.unique(np.column_stack([S[0].view(np.int64), chosen]), axis=0, return_inverse=True)
+        layer, merged = _merge_rows(np.column_stack([S[0].view(np.int64), chosen]))
         sums, chosen = layer[:, :-1].view(np.float64), layer[:, -1]
         weights = np.bincount(merged, weights=(probs[outcomes, np.newaxis] * weights).ravel())
         values[k] = math.fsum((weights * pop[chosen]).tolist())

@@ -194,13 +194,14 @@ def _outcome_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return z
 
 
-def _count_vectors(total: int, parts: int) -> np.ndarray:
-    """Every vector of ``parts`` nonnegative integers summing to ``total``.
+def _expand_counts(prefixes: np.ndarray, left: np.ndarray, parts: int) -> np.ndarray:
+    """Each prefix row followed by every vector of ``parts`` nonnegative
+    integers that sums to its entry of ``left``.
 
-    Rows are in lexicographically ascending order.
+    Rows come prefix by prefix, and each prefix's rows in lexicographically
+    ascending order of the appended entries.
     """
-    vectors = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([total], dtype=np.int64)
+    vectors = prefixes
     for _ in range(parts - 1):
         # row r expands into one row per next entry 0..left[r], ascending
         reps = left + 1
@@ -211,28 +212,55 @@ def _count_vectors(total: int, parts: int) -> np.ndarray:
     return np.column_stack((vectors, left))
 
 
+def _count_vectors(total: int, parts: int) -> np.ndarray:
+    """Every vector of ``parts`` nonnegative integers summing to ``total``.
+
+    Rows are in lexicographically ascending order.
+    """
+    return _expand_counts(np.zeros((1, 0), dtype=np.int64), np.array([total], dtype=np.int64), parts)
+
+
 def _count_vector_blocks(n: int, m: int):
     """Every count vector of m categories summing to n, in blocks of rows.
 
     Rows come in lexicographically ascending order.  Consecutive first
-    counts are joined until a block holds COUNT_BLOCK rows, and a first
-    count with more vectors than that is cut into pieces of COUNT_BLOCK
-    rows, so no block spans the whole simplex or one large slice of it.
+    counts are joined until a block holds COUNT_BLOCK rows, and their rows
+    are built in one expansion.  A first count with more vectors than that
+    is built alone and cut into pieces of COUNT_BLOCK rows, so no block
+    spans the whole simplex or one large slice of it.
     """
     if m == 1:
         yield _count_vectors(n, 1)
         return
+
+    def slices(firsts: list[int]) -> np.ndarray:
+        first = np.array(firsts, dtype=np.int64)
+        return _expand_counts(first[:, np.newaxis], n - first, m - 1)
+
     pending: list[np.ndarray] = []
+    firsts: list[int] = []
     size = 0
     for first in range(n + 1):
-        rest = _count_vectors(n - first, m - 1)
-        for lo in range(0, len(rest), COUNT_BLOCK):
-            piece = rest[lo : lo + COUNT_BLOCK]
-            pending.append(np.column_stack((np.full(len(piece), first), piece)))
-            size += len(piece)
+        rows = math.comb(n - first + m - 2, m - 2)
+        if rows <= COUNT_BLOCK:
+            firsts.append(first)
+            size += rows
+            if size >= COUNT_BLOCK:
+                yield np.concatenate([*pending, slices(firsts)])
+                pending, firsts, size = [], [], 0
+            continue
+        if firsts:
+            pending.append(slices(firsts))
+            firsts = []
+        rest = slices([first])
+        for lo in range(0, rows, COUNT_BLOCK):
+            pending.append(rest[lo : lo + COUNT_BLOCK])
+            size += len(pending[-1])
             if size >= COUNT_BLOCK:
                 yield np.concatenate(pending)
                 pending, size = [], 0
+    if firsts:
+        pending.append(slices(firsts))
     if pending:
         yield np.concatenate(pending)
 

@@ -14,6 +14,9 @@ time.  It shares no kernel with the package's stepper
 (``germ.algorithm._step_block``), which serves ``run_germ``, the Monte
 Carlo engine and the exact oracle, so tests that compare those engines
 with it do not compare the kernel with itself.
+
+``unique_rows`` is the ``np.unique(axis=0)`` merge that the exact oracle's
+one-lexsort merge (``germ.oracle._merge_rows``) must reproduce.
 """
 
 from __future__ import annotations
@@ -97,6 +100,11 @@ def rademacher_sup(loss: LossTable, sample: Sample, signs) -> float:
 def rbar_from_signs(loss: LossTable, sample: Sample, signs) -> float:
     """Single-draw bound max(0, sup + sqrt(2 ln(2k) / k)) for given signs."""
     return max(0.0, rademacher_sup(loss, sample, signs) + mcdiarmid_radius(len(sample)))
+
+
+def unique_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``key`` in sorted order and each row's index among them."""
+    return np.unique(key, axis=0, return_inverse=True)
 
 
 def scalar_run_germ(

@@ -368,6 +368,7 @@ def test_curve_mc_with_seed(tmp_path, capsys):
         "germ:fixed=1_0",  # float() reads 10.0
         "germ:fixed= 0.5",
         "germ:fixed=inf",
+        "germ:fixed=1e999",  # float() overflows it to inf
         "germ:fixed=nan",
         "germ:fixed=-0.1",
     ],
@@ -583,6 +584,25 @@ def test_non_integral_config_values_exit_2(tmp_path, where, bad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("literal", ["12345678901234567.0", "9007199254740992.0", "1e17"])
+def test_integral_floats_a_float_cannot_hold_exit_2(tmp_path, capsys, literal):
+    # JSON reads 12345678901234567.0 as the float 12345678901234568.0, and
+    # from 2**53 on a float may be the rounding of a neighbouring integer
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(integer_fields_config()).replace('"seed": 1', f'"seed": {literal}'))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert "2**53" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_large_json_integers_stay_exact(tmp_path):
+    doc = integer_fields_config()
+    doc["seed"] = 12345678901234567
+    assert main(["run", write_config(tmp_path, doc)]) == EXIT_PASS
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["seed"] == 12345678901234567
+
+
 def test_grid_must_be_a_list(tmp_path):
     doc = integer_fields_config()
     doc["engine"]["grid"] = 8
@@ -610,6 +630,27 @@ def float_fields_config():
         ],
         "out_dir": "out",
     }
+
+
+@pytest.mark.parametrize("literal", ["1e999", "-1e999", "Infinity", "NaN"])
+@pytest.mark.parametrize("where", ["value", "values", "level", "beta"])
+def test_non_finite_config_floats_exit_2(tmp_path, capsys, where, literal):
+    # JSON reads 1e999 as inf: the number parses, but no float holds it
+    doc = float_fields_config()
+    marker = 0.4375
+    if where == "value":
+        doc["algorithm"]["gap"]["value"] = marker
+    elif where == "values":
+        doc["algorithm"]["gap"] = {"variant": "uniform", "mode": "constant", "values": [0.1] * 39 + [marker]}
+    elif where == "level":
+        doc["checks"][1]["level"] = marker
+    else:
+        doc["checks"][2]["beta"] = marker
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace(repr(marker), literal))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_integers_fill_float_fields(tmp_path):

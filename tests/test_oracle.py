@@ -2,7 +2,10 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import germ.oracle
 import germ.problem
@@ -39,7 +42,7 @@ from germ.problem import (
 )
 from germ.rng import philox_stream
 from germ.scenarios import load_scenario
-from scalar_reference import pairwise_bernstein_rhs, pairwise_rhs_from_sq, scalar_run_germ
+from scalar_reference import pairwise_bernstein_rhs, pairwise_rhs_from_sq, scalar_run_germ, unique_rows
 
 
 def make_problem(rows, probs):
@@ -124,6 +127,28 @@ def test_plain_erm_on_the_symmetric_problem():
     curve = exact_risk_curve(problem, PlainErm(), 6)
     assert curve.ns == (1, 2, 3, 4, 5, 6)
     assert all(v == 0.5 for v in curve.values)
+
+
+@st.composite
+def int64_keys(draw):
+    """Int64 key rows over a pool of at most four values, so rows repeat."""
+    width = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=4))
+    row = st.lists(st.sampled_from(pool), min_size=width, max_size=width)
+    return np.array(draw(st.lists(row, min_size=1, max_size=40)), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(int64_keys())
+@example(np.array([[7, -3, 0]], dtype=np.int64))
+@example(np.full((9, 4), -(2**63), dtype=np.int64))
+@example(np.array([[0.0, 1.0], [-0.0, 1.0], [0.5, -2.0], [0.0, 1.0]]).view(np.int64))
+def test_merge_rows_is_np_unique(key):
+    # the state walk's merge must give np.unique's rows, order and inverse
+    layer, inverse = germ.oracle._merge_rows(key)
+    want_layer, want_inverse = unique_rows(key)
+    assert layer.dtype == want_layer.dtype and np.array_equal(layer, want_layer)
+    assert inverse.shape == want_inverse.shape and np.array_equal(inverse, want_inverse)
 
 
 def test_gate_fires_inside_the_enumeration_budget():

@@ -126,6 +126,19 @@ def test_multinomial_blocks_cover_every_possible_count_vector(block, monkeypatch
     assert math.fsum(w for _, ws in blocks for w in ws.tolist()) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("block", [5, 1024])
+def test_count_vector_blocks_are_the_lexicographic_enumeration(block, monkeypatch):
+    monkeypatch.setattr(germ.problem, "COUNT_BLOCK", block)
+    for n in range(31):
+        for m in range(1, 7):
+            blocks = list(germ.problem._count_vector_blocks(n, m))
+            assert np.array_equal(np.concatenate(blocks), germ.problem._count_vectors(n, m))
+            # a block closes once it holds COUNT_BLOCK rows, and a first
+            # count's slice larger than that is cut into COUNT_BLOCK pieces
+            assert all(block <= len(b) < 2 * block for b in blocks[:-1])
+            assert len(blocks[-1]) < 2 * block
+
+
 def test_multinomial_blocks_budget(monkeypatch):
     # C(5 + 3, 3) = 56 count vectors of 4 categories
     monkeypatch.setattr(germ.problem, "ENUMERATION_BUDGET", 55)
