@@ -15,8 +15,13 @@ montecarlo modules, never asserted per run.
 ``_step_block`` is the one stepper.  It steps the rows of an outcome block
 in lockstep, a block of steps at a time, through ``_gate_block``, the one
 gate, which ``_gate`` sets up once per run and which runs the array
-kernels ``_erm_candidates``, ``_scan_gate`` and ``_bernstein_gate`` (the
-rademacher module's ``_rbars`` gives the randomized gap's R-bar).  ``run_germ``
+kernels ``_erm_candidates``, ``_scan_gate`` and the settles
+``_bernstein_gate`` and ``_rademacher_gate``.  The randomized gap's R-bar
+(the rademacher module's ``_rbars``) is read only at the grid steps and
+in the blocks where a row's gate can fire at R-bar = 0; the signs of every
+other step are skipped, not drawn, by seeking the Philox stream
+(``rng.seek_signs``), so every sign read and every stream position is the
+one that drawing every step's signs gives.  ``run_germ``
 is one row of it over every step; the Monte Carlo engine calls it on
 chunks of replications, and the exact oracle steps each layer of its
 states through ``_gate_block`` as a one-step block.
@@ -52,10 +57,11 @@ from .gap import (
 )
 from .problem import LearningProblem, LossTable, Sample, _check_outcomes
 from .rademacher import _rbars
+from .rng import seek_signs
 
 # Most bytes of working arrays one block of steps of ``_step_block`` may
-# hold, about rows x steps x _step_bytes, and of uniforms the Monte Carlo
-# outcome draw buffers (at least one row).  Larger blocks save little time
+# hold, about rows x steps x _step_bytes, and of 64-bit words the Monte
+# Carlo outcome draw buffers (at least one row).  Larger blocks save little time
 # and raise the peak memory of short runs.
 STEP_BLOCK = 1 << 20
 
@@ -207,8 +213,9 @@ def run_germ(
         Incumbent before the first step.
     rng:
         Required exactly when the gap draws random signs
-        (UniformConvergence with EmpiricalMcDiarmid); consumed as one
-        k-sign draw per step, nothing otherwise.
+        (UniformConvergence with EmpiricalMcDiarmid), a Philox generator
+        such as ``philox_stream`` returns; left where one k-sign draw per
+        step leaves it, untouched otherwise.
 
     Returns
     -------
@@ -307,21 +314,69 @@ def _accumulate_steps(X: np.ndarray) -> None:
         np.add(X[t - 1], X[t], out=X[t])
 
 
-def _bernstein_gate(rows, lo, inc, cand, diff, fire, *, counts, k, D2, class_size) -> None:
+def _bernstein_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, D2, class_size) -> None:
     """Settle the Bernstein gate at the steps ``fire`` marks, in place.
 
     ``fire`` marks where the difference clears the gap with no variance
     term, a lower bound of the gap.  Only there are the squared-difference
-    sum (``_sq_sums``) and the gap formed.  Arguments follow ``_scan_gate``;
-    ``counts`` (T, B, m) holds the outcome counts after each step of the
-    block, and ``D2`` the squared loss differences indexed [candidate,
-    incumbent, outcome].
+    sum (``_sq_sums``) and the gap formed.  Arguments follow ``_scan_gate``
+    and ``_gate_block``; the outcome counts ride in ``S``'s columns past the
+    ``class_size`` loss sums, ``live`` is not read, and ``D2`` holds the
+    squared loss differences indexed [candidate, incumbent, outcome].
     """
     t, r = np.nonzero(fire)
     if not t.size:
         return
-    q = _sq_sums(counts[lo + t, rows[r]], D2[cand[t, r], inc[r]])
+    q = _sq_sums(S[lo + t, rows[r], class_size:], D2[cand[t, r], inc[r]])
     fire[t, r] = diff[t, r] <= -bernstein_delta_from_sq(k[lo + t, 0], q, class_size)
+
+
+def _rademacher_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, L, outcomes, gens, starts, cache) -> None:
+    """Settle the randomized gate at the steps ``fire`` marks, in place.
+
+    ``fire`` marks where the difference clears the gap at R-bar = 0, a
+    lower bound of the gap.  Only the rows with a mark read their R-bar:
+    each reads it at every step of the block in one ``_rbars_at`` call, and
+    ``cache`` keeps it, keyed by the row of the (B, n) ``outcomes`` that
+    ``live`` maps the block's row to, for the rescans of the block.
+    Arguments follow ``_scan_gate`` and ``_gate_block``; ``S`` is not read,
+    and ``gens`` and ``starts`` are the rows' generators and the states
+    their signs start from.
+    """
+    t, r = np.nonzero(fire)
+    if not t.size:
+        return
+    uniq, inv = np.unique(r, return_inverse=True)
+    ids = live[rows[uniq]].tolist()
+    k0 = int(k[0, 0])
+    new = [i for i in ids if cache.get(i, (0,))[0] != k0]
+    if new:
+        read = _rbars_at(L, outcomes[new], [gens[i] for i in new], [starts[i] for i in new], k[:, 0])
+        cache.update((i, (k0, v)) for i, v in zip(new, read))
+    rbar = np.stack([cache[i][1] for i in ids])[inv, lo + t]
+    fire[t, r] = diff[t, r] <= -delta_uniform(k[lo + t, 0], rbar)
+
+
+def _rbars_at(L, outcomes, gens, starts, ks) -> np.ndarray:
+    """R-bar of each row of ``outcomes`` at the increasing steps ``ks``,
+    (B, len(ks)), equal to what ``_rbars`` gives when every step from 1 on
+    draws its signs in turn from the row's state in ``starts``.
+
+    The signs of step k start at offset k (k - 1) / 2 of a row's stream.
+    Each run of consecutive steps is one ``_rbars`` call, after each
+    generator is sought to the run's first sign; the signs of other steps
+    are skipped, not drawn.  The generators are left after the signs of
+    the last step read.
+    """
+    ks = np.asarray(ks)
+    out = np.empty((len(outcomes), len(ks)))
+    runs = np.flatnonzero(np.diff(ks) != 1) + 1
+    for a, b in zip([0, *runs.tolist()], [*runs.tolist(), len(ks)]):
+        k0 = int(ks[a])
+        for gen, start in zip(gens, starts):
+            seek_signs(gen, start, k0 * (k0 - 1) // 2)
+        out[:, a:b] = _rbars(L, outcomes, gens, ks[a:b])
+    return out
 
 
 def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
@@ -330,7 +385,8 @@ def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
     ``S`` (T, B, H) holds the running loss sums, ``cand`` and ``best`` (T, B)
     the ERM candidate and its sum, ``k`` (T, 1) the step indices and ``gap``
     (T, B) the gap, or a lower bound of it that ``settle`` (see
-    ``_bernstein_gate``) turns into the gate's decision.  The gate fires
+    ``_bernstein_gate`` and ``_rademacher_gate``) turns into the gate's
+    decision.  The gate fires
     where (sum(cand) - sum(incumbent)) / k <= -gap; a fire where the
     candidate is the incumbent switches nothing.  Each row switches at its
     first firing step and is rescanned from the step after against its new
@@ -381,53 +437,65 @@ def _step_bytes(class_size: int) -> int:
     return 8 * (class_size + 10)
 
 
-def _gate(algo: GermAlgorithm, L: np.ndarray, n: int, schedule):
+def _gate(algo: GermAlgorithm, L: np.ndarray, n: int, schedule, signs=None):
     """The gate of ``algo`` over steps 1..n on loss array ``L``, built once
     per run for ``_gate_block``; ``schedule`` is ``check_algorithm``'s.
+    ``signs`` is (outcomes, gens, starts), which only the randomized gap
+    reads: the (B, n) outcome block, each row's generator and the state
+    its signs start from.
 
     Returns (gaps, lag_needed, reach, settle).  ``gaps`` holds the gap the
     scan compares at each step: the schedule for the fixed, Massart and
-    constant gaps, the gap with no variance term for Bernstein, which
-    ``settle`` (``_bernstein_gate``) turns into the gate's decision, and
-    None for the randomized gap, which ``_gate_block`` forms from each
-    row's R-bar.  ``lag_needed`` holds k * floor(k) and ``reach`` the
-    largest lag growth per step of each incumbent; ``_gate_block`` sets
-    them out.
+    constant gaps; for Bernstein, the gap with no variance term, and for
+    the randomized gap, the gap at R-bar = 0, each a lower bound of the
+    gap that ``settle`` (``_bernstein_gate``, ``_rademacher_gate``) turns
+    into the gate's decision.  The randomized gap is 4 R-bar + r_k + 2/k
+    with R-bar >= 0, and rounding is monotone, so in floats too it is at
+    least its value at R-bar = 0.  Its settle draws only the signs of the
+    blocks whose R-bar it reads; other steps' signs are skipped, not drawn,
+    and every stream position stays where drawing them would put it.
+    ``lag_needed`` holds k * floor(k) and
+    ``reach`` the largest lag growth per step of each incumbent;
+    ``_gate_block`` sets them out.
     """
     H = len(L)
     ks = np.arange(1, n + 1)
-    gaps = settle = None
+    settle = None
     if schedule is not None:
-        gaps = floor = schedule[0]
+        gaps = schedule[0]
     elif is_randomized(algo.gap):
-        # the gap at R-bar = 0, and R-bar >= 0
-        floor = delta_uniform(ks, 0.0)
+        gaps = delta_uniform(ks, 0.0)
+        outcomes, gens, starts = signs
+        settle = functools.partial(_rademacher_gate, L=L, outcomes=outcomes, gens=gens, starts=starts, cache={})
     else:
-        gaps = floor = _bernstein_gaps(np.zeros(n), H)
+        gaps = _bernstein_gaps(np.zeros(n), H)
         settle = functools.partial(_bernstein_gate, D2=_sq_diffs(L), class_size=H)
-    return gaps, ks * np.fmax(floor, 0.0), (L - L.min(axis=0)).max(axis=1), settle
+    return gaps, ks * np.fmax(gaps, 0.0), (L - L.min(axis=0)).max(axis=1), settle
 
 
-def _gate_block(S, sums, k, incumbent, at, gate, rbar):
+def _gate_block(S, sums, k, incumbent, at, gate):
     """Gate decisions of one block of steps; updates ``incumbent`` in place.
 
     Rows follow the stepper's layout: H loss sums, then the m outcome
-    counts, which only the Bernstein settle reads.  ``S`` (T, B, columns) holds the running sums after
-    each step of the block and ``sums`` (B, columns) those carried into
-    it, ``k`` (T, 1) the step indices, ``gate`` comes from ``_gate``, and
-    ``rbar`` (B, T) holds each row's R-bar at the block's steps for the
-    randomized gap and is None otherwise.  Returns the incumbents after
-    the block positions ``at``, (len(at), B).
+    counts, which only the Bernstein settle reads.  ``S`` (T, B, columns)
+    holds the running sums after each step of the block and ``sums`` (B,
+    columns) those carried into it, ``k`` (T, 1) the step indices, and
+    ``gate`` comes from ``_gate``.  Returns the incumbents after the block
+    positions ``at``, (len(at), B).  A settle kernel reads the live rows'
+    sums ``S``, their rows ``live`` in the block and ``k``.  The randomized
+    one reads a row's R-bar, at every step of the block, only when the gap
+    at R-bar = 0 fires for that row within the block; no other block's
+    signs are drawn.
 
     A row is live when its incumbent can fall far enough behind within the
     block for the gate to fire, and only live rows go through
     ``_erm_candidates`` and ``_scan_gate``.  The gap at step k is at least
     a floor that depends on k alone: the schedule itself for the fixed,
     Massart and constant gaps, the gap with no variance term for
-    Bernstein, and the gap at R-bar = 0 for the randomized gap; a NaN
-    floor counts as 0.  The gate fires only where the lag S_inc - min_h
-    S_h is at least k * floor(k), and the lag grows by at most reach[inc]
-    = max_z (L[inc, z] - min_h L[h, z]) per step.  So a row whose lag at
+    Bernstein, and the gap at R-bar = 0 for the randomized gap, which are
+    ``gate``'s gaps; a NaN floor counts as 0.  The gate fires only where
+    the lag S_inc - min_h S_h is at least k * floor(k), and the lag grows
+    by at most reach[inc] = max_z (L[inc, z] - min_h L[h, z]) per step.  So a row whose lag at
     the block start plus T * reach[inc] is below the least k * floor(k)
     over the block keeps its incumbent through the block.  The test grants
     1e-9 * t1 of headroom, t1 the block's last step: sums of losses in
@@ -447,11 +515,8 @@ def _gate_block(S, sums, k, incumbent, at, gate, rbar):
         sel = slice(None) if live.size == len(incumbent) else live
         S_live, inc = S[:, sel], incumbent[sel]
         cand, best = _erm_candidates(S_live[..., :H])
-        if rbar is None:
-            gap = np.broadcast_to(gaps[t1 - T : t1, np.newaxis], cand.shape)
-        else:
-            gap = delta_uniform(k, rbar[sel].T)
-        block_settle = settle and functools.partial(settle, counts=S_live[..., H:], k=k)
+        gap = np.broadcast_to(gaps[t1 - T : t1, np.newaxis], cand.shape)
+        block_settle = settle and functools.partial(settle, S=S_live, live=live, k=k)
         picked[:, sel] = _scan_gate(S_live, cand, best, k, gap, inc, at, block_settle)
         incumbent[sel] = inc
     return picked
@@ -462,7 +527,13 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     in lockstep and a block of steps at a time.
 
     ``gens`` holds each row's generator, positioned where its signs start,
-    when the gap draws signs, and is None otherwise.  Per block of T steps,
+    when the gap draws signs, and is None otherwise.  Step k's signs lie
+    at offset k (k - 1) / 2 of a row's sign stream, but only the steps a
+    decision or the output reads have theirs drawn: the grid steps, and
+    the blocks in which the randomized settle (``_rademacher_gate``) reads
+    a row's R-bar.  The signs of every other step are skipped by seeking
+    (``rng.seek_signs``), and each generator is left after step n's signs,
+    where drawing every step's signs leaves it.  Per block of T steps,
     every hypothesis's running loss sum at every step comes from the sums
     carried from the block before, one vector add per step over a
     step-major (T, B, H) array, so each step is one contiguous slab.  The
@@ -489,9 +560,10 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     B, n = outcomes.shape
     germ = isinstance(algo, GermAlgorithm)
     schedule = check_algorithm(algo, H, n)
-    gate = germ and _gate(algo, L, n, schedule)
+    randomized = germ and is_randomized(algo.gap)
+    starts = [gen.bit_generator.state for gen in gens] if randomized else None
+    gate = germ and _gate(algo, L, n, schedule, (outcomes, gens, starts))
     ks = np.arange(1, n + 1)
-    rbar = _rbars(L, outcomes, gens, ks) if germ and is_randomized(algo.gap) else None
     # one row per outcome: its H losses, then, when the gate settles on
     # counts (Bernstein), its indicator among the m outcomes, so the
     # running sums carry the outcome counts
@@ -520,12 +592,15 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
         if not germ:
             chosen[g0:g1] = _erm_candidates(S[at])[0]
         else:
-            block_rbar = None if rbar is None else rbar[:, t0:t1]
-            chosen[g0:g1] = _gate_block(S, sums, ks[t0:t1, np.newaxis], incumbent, at, gate, block_rbar)
+            chosen[g0:g1] = _gate_block(S, sums, ks[t0:t1, np.newaxis], incumbent, at, gate)
         sums = S[-1].copy()
-    at = np.asarray(grid) - 1
-    if rbar is not None:
-        return chosen, rbar[:, at].T
+    if randomized:
+        rbars = _rbars_at(L, outcomes, gens, starts, grid).T
+        # reading step n leaves the generators after its signs already
+        if grid[-1] < n:
+            for gen, start in zip(gens, starts):
+                seek_signs(gen, start, n * (n + 1) // 2)
+        return chosen, rbars
     if schedule is not None and schedule[1] is not None:
-        return chosen, schedule[1][at, np.newaxis]
+        return chosen, schedule[1][np.asarray(grid) - 1, np.newaxis]
     return chosen, None

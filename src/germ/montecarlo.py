@@ -6,10 +6,14 @@ block of outcome rows for ``algorithm._step_block``, the stepper that
 ``run_germ`` on its sample and generator, whatever the block length.
 
 Determinism contract: replication r draws from the generator derived from
-(base_seed, r), consuming one ``random(n_max)`` block for the sample and,
-only in the EmpiricalMcDiarmid gap mode, k fresh signs for each step k in
-ascending order.  The stepper draws the signs of a block of steps in one
-``draw_signs`` call, which consumes the stream as per-step calls would.
+(base_seed, r): the n_max 64-bit words that one ``random(n_max)`` call
+reads for the sample and, only in the EmpiricalMcDiarmid gap mode, k fresh
+signs for each step k in ascending order.  The stepper reads the signs of
+the steps a decision or an output needs, those of consecutive steps in
+one ``draw_signs`` call, which consumes the stream as per-step calls
+would; the signs of every other step are skipped, not drawn, by seeking
+the stream (``rng.seek_signs``), so every sign read and every stream
+position is the one that drawing every step's signs gives.
 
 Where no signs follow, the samples of a block of replications come from
 one Philox re-keyed to (base_seed, r) per row (``rng.fill_uniforms``),
@@ -198,11 +202,11 @@ def _map_chunks(chunk, replications: int, workers: int, *args) -> list:
 def _draw_outcome_block(problem: LearningProblem, cfg: McConfig, start: int, stop: int, keep_generators: bool):
     """Per-replication samples; generators returned when signs follow.
 
-    Uniforms are drawn into one reused buffer of replication rows, as many
-    as STEP_BLOCK bytes hold and at least one, and turned into outcomes a
-    buffer at a time.  Without generators to keep, ``fill_uniforms`` reads
-    each row's stream from one re-keyed Philox instead of a generator per
-    replication.
+    The 64-bit words of the streams are drawn into one reused buffer of
+    replication rows, as many as STEP_BLOCK bytes hold and at least one,
+    and turned into outcomes a buffer at a time (``_outcome_index``).
+    Without generators to keep, ``fill_uniforms`` reads each row's stream from
+    one re-keyed Philox instead of a generator per replication.
     """
     m = problem.loss.outcome_count
     cum = np.cumsum(problem.distribution.as_array())
@@ -210,17 +214,17 @@ def _draw_outcome_block(problem: LearningProblem, cfg: McConfig, start: int, sto
     outcomes = np.empty((B, cfg.n_max), dtype=np.min_scalar_type(m - 1))
     gens = [] if keep_generators else None
     rows = max(1, STEP_BLOCK // (8 * cfg.n_max))
-    buf = np.empty((min(rows, B), cfg.n_max))
+    buf = np.empty((min(rows, B), cfg.n_max), dtype=np.uint64)
     for a in range(0, B, rows):
-        u = buf[: min(rows, B - a)]
+        words = buf[: min(rows, B - a)]
         if keep_generators:
-            for i, row in enumerate(u):
+            for i, row in enumerate(words):
                 gen = philox_stream(cfg.base_seed, start + a + i)
-                gen.random(out=row)
+                row[:] = gen.bit_generator.random_raw(cfg.n_max)
                 gens.append(gen)
         else:
-            fill_uniforms(cfg.base_seed, start + a, u)
-        outcomes[a : a + len(u)] = _outcome_index(cum, u)
+            fill_uniforms(cfg.base_seed, start + a, words)
+        outcomes[a : a + len(words)] = _outcome_index(cum, words)
     return outcomes, gens
 
 

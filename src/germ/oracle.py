@@ -201,7 +201,7 @@ def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: 
         S = (parents + losses[np.repeat(outcomes, len(sums))])[np.newaxis]
         chosen = np.tile(chosen, len(outcomes))
         if germ:
-            _gate_block(S, parents, np.array([[k]]), chosen, [], gate, None)
+            _gate_block(S, parents, np.array([[k]]), chosen, [], gate)
         else:
             chosen = _erm_candidates(S[0, :, :H])[0]
         layer, merged = _merge_rows(np.column_stack([S[0].view(np.int64), chosen]))

@@ -176,21 +176,30 @@ def optimal_risk(problem: LearningProblem) -> tuple[float, int]:
 def draw_sample(problem: LearningProblem, n: int, rng: np.random.Generator) -> Sample:
     """Draw n i.i.d. outcomes by inverse CDF over the cumulative probabilities.
 
-    Consumes exactly one ``rng.random(n)`` call, which the Monte Carlo engine
+    Consumes exactly the n 64-bit words of the Philox generator ``rng``
+    that one ``rng.random(n)`` call reads, which the Monte Carlo engine
     relies on for bit-reproducible replications.
     """
     if n < 0:
         raise ValueError(f"sample size must be nonnegative, got {n}")
     cum = np.cumsum(problem.distribution.as_array())
-    return Sample(tuple(_outcome_index(cum, rng.random(n)).tolist()))
+    return Sample(tuple(_outcome_index(cum, rng.bit_generator.random_raw(n)).tolist()))
 
 
-def _outcome_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF outcome of each uniform in ``u``: the count of cum[j] <= u
-    over j < m - 1, which is ``min(searchsorted(cum, u, "right"), m - 1)``."""
-    z = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum) - 1))
-    for c in cum[:-1]:
-        z += c <= u
+def _outcome_index(cum: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Inverse-CDF outcome of each 64-bit word in ``words``.
+
+    ``Generator.random`` makes the uniform u = (word >> 11) * 2**-53 of a
+    Philox word, and the outcome is the count of cum[j] <= u over j < m - 1,
+    which is ``min(searchsorted(cum, u, "right"), m - 1)``.  With u a
+    multiple of 2**-53, c <= u exactly when word >= ceil(c * 2**53) << 11,
+    so the count compares integers.  An entry c >= 1 exceeds every u < 1
+    and counts nothing.
+    """
+    z = np.zeros(words.shape, dtype=np.min_scalar_type(len(cum) - 1))
+    for c in cum[:-1].tolist():
+        if c < 1.0:
+            z += words >= np.uint64(math.ceil(c * 2.0**53) << 11)
     return z
 
 

@@ -174,8 +174,10 @@ def test_lockstep_matches_scalar_loop_bitwise():
 
 
 def test_lockstep_rbars_match_scalar_loop_across_sign_blocks():
-    # past n ~ 330 the randomized gap can drop below 1, so a wrong rbar
-    # could hide in the chosen indices at small n but not here
+    # the randomized gate never fires on this scenario (the incumbent stays
+    # at h_0 through n = 2000), so the chosen indices cannot show a wrong
+    # rbar; this test holds the rbars themselves, and
+    # test_randomized_gate_that_fires_matches_scalar_loop a gate that fires
     problem = load_scenario("three-outcome-misspecified").problem
     n_max = 400
     blocks = _sign_blocks(list(range(1, n_max + 1)))
@@ -205,15 +207,39 @@ def test_outcome_draw_matches_searchsorted():
         )
         cum = np.cumsum(problem.distribution.as_array())
         assert probs[1] == 0.0 or cum[-1] < 1.0
-        edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
-        u = np.concatenate([[0.0], edges[edges < 1.0], np.linspace(0.0, 0.999, 1000)])
-        want = np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
-        assert np.array_equal(_outcome_index(cum, u), want), probs
+        assert np.array_equal(_outcome_index(cum, edge_words(cum)), searchsorted_outcomes(cum, edge_words(cum))), probs
         cfg = McConfig(replications=20, n_max=300, base_seed=4, grid=(300,))
         outcomes, _ = _draw_outcome_block(problem, cfg, 0, cfg.replications, keep_generators=False)
         for r in range(cfg.replications):
             sample = draw_sample(problem, cfg.n_max, philox_stream(cfg.base_seed, r))
             assert outcomes[r].tolist() == list(sample.outcomes), (probs, r)
+
+
+def edge_words(cum):
+    """64-bit words whose uniforms (word >> 11) * 2**-53 fall on, just
+    below and just above each entry of ``cum``, with low bits all 0 and all
+    1, plus a spread over [0, 1)."""
+    top = 2**53 - 1
+    units = {0, top}
+    for c in cum.tolist():
+        base = math.floor(c * 2.0**53)
+        units.update(min(max(base + d, 0), top) for d in (-1, 0, 1, 2))
+    units.update(range(0, top, top // 997))
+    return np.array([(u << 11) | low for u in sorted(units) for low in (0, 2**11 - 1)], dtype=np.uint64)
+
+
+def searchsorted_outcomes(cum, words):
+    u = (words >> np.uint64(11)) * 2.0**-53
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+def test_outcome_index_of_raw_words_skips_entries_at_or_above_one():
+    # only cum[:-1] is read; an entry >= 1 (a cumsum that rounds past 1)
+    # must count nothing, and ceil(c * 2**53) << 11 would not fit 64 bits
+    for cum in ([0.3, 1.0, 1.0], [0.25, np.nextafter(1.0, 2.0), 1.0], [0.5, 0.9999999999999999, 1.0]):
+        cum = np.array(cum)
+        words = edge_words(cum)
+        assert np.array_equal(_outcome_index(cum, words), searchsorted_outcomes(cum, words)), cum
 
 
 @pytest.mark.parametrize("keep_generators", [False, True])
@@ -307,6 +333,37 @@ def test_lockstep_does_not_depend_on_block_length(monkeypatch, scenario, gap, n_
         assert np.array_equal(chosen, runs[0][0])
         assert (rbars is None) == (runs[0][1] is None)
         assert rbars is None or np.array_equal(rbars, runs[0][1])
+
+
+def test_randomized_gate_that_fires_matches_scalar_loop(monkeypatch):
+    # the randomized settle reads R-bar only in the blocks where the gap at
+    # R-bar = 0 fires, and skips every other step's signs by seeking; here
+    # the gate fires, so chosen indices, grid rbars (read one run of
+    # consecutive grid steps at a time) and the stream position after the
+    # run must all match the scalar loop, which draws every step's signs
+    problem = load_scenario("biased-coin-massart").problem
+    algo = _block_case_algo("randomized", problem.class_size)
+    cfg = McConfig(replications=8, n_max=600, base_seed=5, grid=(100, 350, 351, 352, 600))
+    trajectories, after = [], []
+    for r in range(cfg.replications):
+        gen = philox_stream(cfg.base_seed, r)
+        sample = draw_sample(problem, cfg.n_max, gen)
+        trajectories.append(scalar_run_germ(problem, sample, algo.gap, rng=gen))
+        # the next signs (an odd count leaves a half pending) and uniform
+        after.append((draw_signs(gen, 3).tolist(), gen.random()))
+    switches = [[s.k for s in t.steps if s.updated] for t in trajectories]
+    assert sum(map(bool, switches)) == 7
+    assert all(350 < k < 600 for ks in switches for k in ks)
+    # a grid that ends before n_max leaves the last steps' signs to skip
+    for steps, grid in ((1, cfg.grid), (7, cfg.grid), (cfg.n_max, cfg.grid), (7, cfg.grid[:-1])):
+        monkeypatch.setattr(germ.algorithm, "STEP_BLOCK", steps * cfg.replications * _step_bytes(problem.class_size))
+        outcomes, gens = _draw_outcome_block(problem, cfg, 0, cfg.replications, keep_generators=True)
+        chosen, rbars = _step_block(problem, algo, outcomes, gens, grid)
+        for r, trajectory in enumerate(trajectories):
+            for g, n in enumerate(grid):
+                assert chosen[g][r] == trajectory.steps[n - 1].chosen_index, (steps, r, n)
+                assert rbars[g][r] == trajectory.steps[n - 1].rbar, (steps, r, n)
+            assert (draw_signs(gens[r], 3).tolist(), gens[r].random()) == after[r], (steps, grid, r)
 
 
 def test_sign_blocks_respect_the_cap():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from germ.rng import draw_signs, fill_uniforms, philox_stream
+from germ.rng import draw_signs, fill_uniforms, philox_stream, seek_signs
 
 
 def test_one_sign_draw_equals_consecutive_draws():
@@ -28,20 +28,22 @@ def test_fill_uniforms_matches_philox_stream(n):
     # n not a multiple of 4 leaves Philox's four-word buffer part used,
     # which the next row must not read
     for first in (0, 1, 4096, 2**64 - 3):
-        out = np.full((3, n), -1.0)
+        out = np.zeros((3, n), dtype=np.uint64)
         fill_uniforms(7, first, out)
         for i in range(3):
-            assert np.array_equal(out[i], philox_stream(7, first + i).random(n)), (first, i)
-    out = np.empty((1, n))
+            assert np.array_equal(out[i], philox_stream(7, first + i).bit_generator.random_raw(n)), (first, i)
+            # random() is (word >> 11) * 2**-53 of the same words
+            assert np.array_equal((out[i] >> np.uint64(11)) * 2.0**-53, philox_stream(7, first + i).random(n))
+    out = np.empty((1, n), dtype=np.uint64)
     fill_uniforms(2**64 - 1, 2**64 - 1, out)
-    assert np.array_equal(out[0], philox_stream(2**64 - 1, 2**64 - 1).random(n))
+    assert np.array_equal(out[0], philox_stream(2**64 - 1, 2**64 - 1).bit_generator.random_raw(n))
 
 
 def test_fill_uniforms_rejects_streams_past_64_bits():
     with pytest.raises(ValueError, match="64-bit"):
-        fill_uniforms(0, 2**64 - 2, np.empty((3, 4)))
+        fill_uniforms(0, 2**64 - 2, np.empty((3, 4), dtype=np.uint64))
     with pytest.raises(ValueError, match="integer"):
-        fill_uniforms(0.5, 0, np.empty((1, 4)))
+        fill_uniforms(0.5, 0, np.empty((1, 4), dtype=np.uint64))
 
 
 def test_philox_stream_rejects_booleans_and_non_integers():
@@ -51,3 +53,83 @@ def test_philox_stream_rejects_booleans_and_non_integers():
     want = philox_stream(3, 9).random(4)
     for seed, stream in ((np.int64(3), np.uint64(9)), (np.uint8(3), np.int32(9))):
         assert np.array_equal(philox_stream(seed, stream).random(4), want)
+
+
+def _signs_of_words(words):
+    """Bit 31 of each 32-bit half, low half first, as a sign."""
+    halves = np.stack([words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)], axis=1).ravel()
+    return np.where((halves >> np.uint64(31)) & np.uint64(1), 1, -1)
+
+
+def test_sign_stream_layout():
+    # the layout seek_signs relies on, on the numpy this runs on
+    words = philox_stream(13, 2).bit_generator.random_raw(41)
+    assert np.array_equal(draw_signs(philox_stream(13, 2), 82), _signs_of_words(words))
+    for w in range(1, 40):
+        gen = philox_stream(13, 2)
+        gen.bit_generator.random_raw(w)
+        state = gen.bit_generator.state
+        counter = int(state["state"]["counter"][0])
+        # word block j is made with counter j + 1, and the next word is
+        # 4 * (counter - 1) + buffer_pos
+        assert counter == (w - 1) // 4 + 1
+        assert 4 * (counter - 1) + state["buffer_pos"] == w
+        assert np.array_equal(state["buffer"], words[4 * (counter - 1) : 4 * counter])
+        # a pending half is the next sign
+        draw_signs(gen, 1)
+        assert gen.bit_generator.state["has_uint32"] == 1
+        assert np.array_equal(draw_signs(gen, 3), _signs_of_words(words[w : w + 2])[1:])
+
+
+def _start_states():
+    """Philox states with no half and with a half pending at every
+    buffer_pos, and past a counter of 2**64 - 1, where the limbs carry."""
+    starts = []
+    for pending in (0, 1):
+        for words in range(4, 8):
+            gen = philox_stream(5, 9)
+            gen.bit_generator.random_raw(words - pending)
+            if pending:
+                draw_signs(gen, 1)
+            starts.append(gen.bit_generator.state)
+    gen = philox_stream(5, 9)
+    state = gen.bit_generator.state
+    state["state"]["counter"] = np.array([2**64 - 1, 0, 0, 0], dtype=np.uint64)
+    gen.bit_generator.state = state
+    for _ in range(5):
+        starts.append(gen.bit_generator.state)
+        draw_signs(gen, 3)
+    assert {(s["buffer_pos"], s["has_uint32"]) for s in starts[:8]} == {(p, h) for p in range(1, 5) for h in (0, 1)}
+    return starts
+
+
+def _assert_same_state(a, b):
+    assert a["state"]["counter"].tolist() == b["state"]["counter"].tolist()
+    assert a["state"]["key"].tolist() == b["state"]["key"].tolist()
+    assert a["buffer"].tolist() == b["buffer"].tolist()
+    assert (a["buffer_pos"], a["has_uint32"], a["uinteger"]) == (b["buffer_pos"], b["has_uint32"], b["uinteger"])
+
+
+def test_seek_signs_matches_sequential_draws():
+    starts = _start_states()
+    for start in starts:
+        for offset in range(41):
+            drawn = philox_stream(0, 0)
+            drawn.bit_generator.state = start
+            if offset:
+                draw_signs(drawn, offset)
+            sought = philox_stream(0, 0)
+            seek_signs(sought, start, offset)
+            _assert_same_state(sought.bit_generator.state, drawn.bit_generator.state)
+            assert np.array_equal(draw_signs(sought, 9), draw_signs(drawn, 9)), (start, offset)
+            assert sought.random() == drawn.random()
+    # the last start lies past the carry out of the lowest limb
+    assert starts[-1]["state"]["counter"].tolist()[1:] == [1, 0, 0]
+
+
+def test_seek_signs_rejects_other_generators_and_negative_offsets():
+    start = philox_stream(1, 1).bit_generator.state
+    with pytest.raises(ValueError, match="Philox"):
+        seek_signs(np.random.Generator(np.random.PCG64(1)), start, 3)
+    with pytest.raises(ValueError, match="negative"):
+        seek_signs(philox_stream(1, 1), start, -1)
