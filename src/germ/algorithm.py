@@ -18,13 +18,15 @@ gate, which ``_gate`` sets up once per run and which runs the array
 kernels ``_erm_candidates``, ``_scan_gate`` and the settles
 ``_bernstein_gate`` and ``_rademacher_gate``.  The randomized gap's R-bar
 (the rademacher module's ``_rbars``) is read only at the grid steps and
-in the blocks where a row's gate can fire at R-bar = 0; the signs of every
-other step are skipped, not drawn, by seeking the Philox stream
-(``rng.seek_signs``), so every sign read and every stream position is the
-one that drawing every step's signs gives.  ``run_germ``
-is one row of it over every step; the Monte Carlo engine calls it on
-chunks of replications, and the exact oracle steps each layer of its
-states through ``_gate_block`` as a one-step block.
+in the blocks where a row's gate can fire at R-bar = 0.  Each row's signs
+are addressed by its origin in its Philox stream (``rng.read_signs``):
+step k's signs lie at half offset k (k - 1) / 2 from it, so a read makes
+only the words of the steps it needs, and every sign read is the one that
+drawing every step's signs in turn gives.  ``run_germ`` is one row of it
+over every step, from the origin of its caller's generator; the Monte
+Carlo engine calls it on chunks of replications, and the exact oracle
+steps each layer of its states through ``_gate_block`` as a one-step
+block.
 
 The kernels read running sums step-major, indexed [step, row, hypothesis],
 so that one step of every row is one contiguous slab.  Per block, only
@@ -57,7 +59,7 @@ from .gap import (
 )
 from .problem import LearningProblem, LossTable, Sample, _check_outcomes
 from .rademacher import _rbars
-from .rng import seek_signs
+from .rng import seek_signs, sign_origin
 
 # Most bytes of working arrays one block of steps of ``_step_block`` may
 # hold, about rows x steps x _step_bytes, and of 64-bit words the Monte
@@ -214,8 +216,9 @@ def run_germ(
     rng:
         Required exactly when the gap draws random signs
         (UniformConvergence with EmpiricalMcDiarmid), a Philox generator
-        such as ``philox_stream`` returns; left where one k-sign draw per
-        step leaves it, untouched otherwise.
+        such as ``philox_stream`` returns.  Its signs are read from its
+        origin (``rng.sign_origin``), and it is left where one k-sign draw
+        per step leaves it (``rng.seek_signs``); it is untouched otherwise.
 
     Returns
     -------
@@ -239,7 +242,13 @@ def run_germ(
 
     z = np.array(sample.outcomes)
     ks = np.arange(1, n + 1)
-    chosen, rbars = _step_block(problem, algo, z[np.newaxis], [rng] if randomized else None, ks)
+    origins = None
+    if randomized:
+        origins = sign_origin(rng)
+        start = rng.bit_generator.state
+    chosen, rbars = _step_block(problem, algo, z[np.newaxis], origins, ks)
+    if randomized:
+        seek_signs(rng, start, n * (n + 1) // 2)
     chosen = chosen[:, 0]
     L = loss.as_array()
     S = np.zeros((n + 1, H))
@@ -331,52 +340,32 @@ def _bernstein_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, D2, class_si
     fire[t, r] = diff[t, r] <= -bernstein_delta_from_sq(k[lo + t, 0], q, class_size)
 
 
-def _rademacher_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, L, outcomes, gens, starts, cache) -> None:
+def _rademacher_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, L, outcomes, origins, cache) -> None:
     """Settle the randomized gate at the steps ``fire`` marks, in place.
 
     ``fire`` marks where the difference clears the gap at R-bar = 0, a
     lower bound of the gap.  Only the rows with a mark read their R-bar:
-    each reads it at every step of the block in one ``_rbars_at`` call, and
+    they read it at every step of the block in one ``_rbars`` call, step
+    k's signs at half offset k (k - 1) / 2 from each row's origin, and
     ``cache`` keeps it, keyed by the row of the (B, n) ``outcomes`` that
     ``live`` maps the block's row to, for the rescans of the block.
     Arguments follow ``_scan_gate`` and ``_gate_block``; ``S`` is not read,
-    and ``gens`` and ``starts`` are the rows' generators and the states
-    their signs start from.
+    and ``origins`` holds the rows' origins (``rng.read_signs``).
     """
     t, r = np.nonzero(fire)
     if not t.size:
         return
     uniq, inv = np.unique(r, return_inverse=True)
     ids = live[rows[uniq]].tolist()
-    k0 = int(k[0, 0])
+    ks = k[:, 0]
+    k0 = int(ks[0])
     new = [i for i in ids if cache.get(i, (0,))[0] != k0]
     if new:
-        read = _rbars_at(L, outcomes[new], [gens[i] for i in new], [starts[i] for i in new], k[:, 0])
+        base_seed, streams, half = origins
+        read = _rbars(L, outcomes[new], (base_seed, streams[new], half), ks, ks * (ks - 1) // 2)
         cache.update((i, (k0, v)) for i, v in zip(new, read))
     rbar = np.stack([cache[i][1] for i in ids])[inv, lo + t]
     fire[t, r] = diff[t, r] <= -delta_uniform(k[lo + t, 0], rbar)
-
-
-def _rbars_at(L, outcomes, gens, starts, ks) -> np.ndarray:
-    """R-bar of each row of ``outcomes`` at the increasing steps ``ks``,
-    (B, len(ks)), equal to what ``_rbars`` gives when every step from 1 on
-    draws its signs in turn from the row's state in ``starts``.
-
-    The signs of step k start at offset k (k - 1) / 2 of a row's stream.
-    Each run of consecutive steps is one ``_rbars`` call, after each
-    generator is sought to the run's first sign; the signs of other steps
-    are skipped, not drawn.  The generators are left after the signs of
-    the last step read.
-    """
-    ks = np.asarray(ks)
-    out = np.empty((len(outcomes), len(ks)))
-    runs = np.flatnonzero(np.diff(ks) != 1) + 1
-    for a, b in zip([0, *runs.tolist()], [*runs.tolist(), len(ks)]):
-        k0 = int(ks[a])
-        for gen, start in zip(gens, starts):
-            seek_signs(gen, start, k0 * (k0 - 1) // 2)
-        out[:, a:b] = _rbars(L, outcomes, gens, ks[a:b])
-    return out
 
 
 def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
@@ -440,9 +429,8 @@ def _step_bytes(class_size: int) -> int:
 def _gate(algo: GermAlgorithm, L: np.ndarray, n: int, schedule, signs=None):
     """The gate of ``algo`` over steps 1..n on loss array ``L``, built once
     per run for ``_gate_block``; ``schedule`` is ``check_algorithm``'s.
-    ``signs`` is (outcomes, gens, starts), which only the randomized gap
-    reads: the (B, n) outcome block, each row's generator and the state
-    its signs start from.
+    ``signs`` is (outcomes, origins), which only the randomized gap reads:
+    the (B, n) outcome block and the origin of each row's signs.
 
     Returns (gaps, lag_needed, reach, settle).  ``gaps`` holds the gap the
     scan compares at each step: the schedule for the fixed, Massart and
@@ -451,9 +439,8 @@ def _gate(algo: GermAlgorithm, L: np.ndarray, n: int, schedule, signs=None):
     gap that ``settle`` (``_bernstein_gate``, ``_rademacher_gate``) turns
     into the gate's decision.  The randomized gap is 4 R-bar + r_k + 2/k
     with R-bar >= 0, and rounding is monotone, so in floats too it is at
-    least its value at R-bar = 0.  Its settle draws only the signs of the
-    blocks whose R-bar it reads; other steps' signs are skipped, not drawn,
-    and every stream position stays where drawing them would put it.
+    least its value at R-bar = 0.  Its settle reads only the signs of the
+    blocks whose R-bar it reads; other steps' words are never made.
     ``lag_needed`` holds k * floor(k) and
     ``reach`` the largest lag growth per step of each incumbent;
     ``_gate_block`` sets them out.
@@ -465,8 +452,8 @@ def _gate(algo: GermAlgorithm, L: np.ndarray, n: int, schedule, signs=None):
         gaps = schedule[0]
     elif is_randomized(algo.gap):
         gaps = delta_uniform(ks, 0.0)
-        outcomes, gens, starts = signs
-        settle = functools.partial(_rademacher_gate, L=L, outcomes=outcomes, gens=gens, starts=starts, cache={})
+        outcomes, origins = signs
+        settle = functools.partial(_rademacher_gate, L=L, outcomes=outcomes, origins=origins, cache={})
     else:
         gaps = _bernstein_gaps(np.zeros(n), H)
         settle = functools.partial(_bernstein_gate, D2=_sq_diffs(L), class_size=H)
@@ -485,7 +472,7 @@ def _gate_block(S, sums, k, incumbent, at, gate):
     sums ``S``, their rows ``live`` in the block and ``k``.  The randomized
     one reads a row's R-bar, at every step of the block, only when the gap
     at R-bar = 0 fires for that row within the block; no other block's
-    signs are drawn.
+    signs are read.
 
     A row is live when its incumbent can fall far enough behind within the
     block for the gate to fire, and only live rows go through
@@ -522,26 +509,26 @@ def _gate_block(S, sums, k, incumbent, at, gate):
     return picked
 
 
-def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndarray, gens, grid):
+def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndarray, origins, grid):
     """Step each row of a (B, n) outcome block through steps 1..n, the rows
     in lockstep and a block of steps at a time.
 
-    ``gens`` holds each row's generator, positioned where its signs start,
-    when the gap draws signs, and is None otherwise.  Step k's signs lie
-    at offset k (k - 1) / 2 of a row's sign stream, but only the steps a
-    decision or the output reads have theirs drawn: the grid steps, and
-    the blocks in which the randomized settle (``_rademacher_gate``) reads
-    a row's R-bar.  The signs of every other step are skipped by seeking
-    (``rng.seek_signs``), and each generator is left after step n's signs,
-    where drawing every step's signs leaves it.  Per block of T steps,
-    every hypothesis's running loss sum at every step comes from the sums
-    carried from the block before, one vector add per step over a
-    step-major (T, B, H) array, so each step is one contiguous slab.  The
-    Bernstein gap also needs each row's outcome counts; they ride in m
-    more columns, the indicators of the step's outcome, so the same take
-    and add carry them.  Plain ERM forms its candidate at the grid steps
-    only.  A gated learner's block goes through ``_gate_block``, which
-    skips the rows that cannot switch within it.
+    ``origins`` holds the rows' sign origins in ``rng.read_signs``'s form,
+    (base_seed, streams, half), when the gap draws signs, and is None
+    otherwise.  Step k's signs lie at half offset k (k - 1) / 2 from a
+    row's origin, as drawing every step's signs in turn places them, but
+    only the steps a decision or the output reads are read: the grid
+    steps, and the blocks in which the randomized settle
+    (``_rademacher_gate``) reads a row's R-bar.  No generator is built or
+    moved.  Per block of T steps, every hypothesis's running loss sum at
+    every step comes from the sums carried from the block before, one
+    vector add per step over a step-major (T, B, H) array, so each step is
+    one contiguous slab.  The Bernstein gap also needs each row's outcome
+    counts; they ride in m more columns, the indicators of the step's
+    outcome, so the same take and add carry them.  Plain ERM forms its
+    candidate at the grid steps only.  A gated learner's block goes
+    through ``_gate_block``, which skips the rows that cannot switch
+    within it.
 
     Each (row, step) pair goes through the same float operations whatever
     the block length, which is as many steps as STEP_BLOCK bytes allow, at
@@ -561,8 +548,7 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     germ = isinstance(algo, GermAlgorithm)
     schedule = check_algorithm(algo, H, n)
     randomized = germ and is_randomized(algo.gap)
-    starts = [gen.bit_generator.state for gen in gens] if randomized else None
-    gate = germ and _gate(algo, L, n, schedule, (outcomes, gens, starts))
+    gate = germ and _gate(algo, L, n, schedule, (outcomes, origins))
     ks = np.arange(1, n + 1)
     # one row per outcome: its H losses, then, when the gate settles on
     # counts (Bernstein), its indicator among the m outcomes, so the
@@ -595,12 +581,8 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
             chosen[g0:g1] = _gate_block(S, sums, ks[t0:t1, np.newaxis], incumbent, at, gate)
         sums = S[-1].copy()
     if randomized:
-        rbars = _rbars_at(L, outcomes, gens, starts, grid).T
-        # reading step n leaves the generators after its signs already
-        if grid[-1] < n:
-            for gen, start in zip(gens, starts):
-                seek_signs(gen, start, n * (n + 1) // 2)
-        return chosen, rbars
+        grid = np.asarray(grid)
+        return chosen, _rbars(L, outcomes, origins, grid, grid * (grid - 1) // 2).T
     if schedule is not None and schedule[1] is not None:
         return chosen, schedule[1][np.asarray(grid) - 1, np.newaxis]
     return chosen, None

@@ -60,7 +60,7 @@ from .montecarlo import (
 from .oracle import check_monotone, exact_risk_curve, read_curve, write_curve
 from .problem import LearningProblem, draw_sample, load_problem
 from .rademacher import _rbars, exact_rademacher, rbar_massart
-from .rng import philox_stream
+from .rng import philox_stream, sign_origin
 from .scenarios import builtin_scenarios, load_scenario
 
 EXIT_PASS = 0
@@ -698,7 +698,7 @@ def _cmd_rademacher(args) -> int:
             raise ValueError("the empirical mode requires --seed")
         gen = philox_stream(args.seed, 0)
         sample = draw_sample(problem, args.k, gen)
-        value = float(_rbars(problem.loss.as_array(), np.array([sample.outcomes]), [gen], [args.k])[0, 0])
+        value = float(_rbars(problem.loss.as_array(), np.array([sample.outcomes]), sign_origin(gen), [args.k], [0])[0, 0])
     print(f"rademacher scenario={args.scenario} k={args.k} mode={args.mode} value={value!r}")
     return EXIT_PASS
 

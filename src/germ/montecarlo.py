@@ -5,19 +5,19 @@ block of outcome rows for ``algorithm._step_block``, the stepper that
 ``run_germ`` calls with one row.  So a replication is bit-identical to
 ``run_germ`` on its sample and generator, whatever the block length.
 
-Determinism contract: replication r draws from the generator derived from
-(base_seed, r): the n_max 64-bit words that one ``random(n_max)`` call
-reads for the sample and, only in the EmpiricalMcDiarmid gap mode, k fresh
-signs for each step k in ascending order.  The stepper reads the signs of
-the steps a decision or an output needs, those of consecutive steps in
-one ``draw_signs`` call, which consumes the stream as per-step calls
-would; the signs of every other step are skipped, not drawn, by seeking
-the stream (``rng.seek_signs``), so every sign read and every stream
-position is the one that drawing every step's signs gives.
-
-Where no signs follow, the samples of a block of replications come from
-one Philox re-keyed to (base_seed, r) per row (``rng.fill_uniforms``),
-which yields the same stream; a test pins this.
+Determinism contract: replication r reads the Philox stream keyed by
+(base_seed, r), the stream of ``philox_stream(base_seed, r)``: the first
+n_max 64-bit words, which one ``random(n_max)`` call reads, for the
+sample and, only where signs are read, signs from half 2 n_max on (the
+origin (base_seed, r, 2 n_max) of ``rng.read_signs``).  The
+EmpiricalMcDiarmid gap mode's step k pairs with the k signs at half
+offset k (k - 1) / 2 from there, and the estimator-deviation event's grid
+size n with the n signs after those of the smaller grid sizes, as
+drawing them in turn places them.  Only the signs a decision or an output
+needs are read, and no generator is built per replication: the samples of
+a block of replications come from one Philox re-keyed per row
+(``rng.fill_uniforms``), and the signs of a block of rows from another
+(``rng.read_signs``); tests pin both to ``philox_stream``'s stream.
 
 Replications are processed in fixed-size chunks and chunk results are
 reduced in chunk order, so means, standard errors, and coverage counts do
@@ -38,11 +38,11 @@ import numpy as np
 
 from .algorithm import STEP_BLOCK, AlgorithmSpec, GermAlgorithm, _step_block, algo_label, check_algorithm
 from .analysis import _pairwise_covered, excess_risk_bound
-from .gap import GapSpec, UniformConvergence, is_randomized
+from .gap import GapSpec, UniformConvergence
 from .oracle import RiskCurve
 from .problem import LearningProblem, _outcome_index, optimal_risk, population_risks
 from .rademacher import _sign_sups, deviation_radius, exact_rademacher
-from .rng import check_integer, fill_uniforms, philox_stream
+from .rng import check_integer, fill_uniforms
 
 CHUNK = 4096
 
@@ -199,48 +199,40 @@ def _map_chunks(chunk, replications: int, workers: int, *args) -> list:
         return [f.result() for f in futures]
 
 
-def _draw_outcome_block(problem: LearningProblem, cfg: McConfig, start: int, stop: int, keep_generators: bool):
-    """Per-replication samples; generators returned when signs follow.
+def _draw_outcome_block(problem: LearningProblem, cfg: McConfig, start: int, stop: int) -> np.ndarray:
+    """The samples of replications start..stop, (stop - start, n_max).
 
-    The 64-bit words of the streams are drawn into one reused buffer of
-    replication rows, as many as STEP_BLOCK bytes hold and at least one,
-    and turned into outcomes a buffer at a time (``_outcome_index``).
-    Without generators to keep, ``fill_uniforms`` reads each row's stream from
-    one re-keyed Philox instead of a generator per replication.
+    The 64-bit words of the streams are drawn by ``fill_uniforms`` into one
+    reused buffer of replication rows, as many as STEP_BLOCK bytes hold
+    and at least one, and turned into outcomes a buffer at a time
+    (``_outcome_index``).
     """
     m = problem.loss.outcome_count
     cum = np.cumsum(problem.distribution.as_array())
     B = stop - start
     outcomes = np.empty((B, cfg.n_max), dtype=np.min_scalar_type(m - 1))
-    gens = [] if keep_generators else None
     rows = max(1, STEP_BLOCK // (8 * cfg.n_max))
     buf = np.empty((min(rows, B), cfg.n_max), dtype=np.uint64)
     for a in range(0, B, rows):
         words = buf[: min(rows, B - a)]
-        if keep_generators:
-            for i, row in enumerate(words):
-                gen = philox_stream(cfg.base_seed, start + a + i)
-                row[:] = gen.bit_generator.random_raw(cfg.n_max)
-                gens.append(gen)
-        else:
-            fill_uniforms(cfg.base_seed, start + a, words)
+        fill_uniforms(cfg.base_seed, start + a, words)
         outcomes[a : a + len(words)] = _outcome_index(cum, words)
-    return outcomes, gens
+    return outcomes
 
 
-def _draws_signs(algo: AlgorithmSpec | None) -> bool:
-    """Whether stepping ``algo`` draws signs after each replication's sample."""
-    return isinstance(algo, GermAlgorithm) and is_randomized(algo.gap)
+def _sign_origins(cfg: McConfig, start: int, stop: int):
+    """The origins of replications start..stop's signs (``rng.read_signs``):
+    the half after each one's sample."""
+    return cfg.base_seed, np.arange(start, stop, dtype=np.uint64), 2 * cfg.n_max
 
 
 def _experiment_chunk(problem: LearningProblem, algo: AlgorithmSpec | None, cfg: McConfig, events: tuple, exact_sups: dict[int, float] | None, start: int, stop: int):
     """One chunk's curve statistics and event counts, from one outcome draw.
 
     The chunk's outcomes are drawn once and, given an algorithm, stepped
-    once; the curve statistics and every excess-bound and pairwise event
-    read that one pass.  The estimator-deviation event draws again: its
-    signs follow each replication's sample in the stream, where a
-    randomized gap draws its own.
+    once; the curve statistics and every event read that one pass.  The
+    estimator-deviation event reads its own signs after each sample, the
+    words a randomized gap's first steps read too.
 
     Returns (stats, counts): ``stats`` holds (sum, sum of squares, min,
     max) of the chosen hypotheses' risks per grid n, or is None without an
@@ -248,11 +240,11 @@ def _experiment_chunk(problem: LearningProblem, algo: AlgorithmSpec | None, cfg:
     it at each grid n.
     """
     pop = population_risks(problem)
-    outcomes = gens = chosen = rbars = stats = None
-    if algo is not None or any(isinstance(e, PairwiseBernsteinEvent) for e in events):
-        outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, _draws_signs(algo))
+    chosen = rbars = stats = None
+    outcomes = _draw_outcome_block(problem, cfg, start, stop)
+    origins = _sign_origins(cfg, start, stop)
     if algo is not None:
-        chosen, rbars = _step_block(problem, algo, outcomes, gens, cfg.grid)
+        chosen, rbars = _step_block(problem, algo, outcomes, origins, cfg.grid)
         stats = [(float(v.sum()), float((v * v).sum()), float(v.min()), float(v.max())) for v in pop[chosen]]
     counts = []
     for event in events:
@@ -261,7 +253,7 @@ def _experiment_chunk(problem: LearningProblem, algo: AlgorithmSpec | None, cfg:
         elif isinstance(event, PairwiseBernsteinEvent):
             counts.append(_pairwise_counts(problem, event, cfg, pop, outcomes))
         else:
-            counts.append(_estimator_counts(problem, event, cfg, start, stop, exact_sups))
+            counts.append(_estimator_counts(problem, event, cfg, outcomes, origins, exact_sups))
     return stats, counts
 
 
@@ -274,10 +266,10 @@ def _excess_counts(problem: LearningProblem, cfg: McConfig, pop: np.ndarray, cho
     return counts
 
 
-def _estimator_counts(problem: LearningProblem, event: EstimatorDeviationEvent, cfg: McConfig, start: int, stop: int, exact_sups: dict[int, float]) -> list[int]:
-    outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, keep_generators=True)
-    # each replication draws its grid sign blocks in ascending n
-    sups = _sign_sups(problem.loss.as_array(), outcomes, gens, cfg.grid)
+def _estimator_counts(problem: LearningProblem, event: EstimatorDeviationEvent, cfg: McConfig, outcomes: np.ndarray, origins, exact_sups: dict[int, float]) -> list[int]:
+    # each replication reads its grid sizes' signs in ascending n, one after another
+    grid = np.asarray(cfg.grid)
+    sups = _sign_sups(problem.loss.as_array(), outcomes, origins, grid, np.cumsum(grid) - grid)
     counts = []
     for n, sup in zip(cfg.grid, sups.T):
         radius = deviation_radius(n, event.delta)
@@ -401,10 +393,9 @@ def mc_risk_curve(
 ) -> RiskCurve:
     """Estimated expected-risk curve over the configured grid.
 
-    Each replication r draws its own generator from (base_seed, r), draws
-    one sample of length n_max, and runs the loop once; the prefix
-    trajectory yields every grid n.  The result is bit-identical for any
-    worker count.
+    Each replication r reads the stream of (base_seed, r) for one sample
+    of length n_max, and runs the loop once; the prefix trajectory yields
+    every grid n.  The result is bit-identical for any worker count.
     """
     return mc_experiment(problem, algo, cfg, (), workers=workers)[0]
 

@@ -28,12 +28,12 @@ import math
 import numpy as np
 
 from .problem import LearningProblem, multinomial_blocks
-from .rng import draw_signs
+from .rng import read_signs
 
-# Most signs one row draws in one call of ``_sign_sups``.  A block's arrays
-# hold rows x steps-in-block x (outcomes + 3) floats; a larger cap saves
-# little time and costs memory.
-SIGN_BLOCK = 4096
+# Most signs, rows x signs per row, that ``_sign_sups`` reads in one block;
+# a single size above it is read one row at a time.  A block's arrays take
+# about 30 bytes per sign; a larger cap saves little time and costs memory.
+SIGN_BLOCK = 1 << 13
 
 
 def mcdiarmid_radius(k):
@@ -85,42 +85,48 @@ def _sign_blocks(ks) -> list[tuple[int, int]]:
     return blocks
 
 
-def _sign_sups(loss_array: np.ndarray, outcomes: np.ndarray, gens, ks) -> np.ndarray:
+def _sign_sups(loss_array: np.ndarray, outcomes: np.ndarray, origins, ks, offsets) -> np.ndarray:
     """Sign-weighted supremum at each size in ``ks``, shape (B, len(ks)).
 
-    For each k in order, row b of the (B, n) ``outcomes`` pairs k fresh
-    signs from its own generator ``gens[b]`` with its first k outcomes.  The
-    signs of a block of sizes come from one ``draw_signs`` call per row,
-    whose stream is the concatenation of the per-size draws.  Per size:
-    integer signed counts per outcome, a float accumulation in ascending
-    outcome order, max over hypotheses, divide by k.
+    Row b of the (B, n) ``outcomes`` pairs its first k = ks[i] outcomes
+    with the k signs at half offset ``offsets[i]`` from its origin, one of
+    the rows' ``origins`` (``rng.read_signs``).  Sizes are read in
+    consecutive blocks (``_sign_blocks``) and each block in slices of rows,
+    so that a read holds at most SIGN_BLOCK signs, or one row.  Per size:
+    integer signed counts per outcome, formed for every row of a read at
+    once, a float accumulation in ascending outcome order, max over
+    hypotheses, divide by k.
     """
+    base_seed, streams, half = origins
     ks = np.asarray(ks, dtype=np.int64)
     m = loss_array.shape[1]
     B = outcomes.shape[0]
     sups = np.empty((B, len(ks)))
     for start, stop in _sign_blocks(ks.tolist()):
-        block = ks[start:stop]
+        sizes = ks[start:stop].tolist()
         steps = stop - start
-        # draw j pairs with outcome pos[j] of its step, and offset[j] puts
-        # that step's counts in its row of the flattened (steps, m) block
-        offset = np.repeat(np.arange(steps) * m, block)
-        pos = np.arange(int(block.sum())) - np.repeat(np.cumsum(block) - block, block)
-        W = np.empty((B, steps, m))
-        for i, gen in enumerate(gens):
-            signs = draw_signs(gen, len(pos))
-            W[i] = np.bincount(offset + outcomes[i, pos], weights=signs, minlength=steps * m).reshape(steps, m)
-        best = np.full((B, steps), -np.inf)
-        for row in loss_array:
-            t = np.zeros((B, steps))
-            for z in range(m):
-                t += W[:, :, z] * row[z]
-            np.maximum(best, t, out=best)
-        sups[:, start:stop] = best / block
+        spans = list(zip(offsets[start:stop], sizes))
+        rows = max(1, SIGN_BLOCK // sum(sizes))
+        # a row's signs pair with its steps' outcome prefixes in turn, and
+        # cell[j] puts sign j in its step's counts
+        cell = np.repeat(np.arange(steps) * m, sizes)
+        for a in range(0, B, rows):
+            b = min(B, a + rows)
+            signs = read_signs((base_seed, streams[a:b], half), spans)
+            index = np.concatenate([outcomes[a:b, :k] for k in sizes], axis=1) + cell
+            index += np.arange(b - a)[:, np.newaxis] * (steps * m)
+            W = np.bincount(index.ravel(), weights=signs.ravel(), minlength=(b - a) * steps * m).reshape(b - a, steps, m)
+            best = np.full((b - a, steps), -np.inf)
+            for row in loss_array:
+                t = np.zeros((b - a, steps))
+                for z in range(m):
+                    t += W[:, :, z] * row[z]
+                np.maximum(best, t, out=best)
+            sups[a:b, start:stop] = best / ks[start:stop]
     return sups
 
 
-def _rbars(loss_array: np.ndarray, outcomes: np.ndarray, gens, ks) -> np.ndarray:
+def _rbars(loss_array: np.ndarray, outcomes: np.ndarray, origins, ks, offsets) -> np.ndarray:
     """Single-draw bound max(0, sup + mcdiarmid_radius(k)) at each size in
     ``ks``, shape (B, len(ks)); the suprema and their signs come from
     ``_sign_sups`` on the same arguments.
@@ -128,7 +134,7 @@ def _rbars(loss_array: np.ndarray, outcomes: np.ndarray, gens, ks) -> np.ndarray
     Each entry is at least R_k with probability at least 1 - 1/k.
     """
     ks = np.asarray(ks)
-    rbar = _sign_sups(loss_array, outcomes, gens, ks)
+    rbar = _sign_sups(loss_array, outcomes, origins, ks, offsets)
     rbar += mcdiarmid_radius(ks)
     return np.maximum(0.0, rbar, out=rbar)
 

@@ -10,14 +10,22 @@ machines and across degrees of parallelism.  ``fill_uniforms`` reads the
 same streams without building a generator per stream: it re-keys one
 Philox per row, and a test pins its rows to ``philox_stream``'s.
 
-Signs (``draw_signs``) come from the same stream, and ``seek_signs`` moves
-a generator to where a given number of signs would leave it without
-drawing them.  The layout it relies on, pinned by a test: the stream is a
-sequence of 64-bit words, word j being word j % 4 of the block that
-Philox makes with counter j // 4 + 1; a state reads word
-4 * (counter - 1) + buffer_pos next, after its pending 32-bit half if it
-has one (``has_uint32``).  Each sign is bit 31 of one 32-bit half, low half
-first.
+Signs are defined by ``draw_signs``, one per 32-bit half of the stream.
+Being counter-based, Philox makes any word of a stream from its key and
+position alone, so ``read_signs`` reads the signs at given positions of
+many streams with one re-keyed Philox and no generator per stream.  A
+row's signs are addressed by an origin (base_seed, stream, half), the
+index of the 32-bit half they count from.  The layout it relies on,
+pinned by a test: the stream is a sequence of 64-bit words, word j being
+word j % 4 of the block that Philox makes with counter j // 4 + 1; a
+state reads word 4 * (counter - 1) + buffer_pos next, after its pending
+32-bit half if it has one (``has_uint32``).  Half 2j is the low half of
+word j and half 2j + 1 its high half, and each sign is bit 31 of one
+half.  ``sign_origin`` turns a generator's state into an origin, for the
+callers that hold a generator (``run_germ`` and ``germ rademacher``), and
+``seek_signs`` moves a generator to where drawing a given number of signs
+would leave it; only ``run_germ``, which must leave its caller's generator
+there, uses it.
 
 This choice is frozen: changing the generator family or the key layout
 invalidates every stored seed and fixture.
@@ -98,12 +106,79 @@ def draw_signs(rng: np.random.Generator, k: int) -> np.ndarray:
     64-bit output carries over to the next call.  So ``draw_signs(rng, a +
     b)`` returns exactly ``draw_signs(rng, a)`` followed by
     ``draw_signs(rng, b)``: consumption depends on the number of signs
-    drawn, not on how they are split into calls.  The Monte Carlo engine
-    relies on this to draw a block of steps' signs at once.
+    drawn, not on how they are split into calls, and ``read_signs`` reads
+    the same signs by their position in the stream.
     """
     if k < 1:
         raise ValueError(f"need at least one sign, got k={k}")
     return 2 * rng.integers(0, 2, size=k) - 1
+
+
+def read_signs(origins, spans) -> np.ndarray:
+    """Signs at given positions of many streams, (rows, total count) int8.
+
+    ``origins`` is (base_seed, streams, half): row i's origin is
+    (base_seed, streams[i], half), ``streams`` being an integer array.
+    ``spans`` holds the (offset, count) pairs every row reads: a span's
+    signs are those that ``draw_signs(gen, count)`` returns when the next
+    half of ``gen``, a generator of the row's stream, is half + offset.  A
+    row's spans follow each other in the output.
+
+    One Philox is set to each row's key and to the block of a span's first
+    word, as ``fill_uniforms`` re-keys it, and ``random_raw`` copies only
+    the span's words into one (rows, words) array; nothing else of the
+    stream is made, and spans that continue each other are read as one.
+    The sign bits of the whole array are then extracted at once.
+    """
+    base_seed, streams, half = origins
+    reads = []
+    # Python ints: half + offset can pass 64 bits
+    for offset, count in spans:
+        offset, count = int(offset), int(count)
+        if reads and sum(reads[-1]) == offset:
+            reads[-1][1] += count
+        else:
+            reads.append([offset, count])
+    # count halves from either half of a word lie in count // 2 + 1 words
+    widths = [count // 2 + 1 for _, count in reads]
+    starts = [(_limbs(block), pos) for block, pos in (_word_block(half + offset) for offset, _ in reads)]
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    # lists set a Philox state faster than arrays do; buffer_pos 4 makes the
+    # next read generate the block with the state's counter + 1
+    state = {"bit_generator": "Philox", "state": {}, "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    chunks = []
+    for stream in streams.tolist():
+        state["state"] = {"key": [base_seed, stream]}
+        for (counter, pos), width in zip(starts, widths):
+            state["state"]["counter"] = counter
+            bits.state = state
+            chunks.append(bits.random_raw(pos + width)[pos:])
+    words = np.concatenate(chunks).reshape(len(streams), sum(widths))
+    # bit 31 of each half, low half first
+    halves = np.empty((len(streams), 2 * words.shape[1]), dtype=np.int8)
+    halves[:, 0::2] = (words >> np.uint64(31)) & np.uint64(1)
+    halves[:, 1::2] = words >> np.uint64(63)
+    parts = []
+    first = 0
+    for (offset, count), width in zip(reads, widths):
+        skip = (half + offset) % 2
+        parts.append(halves[:, first + skip : first + skip + count])
+        first += 2 * width
+    signs = np.concatenate(parts, axis=1)
+    signs *= 2
+    signs -= 1
+    return signs
+
+
+def sign_origin(rng: np.random.Generator):
+    """The origins, in ``read_signs``'s form, of one row: the signs that
+    ``draw_signs`` draws next from ``rng``, a Philox generator."""
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.Philox):
+        raise ValueError(f"signs need a Philox generator, got {type(bits).__name__}")
+    state = bits.state
+    base_seed, stream = state["state"]["key"].tolist()
+    return base_seed, np.array([stream], dtype=np.uint64), _half_index(state)
 
 
 def seek_signs(rng: np.random.Generator, start: dict, offset: int) -> None:
@@ -124,27 +199,40 @@ def seek_signs(rng: np.random.Generator, start: dict, offset: int) -> None:
     if offset <= pending:
         bits.state = {**start, "has_uint32": pending - offset}
         return
-    halves = offset - pending
     key = start["state"]["key"]
-    counter = sum(limb << shift for limb, shift in zip(start["state"]["counter"].tolist(), (0, 64, 128, 192)))
     # the word that holds the last sign, and its block and place in the block
-    block, pos = divmod(4 * (counter - 1) + start["buffer_pos"] + (halves - 1) // 2, 4)
+    half = _half_index(start) + offset - 1
+    block, pos = _word_block(half)
     # buffer_pos 4 makes the next read generate the block with counter block + 1
     bits.state = {**start, "state": {"counter": _limbs(block), "key": key}, "buffer_pos": 4}
     buffer = bits.random_raw(4)
-    # an odd count of halves leaves the last word's high half pending; either
-    # way that half is the last one read, as a sequential draw leaves it
+    # an even last half leaves the word's high half pending; either way that
+    # half is the last one read, as a sequential draw leaves it
     bits.state = {
         "bit_generator": "Philox",
         "state": {"counter": _limbs(block + 1), "key": key},
         "buffer": buffer,
         "buffer_pos": pos + 1,
-        "has_uint32": halves % 2,
+        "has_uint32": 1 - half % 2,
         "uinteger": int(buffer[pos]) >> 32,
     }
 
 
-def _limbs(counter: int) -> np.ndarray:
+def _half_index(state: dict) -> int:
+    """Index of the next 32-bit half a Philox ``state`` reads as a sign:
+    the low half of word 4 * (counter - 1) + buffer_pos, or the pending
+    high half before it."""
+    counter = sum(limb << shift for limb, shift in zip(state["state"]["counter"].tolist(), (0, 64, 128, 192)))
+    # the stream repeats after 2**256 blocks of 4 words
+    return (2 * (4 * (counter - 1) + state["buffer_pos"]) - state["has_uint32"]) % 2**259
+
+
+def _word_block(half: int) -> tuple[int, int]:
+    """(block, place): the word holding ``half`` is word ``place`` of the
+    block that Philox makes with counter block + 1."""
+    return divmod(half // 2 % 2**258, 4)
+
+
+def _limbs(counter: int) -> list[int]:
     """Philox's four 64-bit counter limbs of ``counter`` mod 2**256, low limb first."""
-    counter %= 2**256
-    return np.array([(counter >> shift) & _UINT64_MAX for shift in (0, 64, 128, 192)], dtype=np.uint64)
+    return [(counter >> shift) & _UINT64_MAX for shift in (0, 64, 128, 192)]

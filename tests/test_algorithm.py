@@ -267,16 +267,23 @@ def test_empirical_mode_is_deterministic_per_stream():
 
 def test_empirical_mode_consumes_one_sign_block_per_step():
     # Replaying the generator must reproduce every recorded rbar exactly:
-    # the loop draws exactly one k-sign block per step and nothing else.
+    # the loop reads exactly one k-sign block per step and nothing else,
+    # and leaves the caller's generator where drawing them leaves it, also
+    # from a start with a pending half
     rng = philox_stream(4500, 0)
     problem = random_problem(rng, class_size=4, outcome_count=3)
     sample = draw_sample(problem, 12, rng)
-    trajectory = run_germ(problem, sample, empirical_gap(4), rng=philox_stream(91, 3))
-    replay = philox_stream(91, 3)
-    for step in trajectory.steps:
-        signs = draw_signs(replay, step.k)
-        assert step.rbar == rbar_from_signs(problem.loss, sample.prefix(step.k), signs)
-        assert step.delta == delta_uniform(step.k, step.rbar)
+    for pending in (0, 1):
+        gen, replay = philox_stream(91, 3), philox_stream(91, 3)
+        if pending:
+            draw_signs(gen, 1)
+            draw_signs(replay, 1)
+        trajectory = run_germ(problem, sample, empirical_gap(4), rng=gen)
+        for step in trajectory.steps:
+            signs = draw_signs(replay, step.k)
+            assert step.rbar == rbar_from_signs(problem.loss, sample.prefix(step.k), signs)
+            assert step.delta == delta_uniform(step.k, step.rbar)
+        assert (draw_signs(gen, 3).tolist(), gen.random()) == (draw_signs(replay, 3).tolist(), replay.random())
 
 
 def test_empirical_mode_requires_rng():

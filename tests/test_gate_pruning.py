@@ -50,7 +50,7 @@ def gate_rows(monkeypatch):
 def stepped_and_scalar(problem, gap, initial, cfg):
     """The stepper's chosen indices for every replication, and the scalar
     reference loop's, at every step."""
-    outcomes, _ = _draw_outcome_block(problem, cfg, 0, cfg.replications, keep_generators=False)
+    outcomes = _draw_outcome_block(problem, cfg, 0, cfg.replications)
     chosen, _ = _step_block(problem, GermAlgorithm(gap, initial_index=initial), outcomes, None, cfg.grid)
     expected = [
         list(scalar_run_germ(problem, draw_sample(problem, cfg.n_max, philox_stream(cfg.base_seed, r)), gap, initial=initial).indices())

@@ -70,7 +70,7 @@ def test_lockstep_choices_equal_run_germ(case):
     problem, gaps, initial, n_max, replications, steps, seed = case
     cfg = McConfig(replications=replications, n_max=n_max, base_seed=seed, grid=tuple(range(1, n_max + 1)))
     samples = [draw_sample(problem, n_max, philox_stream(seed, r)) for r in range(replications)]
-    outcomes, _ = _draw_outcome_block(problem, cfg, 0, replications, keep_generators=False)
+    outcomes = _draw_outcome_block(problem, cfg, 0, replications)
     cap = germ.algorithm.STEP_BLOCK
     if steps is not None:
         germ.algorithm.STEP_BLOCK = steps * replications * _step_bytes(problem.class_size)

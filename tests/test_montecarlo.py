@@ -7,6 +7,8 @@ exact (==), not approximate.
 """
 
 import math
+import tracemalloc
+from collections import Counter
 from concurrent.futures import Future
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 
 import germ.algorithm
 import germ.montecarlo
+import germ.rademacher
 from germ.algorithm import GermAlgorithm, PlainErm, _step_block, _step_bytes, algo_label, erm
 from germ.errors import ResourceLimitError
 from germ.gap import (
@@ -38,7 +41,7 @@ from germ.montecarlo import (
     excess_risk_decay,
     mc_bound_coverage,
     _draw_outcome_block,
-    _draws_signs,
+    _sign_origins,
     mc_experiment,
     mc_risk_curve,
 )
@@ -53,8 +56,8 @@ from germ.problem import (
     optimal_risk,
     population_risk,
 )
-from germ.rademacher import SIGN_BLOCK, _sign_blocks, _sign_sups
-from germ.rng import draw_signs, philox_stream
+from germ.rademacher import SIGN_BLOCK, _rbars, _sign_blocks, _sign_sups
+from germ.rng import draw_signs, philox_stream, read_signs
 from germ.scenarios import load_scenario
 from scalar_reference import rademacher_sup, scalar_run_germ
 
@@ -131,8 +134,8 @@ def scalar_reference_stats(problem, algo, cfg):
 def lockstep(problem, algo, cfg):
     """(chosen, rbars) of all cfg.replications as one chunk: the outcome
     draw, then the stepper."""
-    outcomes, gens = _draw_outcome_block(problem, cfg, 0, cfg.replications, _draws_signs(algo))
-    return _step_block(problem, algo, outcomes, gens, cfg.grid)
+    outcomes = _draw_outcome_block(problem, cfg, 0, cfg.replications)
+    return _step_block(problem, algo, outcomes, _sign_origins(cfg, 0, cfg.replications), cfg.grid)
 
 
 def test_lockstep_matches_scalar_loop_bitwise():
@@ -209,7 +212,7 @@ def test_outcome_draw_matches_searchsorted():
         assert probs[1] == 0.0 or cum[-1] < 1.0
         assert np.array_equal(_outcome_index(cum, edge_words(cum)), searchsorted_outcomes(cum, edge_words(cum))), probs
         cfg = McConfig(replications=20, n_max=300, base_seed=4, grid=(300,))
-        outcomes, _ = _draw_outcome_block(problem, cfg, 0, cfg.replications, keep_generators=False)
+        outcomes = _draw_outcome_block(problem, cfg, 0, cfg.replications)
         for r in range(cfg.replications):
             sample = draw_sample(problem, cfg.n_max, philox_stream(cfg.base_seed, r))
             assert outcomes[r].tolist() == list(sample.outcomes), (probs, r)
@@ -242,7 +245,7 @@ def test_outcome_index_of_raw_words_skips_entries_at_or_above_one():
         assert np.array_equal(_outcome_index(cum, words), searchsorted_outcomes(cum, words)), cum
 
 
-@pytest.mark.parametrize("keep_generators", [False, True])
+@pytest.mark.parametrize("signs_follow", [False, True])
 @pytest.mark.parametrize(
     "start, stop, n_max",
     [
@@ -254,7 +257,7 @@ def test_outcome_index_of_raw_words_skips_entries_at_or_above_one():
         (0, 3, STEP_BLOCK // 8),
     ],
 )
-def test_outcome_draw_crosses_row_blocks(start, stop, n_max, keep_generators):
+def test_outcome_draw_crosses_row_blocks(start, stop, n_max, signs_follow):
     rows = max(1, STEP_BLOCK // (8 * n_max))
     assert rows == 1 or (stop - start) % rows != 0
     problem = LearningProblem(
@@ -263,16 +266,19 @@ def test_outcome_draw_crosses_row_blocks(start, stop, n_max, keep_generators):
         loss=LossTable(((0.0, 0.5, 1.0, 0.25), (1.0, 0.5, 0.0, 0.75))),
     )
     cfg = McConfig(replications=stop, n_max=n_max, base_seed=2**64 - 5, grid=(n_max,))
-    outcomes, gens = _draw_outcome_block(problem, cfg, start, stop, keep_generators)
+    outcomes = _draw_outcome_block(problem, cfg, start, stop)
     assert outcomes.shape == (stop - start, n_max)
-    assert (gens is not None) == keep_generators
+    base_seed, streams, half = _sign_origins(cfg, start, stop)
+    assert (base_seed, streams.tolist(), half) == (cfg.base_seed, list(range(start, stop)), 2 * n_max)
+    signs = read_signs((base_seed, streams, half), [(0, 5), (11, 4)]) if signs_follow else None
     for i, r in enumerate(range(start, stop)):
         gen = philox_stream(cfg.base_seed, r)
         sample = draw_sample(problem, n_max, gen)
         assert outcomes[i].tolist() == list(sample.outcomes), r
-        if keep_generators:
-            # the kept generator continues where the sample left off
-            assert gens[i].random(3).tolist() == gen.random(3).tolist(), r
+        if signs_follow:
+            # a row's signs continue its stream where the sample left off
+            drawn = draw_signs(gen, 15)
+            assert signs[i].tolist() == drawn[:5].tolist() + drawn[11:].tolist(), r
 
 
 BLOCK_CASES = [
@@ -337,33 +343,128 @@ def test_lockstep_does_not_depend_on_block_length(monkeypatch, scenario, gap, n_
 
 def test_randomized_gate_that_fires_matches_scalar_loop(monkeypatch):
     # the randomized settle reads R-bar only in the blocks where the gap at
-    # R-bar = 0 fires, and skips every other step's signs by seeking; here
-    # the gate fires, so chosen indices, grid rbars (read one run of
-    # consecutive grid steps at a time) and the stream position after the
-    # run must all match the scalar loop, which draws every step's signs
+    # R-bar = 0 fires, each step's signs by their position from the row's
+    # origin; here the gate fires, so chosen indices and grid rbars must
+    # match the scalar loop, which draws every step's signs in turn
     problem = load_scenario("biased-coin-massart").problem
     algo = _block_case_algo("randomized", problem.class_size)
     cfg = McConfig(replications=8, n_max=600, base_seed=5, grid=(100, 350, 351, 352, 600))
-    trajectories, after = [], []
+    trajectories = []
     for r in range(cfg.replications):
         gen = philox_stream(cfg.base_seed, r)
         sample = draw_sample(problem, cfg.n_max, gen)
         trajectories.append(scalar_run_germ(problem, sample, algo.gap, rng=gen))
-        # the next signs (an odd count leaves a half pending) and uniform
-        after.append((draw_signs(gen, 3).tolist(), gen.random()))
     switches = [[s.k for s in t.steps if s.updated] for t in trajectories]
     assert sum(map(bool, switches)) == 7
     assert all(350 < k < 600 for ks in switches for k in ks)
-    # a grid that ends before n_max leaves the last steps' signs to skip
-    for steps, grid in ((1, cfg.grid), (7, cfg.grid), (cfg.n_max, cfg.grid), (7, cfg.grid[:-1])):
+    # a grid that ends before n_max leaves the last steps' signs unread, and
+    # one that holds every step pins the step at which each gate fires
+    every = tuple(range(1, cfg.n_max + 1))
+    for steps, grid in ((1, cfg.grid), (7, cfg.grid), (cfg.n_max, cfg.grid), (7, cfg.grid[:-1]), (7, every)):
         monkeypatch.setattr(germ.algorithm, "STEP_BLOCK", steps * cfg.replications * _step_bytes(problem.class_size))
-        outcomes, gens = _draw_outcome_block(problem, cfg, 0, cfg.replications, keep_generators=True)
-        chosen, rbars = _step_block(problem, algo, outcomes, gens, grid)
+        outcomes = _draw_outcome_block(problem, cfg, 0, cfg.replications)
+        chosen, rbars = _step_block(problem, algo, outcomes, _sign_origins(cfg, 0, cfg.replications), grid)
         for r, trajectory in enumerate(trajectories):
             for g, n in enumerate(grid):
                 assert chosen[g][r] == trajectory.steps[n - 1].chosen_index, (steps, r, n)
                 assert rbars[g][r] == trajectory.steps[n - 1].rbar, (steps, r, n)
-            assert (draw_signs(gens[r], 3).tolist(), gens[r].random()) == after[r], (steps, grid, r)
+
+
+@pytest.mark.parametrize("cap", [1, 5])
+def test_sign_reads_do_not_depend_on_the_block_cap(monkeypatch, cap):
+    # a cap of 1 reads one row and one step at a time, and a cap of 5 one
+    # row and a few small steps, where the default reads many rows at once
+    problem = load_scenario("biased-coin-massart").problem
+    algo = _block_case_algo("randomized", problem.class_size)
+    cfg = McConfig(replications=8, n_max=600, base_seed=5, grid=(1, 2, 3, 100, 350, 351, 352, 600))
+    small = McConfig(replications=40, n_max=12, base_seed=17, grid=(2, 3, 8, 12))
+    event = EstimatorDeviationEvent(delta=0.25)
+    want = lockstep(problem, algo, cfg), mc_bound_coverage(three_outcome_problem(), event, small)
+    reads = []
+    read = germ.rademacher.read_signs
+
+    def recorded(origins, spans):
+        reads.append((len(origins[1]), len(spans), sum(count for _, count in spans)))
+        return read(origins, spans)
+
+    monkeypatch.setattr(germ.rademacher, "SIGN_BLOCK", cap)
+    monkeypatch.setattr(germ.rademacher, "read_signs", recorded)
+    (chosen, rbars), coverage = lockstep(problem, algo, cfg), mc_bound_coverage(three_outcome_problem(), event, small)
+    assert np.array_equal(chosen, want[0][0])
+    assert np.array_equal(rbars, want[0][1])
+    assert coverage == want[1]
+    # the gate fires, so the settle read whole blocks as well as the grid
+    assert max(signs for _, _, signs in reads) >= 350
+    # one row per read, and one step or at most ``cap`` signs
+    assert all(rows == 1 for rows, _, _ in reads)
+    assert all(steps == 1 or signs <= cap for _, steps, signs in reads)
+    assert any(steps > 1 for _, steps, _ in reads) == (cap > 1)
+
+
+def test_sign_reads_of_a_full_chunk_stay_within_the_cap(monkeypatch):
+    # one chunk of 4096 rows at n_max = 2000: its grid signs alone would
+    # take 4096 x 3500 bytes as int8, and more as the counts' indices
+    problem = load_scenario("three-outcome-misspecified").problem
+    algo = GermAlgorithm(gap=GapSpec(UniformConvergence(EmpiricalMcDiarmid()), problem.class_size))
+    cfg = McConfig(replications=CHUNK, n_max=2000, base_seed=8, grid=(500, 1000, 2000))
+    outcomes = _draw_outcome_block(problem, cfg, 0, CHUNK)
+    origins = _sign_origins(cfg, 0, CHUNK)
+    # the most signs one read held, and the rows read; kept in place, so
+    # that recording allocates nothing per read
+    seen = np.zeros(2, dtype=np.int64)
+    read = germ.rademacher.read_signs
+
+    def recorded(origins, spans):
+        signs = read(origins, spans)
+        seen[0] = max(seen[0], signs.size)
+        seen[1] += len(signs)
+        return signs
+
+    monkeypatch.setattr(germ.rademacher, "read_signs", recorded)
+    grid = np.array(cfg.grid)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rbars = _rbars(problem.loss.as_array(), outcomes, origins, grid, grid * (grid - 1) // 2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < seen[0] <= SIGN_BLOCK
+    assert seen[1] == CHUNK * len(_sign_blocks(cfg.grid))
+    # a read's temporaries take a few dozen bytes per sign
+    assert peak <= rbars.nbytes + 48 * SIGN_BLOCK, peak
+    # the stepper reads the same way, at the grid and wherever its settle reads
+    seen[:] = 0
+    chosen, stepped = _step_block(problem, algo, outcomes, origins, cfg.grid)
+    assert np.array_equal(stepped, rbars.T)
+    assert 0 < seen[0] <= SIGN_BLOCK
+
+
+def test_randomized_experiment_builds_no_generator_and_draws_outcomes_once(monkeypatch):
+    # every replication's sample and signs are read by position in its
+    # stream: no Generator, no seeking, one outcome draw per chunk
+    problem = three_outcome_problem()
+    cfg = McConfig(replications=CHUNK + 40, n_max=12, base_seed=17, grid=(3, 8, 12))
+    algo = GermAlgorithm(gap=GapSpec(UniformConvergence(EmpiricalMcDiarmid()), 3), initial_index=2)
+    events = (PairwiseBernsteinEvent(delta=0.2), EstimatorDeviationEvent(delta=0.25), ExcessBoundEvent(algo))
+    lone = tuple(mc_bound_coverage(problem, event, cfg) for event in events)
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.random, "Generator", counted("Generator", np.random.Generator))
+    for module in (germ.rng, germ.algorithm):
+        monkeypatch.setattr(module, "seek_signs", counted("seek_signs", germ.rng.seek_signs))
+    monkeypatch.setattr(germ.montecarlo, "fill_uniforms", counted("fill_uniforms", germ.montecarlo.fill_uniforms))
+    curve, coverages = mc_experiment(problem, algo, cfg, events)
+    assert calls == {"fill_uniforms": 2}
+    assert coverages == lone
+    assert curve == mc_risk_curve(problem, algo, cfg)
 
 
 def test_sign_blocks_respect_the_cap():
@@ -497,8 +598,9 @@ def test_estimator_deviation_matches_scalar_supremum():
     from germ.rademacher import exact_rademacher
 
     # the chunk's own suprema, compared entry by entry with the scalar replay
-    outcomes, gens = _draw_outcome_block(problem, cfg, 0, cfg.replications, keep_generators=True)
-    sups = _sign_sups(problem.loss.as_array(), outcomes, gens, cfg.grid)
+    outcomes = _draw_outcome_block(problem, cfg, 0, cfg.replications)
+    grid = np.array(cfg.grid)
+    sups = _sign_sups(problem.loss.as_array(), outcomes, _sign_origins(cfg, 0, cfg.replications), grid, np.cumsum(grid) - grid)
     exact = {n: exact_rademacher(problem, n) for n in cfg.grid}
     hits = {n: 0 for n in cfg.grid}
     for r in range(cfg.replications):

@@ -67,8 +67,9 @@ def test_rbar_empirical_nonnegative_and_deterministic():
     loss = LossTable(((0.1, 0.9), (0.8, 0.2)))
     sample = Sample((0, 1, 1, 0, 1))
     outcomes = np.array([sample.outcomes] * 20)
-    a = _rbars(loss.as_array(), outcomes, [philox_stream(5, r) for r in range(20)], [5, 2])
-    b = _rbars(loss.as_array(), outcomes, [philox_stream(5, r) for r in range(20)], [5, 2])
+    origins = (5, np.arange(20), 0)
+    a = _rbars(loss.as_array(), outcomes, origins, [5, 2], [0, 5])
+    b = _rbars(loss.as_array(), outcomes, origins, [5, 2], [0, 5])
     assert a.shape == (20, 2)
     assert np.array_equal(a, b)
     assert np.all(a >= 0.0)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from germ.rng import draw_signs, fill_uniforms, philox_stream, seek_signs
+from germ.rng import draw_signs, fill_uniforms, philox_stream, read_signs, seek_signs, sign_origin
 
 
 def test_one_sign_draw_equals_consecutive_draws():
@@ -62,7 +64,7 @@ def _signs_of_words(words):
 
 
 def test_sign_stream_layout():
-    # the layout seek_signs relies on, on the numpy this runs on
+    # the layout read_signs and seek_signs rely on, on the numpy this runs on
     words = philox_stream(13, 2).bit_generator.random_raw(41)
     assert np.array_equal(draw_signs(philox_stream(13, 2), 82), _signs_of_words(words))
     for w in range(1, 40):
@@ -133,3 +135,85 @@ def test_seek_signs_rejects_other_generators_and_negative_offsets():
         seek_signs(np.random.Generator(np.random.PCG64(1)), start, 3)
     with pytest.raises(ValueError, match="negative"):
         seek_signs(philox_stream(1, 1), start, -1)
+
+
+def _word(base_seed, stream, j):
+    """Word j of the stream of (base_seed, stream), made from its block alone."""
+    bits = np.random.Philox(key=np.array([base_seed, stream], dtype=np.uint64))
+    block = j // 4 % 2**256
+    state = bits.state
+    state["state"]["counter"] = np.array([(block >> s) & (2**64 - 1) for s in (0, 64, 128, 192)], dtype=np.uint64)
+    bits.state = state
+    return int(bits.random_raw(j % 4 + 1)[-1])
+
+
+def _philox_state(base_seed, stream, counter, buffer_pos, pending):
+    """A Philox state as drawing leaves it: its buffer is the block made with
+    ``counter``, it reads word 4 * (counter - 1) + buffer_pos next, and with
+    ``pending`` the high half of the word before is its pending half."""
+    first = 4 * (counter - 1)
+    nxt = first + buffer_pos
+    return {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([(counter >> s) & (2**64 - 1) for s in (0, 64, 128, 192)], dtype=np.uint64),
+            "key": np.array([base_seed, stream], dtype=np.uint64),
+        },
+        "buffer": np.array([_word(base_seed, stream, first + i) for i in range(4)], dtype=np.uint64),
+        "buffer_pos": buffer_pos,
+        "has_uint32": pending,
+        "uinteger": _word(base_seed, stream, nxt - 1) >> 32 if pending else 0,
+    }
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+    # 2**64 - 1 leaves the low limb all ones, so reads past it carry into the next
+    counter=st.sampled_from([1, 2, 5, 2**64 - 1, 2**64, 2**128 - 1]) | st.integers(1, 2**70),
+    buffer_pos=st.integers(0, 4),
+    pending=st.integers(0, 1),
+    spans=st.lists(st.tuples(st.integers(0, 300), st.integers(1, 40)), min_size=1, max_size=6),
+)
+# the pending half of the stream's last word, and reads across a limb carry
+@example(key=(0, 0), counter=1, buffer_pos=0, pending=1, spans=[(0, 1), (2, 9)])
+@example(key=(3, 2**64 - 1), counter=2**64 - 1, buffer_pos=3, pending=1, spans=[(4, 40), (1, 3)])
+def test_read_signs_matches_sequential_draws(key, counter, buffer_pos, pending, spans):
+    base_seed, stream = key
+    # two rows: the key's stream and the next one, from the same position
+    streams = [stream, (stream + 1) % 2**64]
+    want = []
+    for row in streams:
+        start = _philox_state(base_seed, row, counter, buffer_pos, pending)
+        gen = np.random.Generator(np.random.Philox())
+        signs = []
+        for offset, count in spans:
+            gen.bit_generator.state = start
+            if offset:
+                draw_signs(gen, offset)
+            signs.extend(draw_signs(gen, count).tolist())
+        want.append(signs)
+    gen.bit_generator.state = start
+    origin_seed, origin_streams, half = sign_origin(gen)
+    assert (origin_seed, origin_streams.tolist()) == (base_seed, streams[1:])
+    # reading the origin moves nothing
+    assert gen.bit_generator.state["buffer_pos"] == buffer_pos
+    signs = read_signs((base_seed, np.array(streams, dtype=np.uint64), half), spans)
+    assert signs.dtype == np.int8
+    assert signs.tolist() == want
+    # the next sign's half is the next one; halves count modulo the
+    # stream's 2**256 blocks of 8 halves
+    draw_signs(gen, 1)
+    assert sign_origin(gen)[2] == (half + 1) % 2**259
+
+
+def test_sign_origin_counts_halves_from_the_stream_start():
+    gen = philox_stream(6, 8)
+    for words, signs, half in ((0, 0, 0), (7, 0, 14), (0, 3, 17)):
+        gen.bit_generator.random_raw(words)
+        if signs:
+            draw_signs(gen, signs)
+        base_seed, streams, at = sign_origin(gen)
+        assert (base_seed, streams.tolist(), at) == (6, [8], half)
+    with pytest.raises(ValueError, match="Philox"):
+        sign_origin(np.random.Generator(np.random.PCG64(1)))
