@@ -23,10 +23,9 @@ are addressed by its origin in its Philox stream (``rng.read_signs``):
 step k's signs lie at half offset k (k - 1) / 2 from it, so a read makes
 only the words of the steps it needs, and every sign read is the one that
 drawing every step's signs in turn gives.  ``run_germ`` is one row of it
-over every step, from the origin of its caller's generator; the Monte
-Carlo engine calls it on chunks of replications, and the exact oracle
-steps each layer of its states through ``_gate_block`` as a one-step
-block.
+over every step, from the origin its caller gives; the Monte Carlo
+engine calls it on chunks of replications, and the exact oracle steps
+each layer of its states through ``_gate_block`` as a one-step block.
 
 The kernels read running sums step-major, indexed [step, row, hypothesis],
 so that one step of every row is one contiguous slab.  Per block, only
@@ -52,6 +51,7 @@ from .gap import (
     FixedDelta,
     GapSpec,
     MassartDeterministic,
+    UserConstant,
     bernstein_delta_from_sq,
     delta_uniform,
     is_randomized,
@@ -59,7 +59,7 @@ from .gap import (
 )
 from .problem import LearningProblem, LossTable, Sample, _check_outcomes
 from .rademacher import _rbars
-from .rng import seek_signs, sign_origin
+from .rng import _check_key, check_integer
 
 # Most bytes of working arrays one block of steps of ``_step_block`` may
 # hold, about rows x steps x _step_bytes, and of 64-bit words the Monte
@@ -113,19 +113,24 @@ def algo_label(algo: AlgorithmSpec) -> str:
 def check_algorithm(algo: AlgorithmSpec, class_size: int, n: int):
     """Validate ``algo`` for a run of n steps on a class of ``class_size``.
 
-    Checks the gap's class size, the initial index, and that a constant
-    schedule covers n steps.  Returns ``step_schedule(algo.gap, n)`` for
-    the gated loop and None for plain ERM.
+    Checks that n >= 1, the gap's class size, the initial index, and that
+    a constant schedule covers n steps, in time that does not grow with n;
+    ``step_schedule`` builds the schedule.
     """
+    if n < 1:
+        raise ValueError(f"a run needs at least one step, got n={n}")
     if isinstance(algo, PlainErm):
-        return None
+        return
     if not isinstance(algo, GermAlgorithm):
         raise ValueError(f"unknown algorithm spec {algo!r}")
-    if isinstance(algo.gap, GapSpec) and algo.gap.class_size != class_size:
-        raise ValueError(f"gap is bound to class size {algo.gap.class_size}, problem has {class_size}")
+    if isinstance(algo.gap, GapSpec):
+        if algo.gap.class_size != class_size:
+            raise ValueError(f"gap is bound to class size {algo.gap.class_size}, problem has {class_size}")
+        mode = getattr(algo.gap.variant, "mode", None)
+        if isinstance(mode, UserConstant) and len(mode.values) < n:
+            raise ValueError(f"UserConstant supplies {len(mode.values)} values, run needs {n}")
     if algo.initial_index >= class_size:
         raise ValueError(f"initial index {algo.initial_index} out of range for class of size {class_size}")
-    return step_schedule(algo.gap, n)
 
 
 @dataclass(frozen=True)
@@ -200,7 +205,7 @@ def run_germ(
     gap: GapSpec | FixedDelta,
     *,
     initial: int = 0,
-    rng: np.random.Generator | None = None,
+    origin: tuple[int, int, int] | None = None,
 ) -> Trajectory:
     """Run the gated loop over every step 1..n.
 
@@ -213,12 +218,14 @@ def run_germ(
         (diagnostics only).
     initial:
         Incumbent before the first step.
-    rng:
-        Required exactly when the gap draws random signs
-        (UniformConvergence with EmpiricalMcDiarmid), a Philox generator
-        such as ``philox_stream`` returns.  Its signs are read from its
-        origin (``rng.sign_origin``), and it is left where one k-sign draw
-        per step leaves it (``rng.seek_signs``); it is untouched otherwise.
+    origin:
+        (base_seed, stream, half), integers: the signs are read from the
+        32-bit half ``half`` of the Philox stream of (base_seed, stream)
+        on (``rng.read_signs``), step k's k signs k (k - 1) / 2 halves
+        after it.  Required exactly when the gap draws random signs
+        (UniformConvergence with EmpiricalMcDiarmid), ignored otherwise.
+        The signs after a sample of n words drawn from a fresh
+        ``philox_stream`` start at (base_seed, stream, 2 n).
 
     Returns
     -------
@@ -235,20 +242,22 @@ def run_germ(
         raise ValueError("cannot run on an empty sample")
     _check_outcomes(sample, loss.outcome_count)
     algo = GermAlgorithm(gap, initial_index=initial)
-    schedule = check_algorithm(algo, H, n)
+    check_algorithm(algo, H, n)
+    schedule = step_schedule(gap, n)
     randomized = is_randomized(gap)
-    if randomized and rng is None:
-        raise ValueError("the EmpiricalMcDiarmid mode draws random signs; pass rng")
+    origins = None
+    if randomized:
+        if origin is None:
+            raise ValueError("the EmpiricalMcDiarmid mode reads random signs; pass origin")
+        base_seed, stream, half = origin
+        _check_key(base_seed, stream)
+        if check_integer(half, "the origin's half") < 0:
+            raise ValueError(f"the origin's half must be >= 0, got {half}")
+        origins = int(base_seed), np.array([stream], dtype=np.uint64), int(half)
 
     z = np.array(sample.outcomes)
     ks = np.arange(1, n + 1)
-    origins = None
-    if randomized:
-        origins = sign_origin(rng)
-        start = rng.bit_generator.state
     chosen, rbars = _step_block(problem, algo, z[np.newaxis], origins, ks)
-    if randomized:
-        seek_signs(rng, start, n * (n + 1) // 2)
     chosen = chosen[:, 0]
     L = loss.as_array()
     S = np.zeros((n + 1, H))
@@ -428,7 +437,7 @@ def _step_bytes(class_size: int) -> int:
 
 def _gate(algo: GermAlgorithm, L: np.ndarray, n: int, schedule, signs=None):
     """The gate of ``algo`` over steps 1..n on loss array ``L``, built once
-    per run for ``_gate_block``; ``schedule`` is ``check_algorithm``'s.
+    per run for ``_gate_block``; ``schedule`` is ``step_schedule``'s.
     ``signs`` is (outcomes, origins), which only the randomized gap reads:
     the (B, n) outcome block and the origin of each row's signs.
 
@@ -546,7 +555,8 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     H = loss.class_size
     B, n = outcomes.shape
     germ = isinstance(algo, GermAlgorithm)
-    schedule = check_algorithm(algo, H, n)
+    check_algorithm(algo, H, n)
+    schedule = step_schedule(algo.gap, n) if germ else None
     randomized = germ and is_randomized(algo.gap)
     gate = germ and _gate(algo, L, n, schedule, (outcomes, origins))
     ks = np.arange(1, n + 1)

@@ -32,6 +32,7 @@ from .algorithm import (
     GermAlgorithm,
     PlainErm,
     algo_label,
+    check_algorithm,
     run_germ,
     trajectory_to_dict,
 )
@@ -60,7 +61,7 @@ from .montecarlo import (
 from .oracle import check_monotone, exact_risk_curve, read_curve, write_curve
 from .problem import LearningProblem, draw_sample, load_problem
 from .rademacher import _rbars, exact_rademacher, rbar_massart
-from .rng import philox_stream, sign_origin
+from .rng import _check_key, philox_stream
 from .scenarios import builtin_scenarios, load_scenario
 
 EXIT_PASS = 0
@@ -155,6 +156,14 @@ class ExperimentConfig:
                 raise ValueError("a trajectory request requires a seed")
             if not isinstance(self.algo, GermAlgorithm):
                 raise ValueError("trajectories are recorded for the gated loop only")
+        # the checks the engines and the trajectory run, made here so that a
+        # value out of range exits before run_experiment makes out_dir
+        check_algorithm(self.algo, self.problem.class_size, self.n_max)
+        if self.engine == "mc":
+            McConfig(self.replications, self.n_max, self.seed, self.grid)
+        if self.trajectory is not None:
+            check_algorithm(self.algo, self.problem.class_size, self.trajectory.n)
+            _check_key(self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -568,14 +577,15 @@ def run_experiment(config: ExperimentConfig, *, workers: int = 1) -> ExperimentR
 
     trajectory_path = None
     if config.trajectory is not None:
-        gen = philox_stream(config.seed, 0)
-        sample = draw_sample(config.problem, config.trajectory.n, gen)
+        n = config.trajectory.n
+        sample = draw_sample(config.problem, n, philox_stream(config.seed, 0))
+        # the signs follow the sample's n words in stream (seed, 0)
         trajectory = run_germ(
             config.problem,
             sample,
             config.algo.gap,
             initial=config.algo.initial_index,
-            rng=gen if is_randomized(config.algo.gap) else None,
+            origin=(config.seed, 0, 2 * n),
         )
         trajectory_path = out_dir / "trajectory.json"
         _write_json(trajectory_path, trajectory_to_dict(trajectory))
@@ -696,9 +706,10 @@ def _cmd_rademacher(args) -> int:
     else:
         if args.seed is None:
             raise ValueError("the empirical mode requires --seed")
-        gen = philox_stream(args.seed, 0)
-        sample = draw_sample(problem, args.k, gen)
-        value = float(_rbars(problem.loss.as_array(), np.array([sample.outcomes]), sign_origin(gen), [args.k], [0])[0, 0])
+        sample = draw_sample(problem, args.k, philox_stream(args.seed, 0))
+        # the k signs follow the sample's k words in stream (seed, 0)
+        origin = args.seed, np.zeros(1, dtype=np.uint64), 2 * args.k
+        value = float(_rbars(problem.loss.as_array(), np.array([sample.outcomes]), origin, [args.k], [0])[0, 0])
     print(f"rademacher scenario={args.scenario} k={args.k} mode={args.mode} value={value!r}")
     return EXIT_PASS
 

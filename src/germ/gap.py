@@ -125,7 +125,8 @@ def step_schedule(gap: GapSpec | FixedDelta, n: int):
     Returns ``(deltas, rbars)``, float arrays indexed by k - 1, for the
     fixed, Massart, and constant gaps (``rbars`` is None for the fixed
     gap), or None for the sample-dependent Bernstein and EmpiricalMcDiarmid
-    gaps.  A UserConstant mode must supply at least n values.
+    gaps.  A UserConstant mode must supply at least n values, which
+    ``algorithm.check_algorithm`` checks.
     """
     if isinstance(gap, FixedDelta):
         return np.full(n, gap.value), None
@@ -138,8 +139,6 @@ def step_schedule(gap: GapSpec | FixedDelta, n: int):
     if isinstance(mode, MassartDeterministic):
         rbars = rbar_massart(gap.class_size, ks)
     else:
-        if len(mode.values) < n:
-            raise ValueError(f"UserConstant supplies {len(mode.values)} values, run needs {n}")
         rbars = np.array(mode.values[:n])
     return delta_uniform(ks, rbars), rbars
 

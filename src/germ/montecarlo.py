@@ -2,8 +2,9 @@
 
 Replications are simulated in lockstep: each chunk of replications is one
 block of outcome rows for ``algorithm._step_block``, the stepper that
-``run_germ`` calls with one row.  So a replication is bit-identical to
-``run_germ`` on its sample and generator, whatever the block length.
+``run_germ`` calls with one row.  So replication r is bit-identical to
+``run_germ`` on its sample at origin (base_seed, r, 2 n_max), whatever
+the block length.
 
 Determinism contract: replication r reads the Philox stream keyed by
 (base_seed, r), the stream of ``philox_stream(base_seed, r)``: the first

@@ -31,7 +31,7 @@ from .algorithm import AlgorithmSpec, GermAlgorithm, PlainErm, algo_label, check
 from .algorithm import _erm_candidates, _gate, _gate_block
 from .analysis import _pairwise_covered
 from .errors import ResourceLimitError
-from .gap import is_randomized
+from .gap import is_randomized, step_schedule
 from .problem import (
     ENUMERATION_BUDGET,
     DiscreteDistribution,
@@ -246,8 +246,6 @@ def exact_risk_curve(
         check covers the step into n = 1.  The plain ERM curve starts at
         n = 1.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     # the walk expands only outcomes of nonzero probability
     m = int(np.count_nonzero(problem.distribution.as_array() > 0.0))
     # for m >= 2 the power passes the budget within the budget's bit length of
@@ -256,7 +254,7 @@ def exact_risk_curve(
         raise ResourceLimitError(
             f"enumerating {m}^{n_max} sequences of possible outcomes exceeds the budget of {ENUMERATION_BUDGET}"
         )
-    schedule = check_algorithm(algo, problem.class_size, n_max)
+    check_algorithm(algo, problem.class_size, n_max)
     germ = isinstance(algo, GermAlgorithm)
     if germ and is_randomized(algo.gap):
         raise ValueError(
@@ -265,7 +263,7 @@ def exact_risk_curve(
         )
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    totals = _state_walk(problem, algo, schedule, n_max)
+    totals = _state_walk(problem, algo, step_schedule(algo.gap, n_max) if germ else None, n_max)
     if germ:
         ns = tuple(range(0, n_max + 1))
         initial_value = population_risk(problem, algo.initial_index)

@@ -21,11 +21,9 @@ word j % 4 of the block that Philox makes with counter j // 4 + 1; a
 state reads word 4 * (counter - 1) + buffer_pos next, after its pending
 32-bit half if it has one (``has_uint32``).  Half 2j is the low half of
 word j and half 2j + 1 its high half, and each sign is bit 31 of one
-half.  ``sign_origin`` turns a generator's state into an origin, for the
-callers that hold a generator (``run_germ`` and ``germ rademacher``), and
-``seek_signs`` moves a generator to where drawing a given number of signs
-would leave it; only ``run_germ``, which must leave its caller's generator
-there, uses it.
+half.  So the signs that a fresh ``philox_stream(base_seed, stream)``
+draws start at origin (base_seed, stream, 0), and after a sample of n
+words at (base_seed, stream, 2 n); callers address signs by origin alone.
 
 This choice is frozen: changing the generator family or the key layout
 invalidates every stored seed and fixture.
@@ -168,63 +166,6 @@ def read_signs(origins, spans) -> np.ndarray:
     signs *= 2
     signs -= 1
     return signs
-
-
-def sign_origin(rng: np.random.Generator):
-    """The origins, in ``read_signs``'s form, of one row: the signs that
-    ``draw_signs`` draws next from ``rng``, a Philox generator."""
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.Philox):
-        raise ValueError(f"signs need a Philox generator, got {type(bits).__name__}")
-    state = bits.state
-    base_seed, stream = state["state"]["key"].tolist()
-    return base_seed, np.array([stream], dtype=np.uint64), _half_index(state)
-
-
-def seek_signs(rng: np.random.Generator, start: dict, offset: int) -> None:
-    """Set ``rng`` to the state in which ``draw_signs`` calls totalling
-    ``offset`` signs would leave it, from ``start``, a Philox
-    ``bit_generator.state`` record; nothing is drawn from the skipped words.
-
-    The state, buffer and pending half included, equals the sequential
-    one: the block holding the last word read is made again by
-    ``random_raw`` and becomes the buffer.
-    """
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.Philox):
-        raise ValueError(f"seeking needs a Philox generator, got {type(bits).__name__}")
-    if offset < 0:
-        raise ValueError(f"cannot seek to a negative offset, got {offset}")
-    pending = start["has_uint32"]
-    if offset <= pending:
-        bits.state = {**start, "has_uint32": pending - offset}
-        return
-    key = start["state"]["key"]
-    # the word that holds the last sign, and its block and place in the block
-    half = _half_index(start) + offset - 1
-    block, pos = _word_block(half)
-    # buffer_pos 4 makes the next read generate the block with counter block + 1
-    bits.state = {**start, "state": {"counter": _limbs(block), "key": key}, "buffer_pos": 4}
-    buffer = bits.random_raw(4)
-    # an even last half leaves the word's high half pending; either way that
-    # half is the last one read, as a sequential draw leaves it
-    bits.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _limbs(block + 1), "key": key},
-        "buffer": buffer,
-        "buffer_pos": pos + 1,
-        "has_uint32": 1 - half % 2,
-        "uinteger": int(buffer[pos]) >> 32,
-    }
-
-
-def _half_index(state: dict) -> int:
-    """Index of the next 32-bit half a Philox ``state`` reads as a sign:
-    the low half of word 4 * (counter - 1) + buffer_pos, or the pending
-    high half before it."""
-    counter = sum(limb << shift for limb, shift in zip(state["state"]["counter"].tolist(), (0, 64, 128, 192)))
-    # the stream repeats after 2**256 blocks of 4 words
-    return (2 * (4 * (counter - 1) + state["buffer_pos"]) - state["has_uint32"]) % 2**259
 
 
 def _word_block(half: int) -> tuple[int, int]:

@@ -208,7 +208,7 @@ def test_trajectory_invariants_across_gap_variants():
             FixedDelta(0.3),
         ]
         for gap in gaps:
-            trajectory = run_germ(problem, sample, gap, initial=3, rng=philox_stream(4301, trial))
+            trajectory = run_germ(problem, sample, gap, initial=3, origin=(4301, trial, 0))
             assert [step.k for step in trajectory.steps] == list(range(1, 15))
             previous = 3
             for step in trajectory.steps:
@@ -245,7 +245,7 @@ def test_run_germ_equals_the_scalar_reference():
     for problem, sample, initial, trial in cases:
         H = problem.class_size
         for gap in (massart_gap(H), empirical_gap(H), bernstein_gap(H), FixedDelta(0.3), FixedDelta(0.0)):
-            got = run_germ(problem, sample, gap, initial=initial, rng=philox_stream(4301, trial))
+            got = run_germ(problem, sample, gap, initial=initial, origin=(4301, trial, 0))
             want = scalar_run_germ(problem, sample, gap, initial=initial, rng=philox_stream(4301, trial))
             assert got == want, gap
             assert repr(trajectory_to_dict(got)) == repr(trajectory_to_dict(want)), gap
@@ -258,47 +258,52 @@ def test_empirical_mode_is_deterministic_per_stream():
     rng = philox_stream(4400, 0)
     problem = random_problem(rng, class_size=3, outcome_count=2)
     sample = draw_sample(problem, 20, rng)
-    a = run_germ(problem, sample, empirical_gap(3), initial=2, rng=philox_stream(77, 5))
-    b = run_germ(problem, sample, empirical_gap(3), initial=2, rng=philox_stream(77, 5))
+    a = run_germ(problem, sample, empirical_gap(3), initial=2, origin=(77, 5, 0))
+    b = run_germ(problem, sample, empirical_gap(3), initial=2, origin=(77, 5, 0))
     assert a == b
-    c = run_germ(problem, sample, empirical_gap(3), initial=2, rng=philox_stream(77, 6))
+    c = run_germ(problem, sample, empirical_gap(3), initial=2, origin=(77, 6, 0))
     assert [s.rbar for s in a.steps] != [s.rbar for s in c.steps]
 
 
 def test_empirical_mode_consumes_one_sign_block_per_step():
-    # Replaying the generator must reproduce every recorded rbar exactly:
-    # the loop reads exactly one k-sign block per step and nothing else,
-    # and leaves the caller's generator where drawing them leaves it, also
-    # from a start with a pending half
+    # Replaying the stream from the origin must reproduce every recorded
+    # rbar exactly: the loop reads exactly one k-sign block per step and
+    # nothing else, also from an odd half, the pending half of a generator
+    # that has drawn one sign
     rng = philox_stream(4500, 0)
     problem = random_problem(rng, class_size=4, outcome_count=3)
     sample = draw_sample(problem, 12, rng)
-    for pending in (0, 1):
-        gen, replay = philox_stream(91, 3), philox_stream(91, 3)
-        if pending:
-            draw_signs(gen, 1)
+    for half in (0, 1):
+        trajectory = run_germ(problem, sample, empirical_gap(4), origin=(91, 3, half))
+        replay, reference = philox_stream(91, 3), philox_stream(91, 3)
+        if half:
             draw_signs(replay, 1)
-        trajectory = run_germ(problem, sample, empirical_gap(4), rng=gen)
+            draw_signs(reference, 1)
         for step in trajectory.steps:
             signs = draw_signs(replay, step.k)
             assert step.rbar == rbar_from_signs(problem.loss, sample.prefix(step.k), signs)
             assert step.delta == delta_uniform(step.k, step.rbar)
-        assert (draw_signs(gen, 3).tolist(), gen.random()) == (draw_signs(replay, 3).tolist(), replay.random())
+        assert trajectory == scalar_run_germ(problem, sample, empirical_gap(4), rng=reference)
 
 
 def test_empirical_mode_requires_rng():
     problem = two_point_problem()
     with pytest.raises(ValueError):
         run_germ(problem, Sample((0, 1)), empirical_gap(2))
+    # a seed and stream fit in 64 bits, and a half is a nonnegative integer
+    for origin in ((-1, 0, 0), (0, 2**64, 0), (0.5, 0, 0), (0, 0, -1), (0, 0, 1.0), (0, 0, True)):
+        with pytest.raises(ValueError):
+            run_germ(problem, Sample((0, 1)), empirical_gap(2), origin=origin)
+    run_germ(problem, Sample((0, 1)), empirical_gap(2), origin=(2**64 - 1, 2**64 - 1, 2**70))
 
 
 def test_massart_and_bernstein_ignore_rng():
     problem = two_point_problem()
     sample = Sample((0, 1, 0, 1))
     for gap in (massart_gap(2), bernstein_gap(2)):
-        with_rng = run_germ(problem, sample, gap, rng=philox_stream(1, 1))
+        with_origin = run_germ(problem, sample, gap, origin=(1, 1, 0))
         without = run_germ(problem, sample, gap)
-        assert with_rng == without
+        assert with_origin == without
 
 
 def test_user_constant_values_feed_the_uniform_gap():

@@ -6,13 +6,14 @@ import pytest
 
 import germ.cli
 import germ.montecarlo
-from germ.algorithm import GermAlgorithm, PlainErm
+from germ.algorithm import GermAlgorithm, PlainErm, trajectory_to_dict
 from germ.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_RESOURCE,
+    _write_json,
     main,
     parse_algo_spec,
     parse_experiment_config,
@@ -30,7 +31,7 @@ from germ.oracle import curve_to_csv
 from germ.problem import draw_sample
 from germ.rng import draw_signs, philox_stream
 from germ.scenarios import load_scenario
-from scalar_reference import rbar_from_signs
+from scalar_reference import rbar_from_signs, scalar_run_germ
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -242,6 +243,27 @@ def test_trajectory_artifact(tmp_path):
     trajectory = json.loads((tmp_path / "out" / "trajectory.json").read_text())
     assert len(trajectory["steps"]) == 30
     assert trajectory["initial_index"] == 0
+
+
+def test_randomized_trajectory_matches_the_scalar_reference(tmp_path):
+    # the CLI reads the trajectory's signs from origin (seed, 0, 2 n), after
+    # its sample's n words; the reference draws both from one generator
+    doc = {
+        "scenario": "three-outcome-misspecified",
+        "algorithm": {"kind": "germ", "gap": {"variant": "uniform", "mode": "empirical"}, "initial_index": 2},
+        "engine": {"kind": "mc", "replications": 4, "n_max": 40, "grid": [40]},
+        "seed": 11,
+        "checks": [],
+        "trajectory": {"n": 25},
+        "out_dir": "out",
+    }
+    assert main(["run", write_config(tmp_path, doc)]) == EXIT_PASS
+    config = parse_experiment_config(doc, tmp_path)
+    gen = philox_stream(11, 0)
+    sample = draw_sample(config.problem, 25, gen)
+    want = scalar_run_germ(config.problem, sample, config.algo.gap, initial=2, rng=gen)
+    _write_json(tmp_path / "want.json", trajectory_to_dict(want))
+    assert (tmp_path / "out" / "trajectory.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 def test_trajectory_requires_seed_and_germ(tmp_path):
@@ -580,6 +602,45 @@ def test_non_integral_config_values_exit_2(tmp_path, where, bad):
         doc["algorithm"]["initial_index"] = bad
     else:
         doc["seed"] = bad
+    assert main(["run", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"seed": -1},
+        {"seed": 2**64},
+        {"engine": {"kind": "exact", "n_max": 4}, "seed": -1},
+        {"engine": {"kind": "exact", "n_max": 0}, "seed": None, "trajectory": None},
+        {"engine": {"kind": "mc", "replications": 20, "n_max": 0}, "trajectory": None},
+        {"engine": {"kind": "mc", "replications": 0, "n_max": 8, "grid": [4, 8]}},
+        {"engine": {"kind": "mc", "replications": 20, "n_max": 8, "grid": [8, 4]}},
+        {"engine": {"kind": "mc", "replications": 20, "n_max": 8, "grid": [4, 9]}},
+        {"algorithm": {"kind": "germ", "gap": {"variant": "uniform", "mode": "massart"}, "initial_index": 5}},
+        # a constant schedule that covers n_max but not the trajectory
+        {"algorithm": {"kind": "germ", "gap": {"variant": "uniform", "mode": "constant", "values": [0.1] * 8}}, "trajectory": {"n": 10}},
+    ],
+    ids=[
+        "mc-seed-negative",
+        "mc-seed-past-64-bits",
+        "exact-trajectory-seed-negative",
+        "exact-n_max-0",
+        "mc-n_max-0",
+        "replications-0",
+        "grid-decreasing",
+        "grid-past-n_max",
+        "initial-index-out-of-class",
+        "constant-gap-short-of-trajectory",
+    ],
+)
+def test_out_of_range_config_values_exit_2_before_any_output(tmp_path, changes):
+    doc = integer_fields_config()
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
     assert main(["run", write_config(tmp_path, doc)]) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
 

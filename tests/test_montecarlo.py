@@ -442,7 +442,7 @@ def test_sign_reads_of_a_full_chunk_stay_within_the_cap(monkeypatch):
 
 def test_randomized_experiment_builds_no_generator_and_draws_outcomes_once(monkeypatch):
     # every replication's sample and signs are read by position in its
-    # stream: no Generator, no seeking, one outcome draw per chunk
+    # stream: no Generator, one outcome draw per chunk
     problem = three_outcome_problem()
     cfg = McConfig(replications=CHUNK + 40, n_max=12, base_seed=17, grid=(3, 8, 12))
     algo = GermAlgorithm(gap=GapSpec(UniformConvergence(EmpiricalMcDiarmid()), 3), initial_index=2)
@@ -458,8 +458,6 @@ def test_randomized_experiment_builds_no_generator_and_draws_outcomes_once(monke
         return wrapper
 
     monkeypatch.setattr(np.random, "Generator", counted("Generator", np.random.Generator))
-    for module in (germ.rng, germ.algorithm):
-        monkeypatch.setattr(module, "seek_signs", counted("seek_signs", germ.rng.seek_signs))
     monkeypatch.setattr(germ.montecarlo, "fill_uniforms", counted("fill_uniforms", germ.montecarlo.fill_uniforms))
     curve, coverages = mc_experiment(problem, algo, cfg, events)
     assert calls == {"fill_uniforms": 2}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from germ.rng import draw_signs, fill_uniforms, philox_stream, read_signs, seek_signs, sign_origin
+from germ.rng import draw_signs, fill_uniforms, philox_stream, read_signs
 
 
 def test_one_sign_draw_equals_consecutive_draws():
@@ -64,7 +64,7 @@ def _signs_of_words(words):
 
 
 def test_sign_stream_layout():
-    # the layout read_signs and seek_signs rely on, on the numpy this runs on
+    # the layout read_signs relies on, on the numpy this runs on
     words = philox_stream(13, 2).bit_generator.random_raw(41)
     assert np.array_equal(draw_signs(philox_stream(13, 2), 82), _signs_of_words(words))
     for w in range(1, 40):
@@ -81,60 +81,6 @@ def test_sign_stream_layout():
         draw_signs(gen, 1)
         assert gen.bit_generator.state["has_uint32"] == 1
         assert np.array_equal(draw_signs(gen, 3), _signs_of_words(words[w : w + 2])[1:])
-
-
-def _start_states():
-    """Philox states with no half and with a half pending at every
-    buffer_pos, and past a counter of 2**64 - 1, where the limbs carry."""
-    starts = []
-    for pending in (0, 1):
-        for words in range(4, 8):
-            gen = philox_stream(5, 9)
-            gen.bit_generator.random_raw(words - pending)
-            if pending:
-                draw_signs(gen, 1)
-            starts.append(gen.bit_generator.state)
-    gen = philox_stream(5, 9)
-    state = gen.bit_generator.state
-    state["state"]["counter"] = np.array([2**64 - 1, 0, 0, 0], dtype=np.uint64)
-    gen.bit_generator.state = state
-    for _ in range(5):
-        starts.append(gen.bit_generator.state)
-        draw_signs(gen, 3)
-    assert {(s["buffer_pos"], s["has_uint32"]) for s in starts[:8]} == {(p, h) for p in range(1, 5) for h in (0, 1)}
-    return starts
-
-
-def _assert_same_state(a, b):
-    assert a["state"]["counter"].tolist() == b["state"]["counter"].tolist()
-    assert a["state"]["key"].tolist() == b["state"]["key"].tolist()
-    assert a["buffer"].tolist() == b["buffer"].tolist()
-    assert (a["buffer_pos"], a["has_uint32"], a["uinteger"]) == (b["buffer_pos"], b["has_uint32"], b["uinteger"])
-
-
-def test_seek_signs_matches_sequential_draws():
-    starts = _start_states()
-    for start in starts:
-        for offset in range(41):
-            drawn = philox_stream(0, 0)
-            drawn.bit_generator.state = start
-            if offset:
-                draw_signs(drawn, offset)
-            sought = philox_stream(0, 0)
-            seek_signs(sought, start, offset)
-            _assert_same_state(sought.bit_generator.state, drawn.bit_generator.state)
-            assert np.array_equal(draw_signs(sought, 9), draw_signs(drawn, 9)), (start, offset)
-            assert sought.random() == drawn.random()
-    # the last start lies past the carry out of the lowest limb
-    assert starts[-1]["state"]["counter"].tolist()[1:] == [1, 0, 0]
-
-
-def test_seek_signs_rejects_other_generators_and_negative_offsets():
-    start = philox_stream(1, 1).bit_generator.state
-    with pytest.raises(ValueError, match="Philox"):
-        seek_signs(np.random.Generator(np.random.PCG64(1)), start, 3)
-    with pytest.raises(ValueError, match="negative"):
-        seek_signs(philox_stream(1, 1), start, -1)
 
 
 def _word(base_seed, stream, j):
@@ -193,27 +139,19 @@ def test_read_signs_matches_sequential_draws(key, counter, buffer_pos, pending, 
                 draw_signs(gen, offset)
             signs.extend(draw_signs(gen, count).tolist())
         want.append(signs)
-    gen.bit_generator.state = start
-    origin_seed, origin_streams, half = sign_origin(gen)
-    assert (origin_seed, origin_streams.tolist()) == (base_seed, streams[1:])
-    # reading the origin moves nothing
-    assert gen.bit_generator.state["buffer_pos"] == buffer_pos
+    # the next half that state reads: its pending one, or the low half of
+    # word 4 * (counter - 1) + buffer_pos; halves count modulo the stream's
+    # 2**256 blocks of 8 halves
+    half = (2 * (4 * (counter - 1) + buffer_pos) - pending) % 2**259
     signs = read_signs((base_seed, np.array(streams, dtype=np.uint64), half), spans)
     assert signs.dtype == np.int8
     assert signs.tolist() == want
-    # the next sign's half is the next one; halves count modulo the
-    # stream's 2**256 blocks of 8 halves
-    draw_signs(gen, 1)
-    assert sign_origin(gen)[2] == (half + 1) % 2**259
 
 
-def test_sign_origin_counts_halves_from_the_stream_start():
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 200])
+def test_signs_after_an_n_word_sample_start_at_half_2n(n):
+    # the origin a caller gives for the signs that follow a sample of n
     gen = philox_stream(6, 8)
-    for words, signs, half in ((0, 0, 0), (7, 0, 14), (0, 3, 17)):
-        gen.bit_generator.random_raw(words)
-        if signs:
-            draw_signs(gen, signs)
-        base_seed, streams, at = sign_origin(gen)
-        assert (base_seed, streams.tolist(), at) == (6, [8], half)
-    with pytest.raises(ValueError, match="Philox"):
-        sign_origin(np.random.Generator(np.random.PCG64(1)))
+    gen.random(n)
+    want = draw_signs(gen, 9).tolist()
+    assert read_signs((6, np.array([8], dtype=np.uint64), 2 * n), [(0, 9)]).tolist() == [want]
