@@ -4,7 +4,9 @@ Exit codes: 0 all requested checks passed, 1 at least one check failed,
 2 invalid arguments or configuration, or an input or output file that
 cannot be read or written, 3 an exact sum exceeded its budget (count
 vectors for Rademacher values and pairwise coverage, sequences for exact
-curves), 4 an unexpected internal error (any other exception).
+curves), 4 an unexpected internal error (any other exception).  ``run``
+computes every result and verdict before it makes the output directory,
+so a run refused for its configuration or a budget writes nothing.
 Every subcommand prints one machine-parseable summary line of
 space-separated key=value pairs to standard output.
 
@@ -32,7 +34,6 @@ from .algorithm import (
     GermAlgorithm,
     PlainErm,
     algo_label,
-    check_algorithm,
     run_germ,
     trajectory_to_dict,
 )
@@ -46,9 +47,9 @@ from .gap import (
     MassartDeterministic,
     UniformConvergence,
     UserConstant,
-    is_randomized,
 )
 from .montecarlo import (
+    BoundEvent,
     EstimatorDeviationEvent,
     ExcessBoundEvent,
     McConfig,
@@ -61,7 +62,7 @@ from .montecarlo import (
 from .oracle import check_monotone, exact_risk_curve, read_curve, write_curve
 from .problem import LearningProblem, draw_sample, load_problem
 from .rademacher import _rbars, exact_rademacher, rbar_massart
-from .rng import _check_key, philox_stream
+from .rng import philox_stream
 from .scenarios import builtin_scenarios, load_scenario
 
 EXIT_PASS = 0
@@ -70,9 +71,26 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
+EXACT_DEFAULT_N_MAX = 8
 MC_DEFAULT_REPLICATIONS = 2000
 MC_DEFAULT_N_MAX = 200
 MC_DEFAULT_GRID = (10, 20, 50, 100, 200)
+
+
+def _engine_config(
+    engine: str, n_max: int | None, replications: int, grid: tuple[int, ...] | None, seed: int | None
+) -> tuple[int, McConfig | None]:
+    """The horizon and, for the mc engine, its ``McConfig``, with the
+    defaults of ``germ run`` and ``germ curve`` filled in: the default
+    grid is the points of ``MC_DEFAULT_GRID`` up to n_max."""
+    if engine == "exact":
+        return (EXACT_DEFAULT_N_MAX if n_max is None else n_max), None
+    if seed is None:
+        raise ValueError("the mc engine requires a seed")
+    n_max = MC_DEFAULT_N_MAX if n_max is None else n_max
+    if grid is None:
+        grid = tuple(n for n in MC_DEFAULT_GRID if n <= n_max)
+    return n_max, McConfig(replications, n_max, seed, grid)
 
 
 @dataclass(frozen=True)
@@ -86,16 +104,10 @@ class MonotoneCheck:
 
 @dataclass(frozen=True)
 class CoverageCheck:
-    event: str
+    event: BoundEvent
     level: float
-    delta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.event not in ("excess-bound", "estimator-deviation", "pairwise-bernstein"):
-            raise ValueError(f"unknown coverage event {self.event!r}")
-        needs_delta = self.event != "excess-bound"
-        if needs_delta != (self.delta is not None):
-            raise ValueError(f"coverage event {self.event!r} takes a delta exactly when it is not excess-bound")
         if not 0.0 <= self.level <= 1.0:
             raise ValueError(f"coverage level must lie in [0, 1], got {self.level!r}")
 
@@ -113,62 +125,43 @@ Check = MonotoneCheck | CoverageCheck | DecayCheck
 
 
 @dataclass(frozen=True)
-class TrajectoryRequest:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"trajectory length must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully resolved experiment: problem, algorithm, engine, checks."""
+    """A fully resolved experiment: problem, algorithm, engine, checks.
+
+    ``mc`` is the Monte Carlo engine's configuration, None for the exact
+    engine; ``trajectory`` is the length of the recorded trajectory.  Only
+    the rules that no engine checks are checked here: the engines, the
+    trajectory's run and its stream check the rest before any output.
+    """
 
     source: str
     problem: LearningProblem
     algo: AlgorithmSpec
-    engine: str
     n_max: int
     checks: tuple[Check, ...]
     out_dir: Path
-    replications: int | None = None
-    grid: tuple[int, ...] | None = None
+    mc: McConfig | None = None
     seed: int | None = None
-    trajectory: TrajectoryRequest | None = None
+    trajectory: int | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ("exact", "mc"):
-            raise ValueError(f"engine must be exact or mc, got {self.engine!r}")
-        if self.engine == "mc":
-            if self.seed is None:
-                raise ValueError("the mc engine requires a seed")
-            if self.replications is None or self.grid is None:
-                raise ValueError("the mc engine requires replications and a grid")
-        else:
-            if isinstance(self.algo, GermAlgorithm) and is_randomized(self.algo.gap):
-                raise ValueError("the exact engine requires a deterministic gap mode")
-            for check in self.checks:
-                if isinstance(check, (CoverageCheck, DecayCheck)):
-                    raise ValueError("coverage and decay checks require the mc engine")
+        if self.mc is None and any(isinstance(c, (CoverageCheck, DecayCheck)) for c in self.checks):
+            raise ValueError("coverage and decay checks require the mc engine")
         if self.trajectory is not None:
             if self.seed is None:
                 raise ValueError("a trajectory request requires a seed")
             if not isinstance(self.algo, GermAlgorithm):
                 raise ValueError("trajectories are recorded for the gated loop only")
-        # the checks the engines and the trajectory run, made here so that a
-        # value out of range exits before run_experiment makes out_dir
-        check_algorithm(self.algo, self.problem.class_size, self.n_max)
-        if self.engine == "mc":
-            McConfig(self.replications, self.n_max, self.seed, self.grid)
-        if self.trajectory is not None:
-            check_algorithm(self.algo, self.problem.class_size, self.trajectory.n)
-            _check_key(self.seed, 0)
+
+    @property
+    def engine(self) -> str:
+        return "exact" if self.mc is None else "mc"
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
     exit_code: int
+    checks_passed: int
     report_path: Path
     curve_path: Path
     coverage_paths: dict[str, Path]
@@ -274,7 +267,7 @@ def _config_float(value, field: str) -> float:
     return value
 
 
-def _algo_from_config(doc: dict, class_size: int, n_max: int) -> AlgorithmSpec:
+def _algo_from_config(doc: dict, class_size: int) -> AlgorithmSpec:
     unknown = set(doc) - {"kind", "gap", "initial_index", "learner"}
     if unknown:
         raise ValueError(f"unknown algorithm fields {sorted(unknown)}")
@@ -303,8 +296,8 @@ def _algo_from_config(doc: dict, class_size: int, n_max: int) -> AlgorithmSpec:
             mode = MassartDeterministic()
         elif mode_name == "constant":
             values = gap_doc.get("values")
-            if not isinstance(values, list) or len(values) < n_max:
-                raise ValueError(f"the constant mode needs a values list covering n_max={n_max}")
+            if not isinstance(values, list):
+                raise ValueError("the constant mode needs a values list")
             mode = UserConstant(tuple(_config_float(v, "algorithm.gap.values entry") for v in values))
         else:
             raise ValueError(f"unknown uniform mode {mode_name!r}")
@@ -320,7 +313,10 @@ def _algo_from_config(doc: dict, class_size: int, n_max: int) -> AlgorithmSpec:
     return GermAlgorithm(gap=gap, initial_index=_config_int(doc.get("initial_index", 0), "algorithm.initial_index"))
 
 
-def _check_from_config(doc: dict) -> Check:
+_EVENTS = {event.name: event for event in (ExcessBoundEvent, EstimatorDeviationEvent, PairwiseBernsteinEvent)}
+
+
+def _check_from_config(doc: dict, algo: AlgorithmSpec) -> Check:
     if not isinstance(doc, dict) or "check" not in doc:
         raise ValueError(f"each check needs a 'check' field, got {doc!r}")
     kind = doc["check"]
@@ -336,12 +332,16 @@ def _check_from_config(doc: dict) -> Check:
             raise ValueError(f"unknown coverage fields {sorted(unknown)}")
         if "event" not in doc or "level" not in doc:
             raise ValueError("coverage checks need event and level")
+        name = str(doc["event"])
+        if name not in _EVENTS:
+            raise ValueError(f"unknown coverage event {name!r}")
+        level = _config_float(doc["level"], "coverage level")
         delta = doc.get("delta")
-        return CoverageCheck(
-            event=str(doc["event"]),
-            level=_config_float(doc["level"], "coverage level"),
-            delta=None if delta is None else _config_float(delta, "coverage delta"),
-        )
+        if (delta is None) != (name == ExcessBoundEvent.name):
+            raise ValueError(f"coverage event {name!r} takes a delta exactly when it is not excess-bound")
+        if delta is None:
+            return CoverageCheck(ExcessBoundEvent(algo), level)
+        return CoverageCheck(_EVENTS[name](_config_float(delta, "coverage delta")), level)
     if kind == "decay":
         unknown = set(doc) - {"check", "beta"}
         if unknown:
@@ -374,56 +374,47 @@ def parse_experiment_config(doc: dict, config_dir: Path) -> ExperimentConfig:
         problem = load_problem(path)
         source = f"file:{doc['problem_file']}"
 
+    seed = doc.get("seed")
+    if seed is not None:
+        seed = _config_int(seed, "seed")
+
     engine_doc = doc.get("engine")
     if not isinstance(engine_doc, dict) or "kind" not in engine_doc:
         raise ValueError("the engine object needs a kind")
     kind = engine_doc["kind"]
-    if kind == "exact":
-        unknown = set(engine_doc) - {"kind", "n_max"}
-        if unknown:
-            raise ValueError(f"unknown exact-engine fields {sorted(unknown)}")
-        n_max = _config_int(engine_doc.get("n_max", 8), "engine.n_max")
-        replications = None
-        grid = None
-    elif kind == "mc":
-        unknown = set(engine_doc) - {"kind", "n_max", "replications", "grid"}
-        if unknown:
-            raise ValueError(f"unknown mc-engine fields {sorted(unknown)}")
-        n_max = _config_int(engine_doc.get("n_max", MC_DEFAULT_N_MAX), "engine.n_max")
-        replications = _config_int(engine_doc.get("replications", MC_DEFAULT_REPLICATIONS), "engine.replications")
-        grid_doc = engine_doc.get("grid")
-        if grid_doc is not None and not isinstance(grid_doc, list):
-            raise ValueError(f"engine.grid must be a list, got {grid_doc!r}")
-        if grid_doc is None:
-            grid = tuple(n for n in MC_DEFAULT_GRID if n <= n_max)
-        else:
-            grid = tuple(_config_int(n, "engine.grid entry") for n in grid_doc)
-    else:
+    if kind not in ("exact", "mc"):
         raise ValueError(f"engine kind must be exact or mc, got {kind!r}")
+    unknown = set(engine_doc) - {"kind", "n_max"} - ({"replications", "grid"} if kind == "mc" else set())
+    if unknown:
+        raise ValueError(f"unknown {kind}-engine fields {sorted(unknown)}")
+    n_max = _config_int(engine_doc["n_max"], "engine.n_max") if "n_max" in engine_doc else None
+    replications = _config_int(engine_doc.get("replications", MC_DEFAULT_REPLICATIONS), "engine.replications")
+    grid = engine_doc.get("grid")
+    if grid is not None:
+        if not isinstance(grid, list):
+            raise ValueError(f"engine.grid must be a list, got {grid!r}")
+        grid = tuple(_config_int(n, "engine.grid entry") for n in grid)
+    n_max, mc = _engine_config(kind, n_max, replications, grid, seed)
 
     if "algorithm" not in doc or not isinstance(doc["algorithm"], dict):
         raise ValueError("the config needs an algorithm object")
-    algo = _algo_from_config(doc["algorithm"], problem.class_size, n_max)
+    algo = _algo_from_config(doc["algorithm"], problem.class_size)
 
     checks_doc = doc.get("checks", [])
     if not isinstance(checks_doc, list):
         raise ValueError("checks must be a list")
-    checks = tuple(_check_from_config(c) for c in checks_doc)
-    events = [c.event for c in checks if isinstance(c, CoverageCheck)]
+    checks = tuple(_check_from_config(c, algo) for c in checks_doc)
+    events = [c.event.name for c in checks if isinstance(c, CoverageCheck)]
     for event in events:
         if events.count(event) > 1:
             raise ValueError(f"coverage event {event!r} is checked more than once; it has one coverage-{event}.csv")
-
-    seed = doc.get("seed")
-    if seed is not None:
-        seed = _config_int(seed, "seed")
 
     trajectory = None
     if "trajectory" in doc:
         traj_doc = doc["trajectory"]
         if not isinstance(traj_doc, dict) or set(traj_doc) - {"n"}:
             raise ValueError("the trajectory request takes exactly the field n")
-        trajectory = TrajectoryRequest(n=_config_int(traj_doc.get("n", n_max), "trajectory.n"))
+        trajectory = _config_int(traj_doc.get("n", n_max), "trajectory.n")
 
     out_dir = Path(str(doc.get("out_dir", "results")))
     if not out_dir.is_absolute():
@@ -433,12 +424,10 @@ def parse_experiment_config(doc: dict, config_dir: Path) -> ExperimentConfig:
         source=source,
         problem=problem,
         algo=algo,
-        engine=kind,
         n_max=n_max,
         checks=checks,
         out_dir=out_dir,
-        replications=replications,
-        grid=grid,
+        mc=mc,
         seed=seed,
         trajectory=trajectory,
     )
@@ -470,9 +459,9 @@ def _check_echo(check: Check) -> dict:
     if isinstance(check, MonotoneCheck):
         return {"check": "monotone", "tolerance": check.tolerance}
     if isinstance(check, CoverageCheck):
-        echo = {"check": "coverage", "event": check.event, "level": check.level}
-        if check.delta is not None:
-            echo["delta"] = check.delta
+        echo = {"check": "coverage", "event": check.event.name, "level": check.level}
+        if not isinstance(check.event, ExcessBoundEvent):
+            echo["delta"] = check.event.delta
         return echo
     return {"check": "decay", "beta": check.beta}
 
@@ -485,31 +474,19 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "n_max": config.n_max,
         "checks": [_check_echo(c) for c in config.checks],
     }
-    if config.engine == "mc":
-        echo["replications"] = config.replications
-        echo["grid"] = list(config.grid)
+    if config.mc is not None:
+        echo["replications"] = config.mc.replications
+        echo["grid"] = list(config.mc.grid)
     if config.seed is not None:
         echo["seed"] = config.seed
     if config.trajectory is not None:
-        echo["trajectory"] = {"n": config.trajectory.n}
+        echo["trajectory"] = {"n": config.trajectory}
     return echo
 
 
-def _coverage_event(check: CoverageCheck, config: ExperimentConfig):
-    if check.event == "excess-bound":
-        if not isinstance(config.algo, GermAlgorithm):
-            raise ValueError("the excess-bound event needs a germ algorithm")
-        return ExcessBoundEvent(config.algo)
-    if check.event == "estimator-deviation":
-        return EstimatorDeviationEvent(delta=check.delta)
-    return PairwiseBernsteinEvent(delta=check.delta)
-
-
-def _run_checks(config: ExperimentConfig, curve, coverages, mc_cfg, workers: int, out_dir: Path):
-    """Judge each check; ``coverages`` holds the coverage checks' results in order."""
+def _judge_checks(config: ExperimentConfig, curve, coverages, workers: int) -> list[dict]:
+    """Each check's report entry; ``coverages`` holds the coverage checks' results in order."""
     entries = []
-    coverage_paths: dict[str, Path] = {}
-    all_passed = True
     coverages = iter(coverages)
     for check in config.checks:
         if isinstance(check, MonotoneCheck):
@@ -523,9 +500,6 @@ def _run_checks(config: ExperimentConfig, curve, coverages, mc_cfg, workers: int
             }
         elif isinstance(check, CoverageCheck):
             result = next(coverages)
-            path = out_dir / f"coverage-{check.event}.csv"
-            path.write_text(coverage_to_csv(result), encoding="utf-8")
-            coverage_paths[check.event] = path
             passed = all(c >= check.level for c in result.coverages)
             details = {
                 "ns": list(result.ns),
@@ -535,7 +509,7 @@ def _run_checks(config: ExperimentConfig, curve, coverages, mc_cfg, workers: int
                 "min_coverage": min(result.coverages),
             }
         else:
-            fit = excess_risk_decay(config.problem, config.algo, mc_cfg, check.beta, curve=curve, workers=workers)
+            fit = excess_risk_decay(config.problem, config.algo, config.mc, check.beta, curve=curve, workers=workers)
             passed = (not fit.degenerate) and fit.slope <= fit.slope_bound
             details = {
                 "slope": fit.slope,
@@ -546,38 +520,20 @@ def _run_checks(config: ExperimentConfig, curve, coverages, mc_cfg, workers: int
                 "ns": list(fit.ns),
                 "excesses": list(fit.excesses),
             }
-        all_passed = all_passed and passed
         entries.append({**_check_echo(check), "passed": passed, "details": details})
-    return entries, coverage_paths, all_passed
+    return entries
 
 
 def run_experiment(config: ExperimentConfig, *, workers: int = 1) -> ExperimentResult:
-    """Execute one experiment and write curve, coverage, and report files."""
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    # an event the algorithm cannot run is refused before any simulation
-    events = tuple(_coverage_event(c, config) for c in config.checks if isinstance(c, CoverageCheck))
-    out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Execute one experiment and write curve, coverage, trajectory and report files.
 
-    mc_cfg = None
-    coverages = ()
-    if config.engine == "exact":
-        curve = exact_risk_curve(config.problem, config.algo, config.n_max, workers=workers)
-    else:
-        mc_cfg = McConfig(
-            replications=config.replications,
-            n_max=config.n_max,
-            base_seed=config.seed,
-            grid=config.grid,
-        )
-        curve, coverages = mc_experiment(config.problem, config.algo, mc_cfg, events, workers=workers)
-    curve_path = out_dir / "curve.csv"
-    write_curve(curve, curve_path)
-
-    trajectory_path = None
+    Every result and every check's verdict is computed before ``out_dir``
+    is made, so a run refused for its config or its budget writes nothing.
+    """
+    # the trajectory is one row, so its refusals come before the simulation's
+    trajectory = None
     if config.trajectory is not None:
-        n = config.trajectory.n
+        n = config.trajectory
         sample = draw_sample(config.problem, n, philox_stream(config.seed, 0))
         # the signs follow the sample's n words in stream (seed, 0)
         trajectory = run_germ(
@@ -587,11 +543,26 @@ def run_experiment(config: ExperimentConfig, *, workers: int = 1) -> ExperimentR
             initial=config.algo.initial_index,
             origin=(config.seed, 0, 2 * n),
         )
+    if config.mc is None:
+        curve, coverages = exact_risk_curve(config.problem, config.algo, config.n_max, workers=workers), ()
+    else:
+        events = tuple(c.event for c in config.checks if isinstance(c, CoverageCheck))
+        curve, coverages = mc_experiment(config.problem, config.algo, config.mc, events, workers=workers)
+    entries = _judge_checks(config, curve, coverages, workers)
+    checks_passed = sum(entry["passed"] for entry in entries)
+
+    out_dir = config.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    curve_path = out_dir / "curve.csv"
+    write_curve(curve, curve_path)
+    coverage_paths = {result.event: out_dir / f"coverage-{result.event}.csv" for result in coverages}
+    for result in coverages:
+        coverage_paths[result.event].write_text(coverage_to_csv(result), encoding="utf-8")
+    trajectory_path = None
+    if trajectory is not None:
         trajectory_path = out_dir / "trajectory.json"
         _write_json(trajectory_path, trajectory_to_dict(trajectory))
-
-    check_entries, coverage_paths, all_passed = _run_checks(config, curve, coverages, mc_cfg, workers, out_dir)
-
+    all_passed = checks_passed == len(entries)
     report = {
         "tool": {"name": "germ", "version": __version__},
         "config": _config_echo(config),
@@ -600,13 +571,14 @@ def run_experiment(config: ExperimentConfig, *, workers: int = 1) -> ExperimentR
             "coverage_csv": {event: path.name for event, path in sorted(coverage_paths.items())},
             "trajectory_json": trajectory_path.name if trajectory_path else None,
         },
-        "checks": check_entries,
+        "checks": entries,
         "passed": all_passed,
     }
     report_path = out_dir / "report.json"
     _write_json(report_path, report)
     return ExperimentResult(
         exit_code=EXIT_PASS if all_passed else EXIT_CHECK_FAILED,
+        checks_passed=checks_passed,
         report_path=report_path,
         curve_path=curve_path,
         coverage_paths=coverage_paths,
@@ -626,12 +598,10 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     config = parse_experiment_config(doc, config_path.resolve().parent)
     result = run_experiment(config, workers=args.workers)
-    n_checks = len(config.checks)
-    n_passed = sum(1 for entry in json.loads(result.report_path.read_text())["checks"] if entry["passed"])
     status = "pass" if result.exit_code == EXIT_PASS else "fail"
     print(
         f"run source={config.source} engine={config.engine} "
-        f"checks={n_passed}/{n_checks} status={status} report={result.report_path}"
+        f"checks={result.checks_passed}/{len(config.checks)} status={status} report={result.report_path}"
     )
     return result.exit_code
 
@@ -652,25 +622,13 @@ def _cmd_scenarios(args) -> int:
 def _cmd_curve(args) -> int:
     scenario = load_scenario(args.scenario)
     problem = scenario.problem
-    if args.engine == "mc":
-        if args.seed is None:
-            raise ValueError("the mc engine requires --seed")
-        n_max = args.n_max if args.n_max is not None else MC_DEFAULT_N_MAX
-        grid = tuple(_digits(n, "a grid entry") for n in args.grid.split(",")) if args.grid else tuple(
-            n for n in MC_DEFAULT_GRID if n <= n_max
-        )
-        algo = parse_algo_spec(args.algo, problem.class_size)
-        cfg = McConfig(
-            replications=args.replications,
-            n_max=n_max,
-            base_seed=args.seed,
-            grid=grid,
-        )
-        curve = mc_risk_curve(problem, algo, cfg, workers=args.workers)
-    else:
-        n_max = args.n_max if args.n_max is not None else 8
-        algo = parse_algo_spec(args.algo, problem.class_size)
+    grid = tuple(_digits(n, "a grid entry") for n in args.grid.split(",")) if args.grid else None
+    n_max, mc = _engine_config(args.engine, args.n_max, args.replications, grid, args.seed)
+    algo = parse_algo_spec(args.algo, problem.class_size)
+    if mc is None:
         curve = exact_risk_curve(problem, algo, n_max, workers=args.workers)
+    else:
+        curve = mc_risk_curve(problem, algo, mc, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     safe_algo = algo_label(algo).replace(":", "_").replace("=", "")

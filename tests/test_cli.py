@@ -1,6 +1,8 @@
 """CLI tests: config parsing, exit codes, artifacts, and output lines."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from germ.cli import (
     EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_RESOURCE,
+    _config_echo,
     _write_json,
     main,
     parse_algo_spec,
@@ -204,9 +207,55 @@ def test_excess_bound_check_is_refused_before_simulating(tmp_path, capsys):
     # the excess-risk bound is stated for uniform-convergence gaps only
     for algorithm in ({"kind": "germ", "gap": {"variant": "bernstein"}}, {"kind": "erm"}):
         doc = dict(mc_checks_config(None), algorithm=algorithm)
+        # the parser builds the event, so the refusal comes from parsing
+        with pytest.raises(ValueError):
+            parse_experiment_config(doc, tmp_path)
         assert main(["run", write_config(tmp_path, doc)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, engine, checks, code",
+    [
+        ("biased-coin-massart", {"kind": "mc", "replications": 20, "n_max": 5, "grid": [1, 5]},
+         [{"check": "coverage", "event": "pairwise-bernstein", "delta": 0.1, "level": 0.0}], EXIT_CONFIG),
+        ("biased-coin-massart", {"kind": "mc", "replications": 20, "n_max": 50, "grid": [10, 20, 50]},
+         [{"check": "decay", "beta": 1.0}], EXIT_CONFIG),
+        ("three-outcome-misspecified", {"kind": "mc", "replications": 20, "n_max": 2000, "grid": [2000]},
+         [{"check": "coverage", "event": "estimator-deviation", "delta": 0.1, "level": 0.0}], EXIT_RESOURCE),
+        ("three-outcome-misspecified", {"kind": "exact", "n_max": 40}, [], EXIT_RESOURCE),
+    ],
+    ids=["pairwise-grid-from-1", "decay-grid-short-of-a-decade", "estimator-deviation-past-budget", "exact-past-budget"],
+)
+def test_a_refused_run_leaves_no_output(tmp_path, capsys, scenario, engine, checks, code):
+    # every result and verdict is computed before out_dir is made
+    doc = {
+        "scenario": scenario,
+        "algorithm": {"kind": "erm"},
+        "engine": engine,
+        "seed": 3,
+        "checks": checks,
+        "out_dir": "out",
+    }
+    assert main(["run", write_config(tmp_path, doc)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_readme_config_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    doc = json.loads(blocks[0])
+    echo = _config_echo(parse_experiment_config(doc, tmp_path))
+    assert echo["source"] == f"scenario:{doc['scenario']}"
+    assert echo["engine"] == doc["engine"]["kind"]
+    assert echo["replications"] == doc["engine"]["replications"]
+    assert echo["grid"] == doc["engine"]["grid"]
+    assert echo["seed"] == doc["seed"]
+    assert echo["trajectory"] == {"n": doc["trajectory"]["n"]}
+    assert [c["check"] for c in echo["checks"]] == [c["check"] for c in doc["checks"]]
 
 
 def test_repeated_coverage_event_is_refused(tmp_path, capsys):
