@@ -224,16 +224,17 @@ def run_germ(
         on (``rng.read_signs``), step k's k signs k (k - 1) / 2 halves
         after it.  Required exactly when the gap draws random signs
         (UniformConvergence with EmpiricalMcDiarmid), ignored otherwise.
-        The signs after a sample of n words drawn from a fresh
-        ``philox_stream`` start at (base_seed, stream, 2 n).
+        The Monte Carlo engine's replication r reads its signs from
+        (base_seed, r, 2 n_max), after its sample of n_max words.
 
     Returns
     -------
     Trajectory
         One record per step; deterministic given inputs and seed.
 
-    The choices come from one row of ``_step_block``, and the records'
-    sums, candidates and gaps from the kernels it steps through.
+    The choices come from one row of ``_step_block``.  The records' sums
+    come from ``np.cumsum``, which adds in step order as the stepper does,
+    and their candidates and gaps from the kernels it steps through.
     """
     loss = problem.loss
     n = len(sample.outcomes)
@@ -260,10 +261,7 @@ def run_germ(
     chosen, rbars = _step_block(problem, algo, z[np.newaxis], origins, ks)
     chosen = chosen[:, 0]
     L = loss.as_array()
-    S = np.zeros((n + 1, H))
-    S[1:] = L.T[z]
-    _accumulate_steps(S)
-    S = S[1:]
+    S = np.cumsum(L.T[z], axis=0)
     cand, best = _erm_candidates(S)
     inc = np.concatenate(([initial], chosen[:-1]))
     inc_sums = S[ks - 1, inc]

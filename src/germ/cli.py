@@ -55,14 +55,14 @@ from .montecarlo import (
     McConfig,
     PairwiseBernsteinEvent,
     coverage_to_csv,
+    draw_outcomes,
     excess_risk_decay,
     mc_experiment,
     mc_risk_curve,
 )
 from .oracle import check_monotone, exact_risk_curve, read_curve, write_curve
-from .problem import LearningProblem, draw_sample, load_problem
+from .problem import LearningProblem, Sample, load_problem
 from .rademacher import _rbars, exact_rademacher, rbar_massart
-from .rng import philox_stream
 from .scenarios import builtin_scenarios, load_scenario
 
 EXIT_PASS = 0
@@ -534,14 +534,14 @@ def run_experiment(config: ExperimentConfig, *, workers: int = 1) -> ExperimentR
     trajectory = None
     if config.trajectory is not None:
         n = config.trajectory
-        sample = draw_sample(config.problem, n, philox_stream(config.seed, 0))
-        # the signs follow the sample's n words in stream (seed, 0)
+        sample = Sample(draw_outcomes(config.problem, config.seed, 0, 1, n)[0])
+        # replication 0's signs follow its n_max words, a longer sample's its n
         trajectory = run_germ(
             config.problem,
             sample,
             config.algo.gap,
             initial=config.algo.initial_index,
-            origin=(config.seed, 0, 2 * n),
+            origin=(config.seed, 0, 2 * max(n, config.n_max)),
         )
     if config.mc is None:
         curve, coverages = exact_risk_curve(config.problem, config.algo, config.n_max, workers=workers), ()
@@ -664,10 +664,10 @@ def _cmd_rademacher(args) -> int:
     else:
         if args.seed is None:
             raise ValueError("the empirical mode requires --seed")
-        sample = draw_sample(problem, args.k, philox_stream(args.seed, 0))
+        outcomes = draw_outcomes(problem, args.seed, 0, 1, args.k)
         # the k signs follow the sample's k words in stream (seed, 0)
         origin = args.seed, np.zeros(1, dtype=np.uint64), 2 * args.k
-        value = float(_rbars(problem.loss.as_array(), np.array([sample.outcomes]), origin, [args.k], [0])[0, 0])
+        value = float(_rbars(problem.loss.as_array(), outcomes, origin, [args.k], [0])[0, 0])
     print(f"rademacher scenario={args.scenario} k={args.k} mode={args.mode} value={value!r}")
     return EXIT_PASS
 

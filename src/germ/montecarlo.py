@@ -16,9 +16,13 @@ offset k (k - 1) / 2 from there, and the estimator-deviation event's grid
 size n with the n signs after those of the smaller grid sizes, as
 drawing them in turn places them.  Only the signs a decision or an output
 needs are read, and no generator is built per replication: the samples of
-a block of replications come from one Philox re-keyed per row
-(``rng.fill_uniforms``), and the signs of a block of rows from another
-(``rng.read_signs``); tests pin both to ``philox_stream``'s stream.
+a block of replications come from ``draw_outcomes``, one Philox re-keyed
+per row (``rng.fill_uniforms``), and the signs of a block of rows from
+another (``rng.read_signs``); tests pin both to ``philox_stream``'s
+stream.  ``draw_outcomes`` is the package's one sample draw: ``germ
+run``'s trajectory of n steps, which for n <= n_max is replication 0's
+first n steps, and ``germ rademacher``'s empirical sample come from it
+too.
 
 Replications are processed in fixed-size chunks and chunk results are
 reduced in chunk order, so means, standard errors, and coverage counts do
@@ -200,23 +204,26 @@ def _map_chunks(chunk, replications: int, workers: int, *args) -> list:
         return [f.result() for f in futures]
 
 
-def _draw_outcome_block(problem: LearningProblem, cfg: McConfig, start: int, stop: int) -> np.ndarray:
-    """The samples of replications start..stop, (stop - start, n_max).
+def draw_outcomes(problem: LearningProblem, base_seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    """The first n outcomes of streams (base_seed, r) for start <= r < stop,
+    (stop - start, n): the samples of replications start..stop.
 
-    The 64-bit words of the streams are drawn by ``fill_uniforms`` into one
-    reused buffer of replication rows, as many as STEP_BLOCK bytes hold
-    and at least one, and turned into outcomes a buffer at a time
-    (``_outcome_index``).
+    Outcome i of a row is the inverse-CDF outcome of the stream's word i
+    (``_outcome_index``).  The words are drawn by ``fill_uniforms`` into
+    one reused buffer of rows, as many as STEP_BLOCK bytes hold and at
+    least one, and turned into outcomes a buffer at a time.
     """
+    if n < 1:
+        raise ValueError(f"the sample size must be >= 1, got n={n}")
     m = problem.loss.outcome_count
     cum = np.cumsum(problem.distribution.as_array())
     B = stop - start
-    outcomes = np.empty((B, cfg.n_max), dtype=np.min_scalar_type(m - 1))
-    rows = max(1, STEP_BLOCK // (8 * cfg.n_max))
-    buf = np.empty((min(rows, B), cfg.n_max), dtype=np.uint64)
+    outcomes = np.empty((B, n), dtype=np.min_scalar_type(m - 1))
+    rows = max(1, STEP_BLOCK // (8 * n))
+    buf = np.empty((min(rows, B), n), dtype=np.uint64)
     for a in range(0, B, rows):
         words = buf[: min(rows, B - a)]
-        fill_uniforms(cfg.base_seed, start + a, words)
+        fill_uniforms(base_seed, start + a, words)
         outcomes[a : a + len(words)] = _outcome_index(cum, words)
     return outcomes
 
@@ -242,7 +249,7 @@ def _experiment_chunk(problem: LearningProblem, algo: AlgorithmSpec | None, cfg:
     """
     pop = population_risks(problem)
     chosen = rbars = stats = None
-    outcomes = _draw_outcome_block(problem, cfg, start, stop)
+    outcomes = draw_outcomes(problem, cfg.base_seed, start, stop, cfg.n_max)
     origins = _sign_origins(cfg, start, stop)
     if algo is not None:
         chosen, rbars = _step_block(problem, algo, outcomes, origins, cfg.grid)

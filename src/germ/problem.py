@@ -173,19 +173,6 @@ def optimal_risk(problem: LearningProblem) -> tuple[float, int]:
     return float(risks[best]), best
 
 
-def draw_sample(problem: LearningProblem, n: int, rng: np.random.Generator) -> Sample:
-    """Draw n i.i.d. outcomes by inverse CDF over the cumulative probabilities.
-
-    Consumes exactly the n 64-bit words of the Philox generator ``rng``
-    that one ``rng.random(n)`` call reads, which the Monte Carlo engine
-    relies on for bit-reproducible replications.
-    """
-    if n < 0:
-        raise ValueError(f"sample size must be nonnegative, got {n}")
-    cum = np.cumsum(problem.distribution.as_array())
-    return Sample(tuple(_outcome_index(cum, rng.bit_generator.random_raw(n)).tolist()))
-
-
 def _outcome_index(cum: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Inverse-CDF outcome of each 64-bit word in ``words``.
 

@@ -10,20 +10,21 @@ machines and across degrees of parallelism.  ``fill_uniforms`` reads the
 same streams without building a generator per stream: it re-keys one
 Philox per row, and a test pins its rows to ``philox_stream``'s.
 
-Signs are defined by ``draw_signs``, one per 32-bit half of the stream.
-Being counter-based, Philox makes any word of a stream from its key and
-position alone, so ``read_signs`` reads the signs at given positions of
-many streams with one re-keyed Philox and no generator per stream.  A
-row's signs are addressed by an origin (base_seed, stream, half), the
-index of the 32-bit half they count from.  The layout it relies on,
-pinned by a test: the stream is a sequence of 64-bit words, word j being
-word j % 4 of the block that Philox makes with counter j // 4 + 1; a
-state reads word 4 * (counter - 1) + buffer_pos next, after its pending
-32-bit half if it has one (``has_uint32``).  Half 2j is the low half of
-word j and half 2j + 1 its high half, and each sign is bit 31 of one
-half.  So the signs that a fresh ``philox_stream(base_seed, stream)``
-draws start at origin (base_seed, stream, 0), and after a sample of n
-words at (base_seed, stream, 2 n); callers address signs by origin alone.
+Signs come from the same streams.  Being counter-based, Philox makes any
+word of a stream from its key and position alone, so ``read_signs``
+reads the signs at given positions of many streams with one re-keyed
+Philox and no generator per stream.  A row's signs are addressed by an
+origin (base_seed, stream, half), the index of the 32-bit half they
+count from.  The layout it relies on, pinned by a test: the stream is a
+sequence of 64-bit words, word j being word j % 4 of the block that
+Philox makes with counter j // 4 + 1; a state reads word
+4 * (counter - 1) + buffer_pos next, after its pending 32-bit half if
+it has one (``has_uint32``).  Half 2j is the low half of word j and half 2j + 1 its
+high half, and each sign is bit 31 of one half, +1 when set: the sign
+that a generator's ``2 * integers(0, 2) - 1`` makes of that half.  So
+the signs that a fresh ``philox_stream(base_seed, stream)`` draws start
+at origin (base_seed, stream, 0), and after a sample of n words at
+(base_seed, stream, 2 n); callers address signs by origin alone.
 
 This choice is frozen: changing the generator family or the key layout
 invalidates every stored seed and fixture.
@@ -97,30 +98,14 @@ def fill_uniforms(base_seed: int, first_stream: int, out: np.ndarray) -> None:
         row[:] = bits.random_raw(len(row))
 
 
-def draw_signs(rng: np.random.Generator, k: int) -> np.ndarray:
-    """Draw k fair random signs as an int64 array of +1/-1 values.
-
-    Each sign consumes one 32-bit word of the stream, and a half-used
-    64-bit output carries over to the next call.  So ``draw_signs(rng, a +
-    b)`` returns exactly ``draw_signs(rng, a)`` followed by
-    ``draw_signs(rng, b)``: consumption depends on the number of signs
-    drawn, not on how they are split into calls, and ``read_signs`` reads
-    the same signs by their position in the stream.
-    """
-    if k < 1:
-        raise ValueError(f"need at least one sign, got k={k}")
-    return 2 * rng.integers(0, 2, size=k) - 1
-
-
 def read_signs(origins, spans) -> np.ndarray:
     """Signs at given positions of many streams, (rows, total count) int8.
 
     ``origins`` is (base_seed, streams, half): row i's origin is
     (base_seed, streams[i], half), ``streams`` being an integer array.
     ``spans`` holds the (offset, count) pairs every row reads: a span's
-    signs are those that ``draw_signs(gen, count)`` returns when the next
-    half of ``gen``, a generator of the row's stream, is half + offset.  A
-    row's spans follow each other in the output.
+    signs are the ``count`` signs from half half + offset of the row's
+    stream on.  A row's spans follow each other in the output.
 
     One Philox is set to each row's key and to the block of a span's first
     word, as ``fill_uniforms`` re-keys it, and ``random_raw`` copies only

@@ -15,6 +15,13 @@ time.  It shares no kernel with the package's stepper
 Carlo engine and the exact oracle, so tests that compare those engines
 with it do not compare the kernel with itself.
 
+``draw_sample`` and ``draw_signs`` draw a sample and signs from a
+``Generator`` of ``germ.rng.philox_stream``, one call after another as a
+scalar loop would.  They define the outcomes and signs that the package
+reads by stream position without a generator
+(``germ.montecarlo.draw_outcomes`` and ``germ.rng.read_signs``), and
+``scalar_run_germ`` reads its signs through ``draw_signs``.
+
 ``unique_rows`` is the ``np.unique(axis=0)`` merge that the exact oracle's
 one-lexsort merge (``germ.oracle._merge_rows``) must reproduce.
 """
@@ -28,7 +35,28 @@ import numpy as np
 from germ.algorithm import GermAlgorithm, Trajectory, TrajectoryStep, check_algorithm
 from germ.gap import FixedDelta, GapSpec, MassartDeterministic, UniformConvergence, is_randomized
 from germ.problem import LearningProblem, LossTable, Sample, _check_outcomes
-from germ.rng import draw_signs
+
+
+def draw_sample(problem: LearningProblem, n: int, rng: np.random.Generator) -> Sample:
+    """n i.i.d. outcomes by inverse CDF: outcome i is the number of
+    cumulative probabilities at or below u_i, at most m - 1, for the n
+    uniforms u of one ``rng.random(n)`` call, which reads n 64-bit words."""
+    cum = np.cumsum(problem.distribution.as_array())
+    return Sample(tuple(np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1).tolist()))
+
+
+def draw_signs(rng: np.random.Generator, k: int) -> np.ndarray:
+    """Draw k fair random signs as an int64 array of +1/-1 values.
+
+    Each sign consumes one 32-bit word of the stream, and a half-used
+    64-bit output carries over to the next call.  So ``draw_signs(rng, a +
+    b)`` returns exactly ``draw_signs(rng, a)`` followed by
+    ``draw_signs(rng, b)``: consumption depends on the number of signs
+    drawn, not on how they are split into calls.
+    """
+    if k < 1:
+        raise ValueError(f"need at least one sign, got k={k}")
+    return 2 * rng.integers(0, 2, size=k) - 1
 
 
 def mcdiarmid_radius(k: int) -> float:

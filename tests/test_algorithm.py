@@ -31,12 +31,11 @@ from germ.problem import (
     LearningProblem,
     LossTable,
     Sample,
-    draw_sample,
 )
 from germ.rademacher import rbar_massart
-from germ.rng import draw_signs, philox_stream
+from germ.rng import philox_stream
 from germ.scenarios import load_scenario
-from scalar_reference import empirical_risk, rbar_from_signs, scalar_run_germ
+from scalar_reference import draw_sample, draw_signs, empirical_risk, rbar_from_signs, scalar_run_germ
 
 
 def two_point_problem():

@@ -4,11 +4,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import germ.cli
 import germ.montecarlo
-from germ.algorithm import GermAlgorithm, PlainErm, trajectory_to_dict
+from germ.algorithm import GermAlgorithm, PlainErm, _step_block, trajectory_to_dict
 from germ.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -27,14 +28,14 @@ from germ.montecarlo import (
     McConfig,
     PairwiseBernsteinEvent,
     coverage_to_csv,
+    draw_outcomes,
     mc_bound_coverage,
     mc_risk_curve,
 )
 from germ.oracle import curve_to_csv
-from germ.problem import draw_sample
-from germ.rng import draw_signs, philox_stream
+from germ.rng import philox_stream
 from germ.scenarios import load_scenario
-from scalar_reference import rbar_from_signs, scalar_run_germ
+from scalar_reference import draw_sample, draw_signs, rbar_from_signs, scalar_run_germ
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -295,8 +296,8 @@ def test_trajectory_artifact(tmp_path):
 
 
 def test_randomized_trajectory_matches_the_scalar_reference(tmp_path):
-    # the CLI reads the trajectory's signs from origin (seed, 0, 2 n), after
-    # its sample's n words; the reference draws both from one generator
+    # the trajectory is replication 0: its signs follow the n_max = 40 words
+    # of replication 0's sample, so the reference draws all 40 before them
     doc = {
         "scenario": "three-outcome-misspecified",
         "algorithm": {"kind": "germ", "gap": {"variant": "uniform", "mode": "empirical"}, "initial_index": 2},
@@ -309,10 +310,44 @@ def test_randomized_trajectory_matches_the_scalar_reference(tmp_path):
     assert main(["run", write_config(tmp_path, doc)]) == EXIT_PASS
     config = parse_experiment_config(doc, tmp_path)
     gen = philox_stream(11, 0)
-    sample = draw_sample(config.problem, 25, gen)
+    sample = draw_sample(config.problem, 40, gen).prefix(25)
     want = scalar_run_germ(config.problem, sample, config.algo.gap, initial=2, rng=gen)
     _write_json(tmp_path / "want.json", trajectory_to_dict(want))
     assert (tmp_path / "out" / "trajectory.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "gap",
+    [
+        {"variant": "uniform", "mode": "empirical"},
+        {"variant": "bernstein"},
+        {"variant": "fixed", "value": 0.05},
+    ],
+    ids=["uniform-empirical", "bernstein", "fixed-0.05"],
+)
+def test_trajectory_is_replication_0(tmp_path, gap):
+    # a trajectory shorter than n_max is replication 0's first n steps
+    n, n_max, seed = 25, 40, 11
+    doc = {
+        "scenario": "three-outcome-misspecified",
+        "algorithm": {"kind": "germ", "gap": gap, "initial_index": 2},
+        "engine": {"kind": "mc", "replications": 4, "n_max": n_max, "grid": [n_max]},
+        "seed": seed,
+        "checks": [],
+        "trajectory": {"n": n},
+        "out_dir": "out",
+    }
+    assert main(["run", write_config(tmp_path, doc)]) == EXIT_PASS
+    steps = json.loads((tmp_path / "out" / "trajectory.json").read_text())["steps"]
+    config = parse_experiment_config(doc, tmp_path)
+    outcomes = draw_outcomes(config.problem, seed, 0, 1, n_max)
+    origins = seed, np.zeros(1, dtype=np.uint64), 2 * n_max
+    chosen, rbars = _step_block(config.problem, config.algo, outcomes, origins, range(1, n_max + 1))
+    assert len(steps) == n
+    for step in steps:
+        k = step["k"]
+        assert step["chosen_index"] == chosen[k - 1][0], k
+        assert step["rbar"] == (None if rbars is None else rbars[k - 1][0]), k
 
 
 def test_trajectory_requires_seed_and_germ(tmp_path):
@@ -669,6 +704,8 @@ def test_non_integral_config_values_exit_2(tmp_path, where, bad):
         {"algorithm": {"kind": "germ", "gap": {"variant": "uniform", "mode": "massart"}, "initial_index": 5}},
         # a constant schedule that covers n_max but not the trajectory
         {"algorithm": {"kind": "germ", "gap": {"variant": "uniform", "mode": "constant", "values": [0.1] * 8}}, "trajectory": {"n": 10}},
+        {"trajectory": {"n": 0}},
+        {"trajectory": {"n": -1}},
     ],
     ids=[
         "mc-seed-negative",
@@ -681,9 +718,11 @@ def test_non_integral_config_values_exit_2(tmp_path, where, bad):
         "grid-past-n_max",
         "initial-index-out-of-class",
         "constant-gap-short-of-trajectory",
+        "trajectory-n-0",
+        "trajectory-n-negative",
     ],
 )
-def test_out_of_range_config_values_exit_2_before_any_output(tmp_path, changes):
+def test_out_of_range_config_values_exit_2_before_any_output(tmp_path, capsys, changes):
     doc = integer_fields_config()
     for key, value in changes.items():
         if value is None:
@@ -692,6 +731,9 @@ def test_out_of_range_config_values_exit_2_before_any_output(tmp_path, changes):
             doc[key] = value
     assert main(["run", write_config(tmp_path, doc)]) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
+    trajectory = changes.get("trajectory")
+    if trajectory and trajectory["n"] < 1:
+        assert f"got n={trajectory['n']}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("literal", ["12345678901234567.0", "9007199254740992.0", "1e17"])

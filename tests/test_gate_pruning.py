@@ -24,12 +24,12 @@ from germ.gap import (
     UniformConvergence,
     UserConstant,
 )
-from germ.montecarlo import McConfig, _draw_outcome_block, mc_risk_curve
+from germ.montecarlo import McConfig, draw_outcomes, mc_risk_curve
 from germ.oracle import exact_risk_curve
-from germ.problem import DiscreteDistribution, LearningProblem, LossTable, Sample, draw_sample
+from germ.problem import DiscreteDistribution, LearningProblem, LossTable, Sample
 from germ.rng import philox_stream
 from germ.scenarios import load_scenario
-from scalar_reference import scalar_run_germ
+from scalar_reference import draw_sample, scalar_run_germ
 
 
 @pytest.fixture
@@ -50,7 +50,7 @@ def gate_rows(monkeypatch):
 def stepped_and_scalar(problem, gap, initial, cfg):
     """The stepper's chosen indices for every replication, and the scalar
     reference loop's, at every step."""
-    outcomes = _draw_outcome_block(problem, cfg, 0, cfg.replications)
+    outcomes = draw_outcomes(problem, cfg.base_seed, 0, cfg.replications, cfg.n_max)
     chosen, _ = _step_block(problem, GermAlgorithm(gap, initial_index=initial), outcomes, None, cfg.grid)
     expected = [
         list(scalar_run_germ(problem, draw_sample(problem, cfg.n_max, philox_stream(cfg.base_seed, r)), gap, initial=initial).indices())

@@ -25,10 +25,10 @@ from germ.gap import (
     UniformConvergence,
     UserConstant,
 )
-from germ.montecarlo import McConfig, _draw_outcome_block
-from germ.problem import DiscreteDistribution, LearningProblem, LossTable, draw_sample
+from germ.montecarlo import McConfig, draw_outcomes
+from germ.problem import DiscreteDistribution, LearningProblem, LossTable
 from germ.rng import philox_stream
-from scalar_reference import scalar_run_germ
+from scalar_reference import draw_sample, scalar_run_germ
 
 
 @st.composite
@@ -70,7 +70,7 @@ def test_lockstep_choices_equal_run_germ(case):
     problem, gaps, initial, n_max, replications, steps, seed = case
     cfg = McConfig(replications=replications, n_max=n_max, base_seed=seed, grid=tuple(range(1, n_max + 1)))
     samples = [draw_sample(problem, n_max, philox_stream(seed, r)) for r in range(replications)]
-    outcomes = _draw_outcome_block(problem, cfg, 0, replications)
+    outcomes = draw_outcomes(problem, cfg.base_seed, 0, replications, cfg.n_max)
     cap = germ.algorithm.STEP_BLOCK
     if steps is not None:
         germ.algorithm.STEP_BLOCK = steps * replications * _step_bytes(problem.class_size)

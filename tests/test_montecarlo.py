@@ -38,9 +38,9 @@ from germ.montecarlo import (
     McConfig,
     PairwiseBernsteinEvent,
     coverage_to_csv,
+    draw_outcomes,
     excess_risk_decay,
     mc_bound_coverage,
-    _draw_outcome_block,
     _sign_origins,
     mc_experiment,
     mc_risk_curve,
@@ -52,14 +52,13 @@ from germ.problem import (
     LossTable,
     Sample,
     _outcome_index,
-    draw_sample,
     optimal_risk,
     population_risk,
 )
 from germ.rademacher import SIGN_BLOCK, _rbars, _sign_blocks, _sign_sups
-from germ.rng import draw_signs, philox_stream, read_signs
+from germ.rng import philox_stream, read_signs
 from germ.scenarios import load_scenario
-from scalar_reference import rademacher_sup, scalar_run_germ
+from scalar_reference import draw_sample, draw_signs, rademacher_sup, scalar_run_germ
 
 
 def three_outcome_problem() -> LearningProblem:
@@ -134,7 +133,7 @@ def scalar_reference_stats(problem, algo, cfg):
 def lockstep(problem, algo, cfg):
     """(chosen, rbars) of all cfg.replications as one chunk: the outcome
     draw, then the stepper."""
-    outcomes = _draw_outcome_block(problem, cfg, 0, cfg.replications)
+    outcomes = draw_outcomes(problem, cfg.base_seed, 0, cfg.replications, cfg.n_max)
     return _step_block(problem, algo, outcomes, _sign_origins(cfg, 0, cfg.replications), cfg.grid)
 
 
@@ -212,7 +211,7 @@ def test_outcome_draw_matches_searchsorted():
         assert probs[1] == 0.0 or cum[-1] < 1.0
         assert np.array_equal(_outcome_index(cum, edge_words(cum)), searchsorted_outcomes(cum, edge_words(cum))), probs
         cfg = McConfig(replications=20, n_max=300, base_seed=4, grid=(300,))
-        outcomes = _draw_outcome_block(problem, cfg, 0, cfg.replications)
+        outcomes = draw_outcomes(problem, cfg.base_seed, 0, cfg.replications, cfg.n_max)
         for r in range(cfg.replications):
             sample = draw_sample(problem, cfg.n_max, philox_stream(cfg.base_seed, r))
             assert outcomes[r].tolist() == list(sample.outcomes), (probs, r)
@@ -266,7 +265,7 @@ def test_outcome_draw_crosses_row_blocks(start, stop, n_max, signs_follow):
         loss=LossTable(((0.0, 0.5, 1.0, 0.25), (1.0, 0.5, 0.0, 0.75))),
     )
     cfg = McConfig(replications=stop, n_max=n_max, base_seed=2**64 - 5, grid=(n_max,))
-    outcomes = _draw_outcome_block(problem, cfg, start, stop)
+    outcomes = draw_outcomes(problem, cfg.base_seed, start, stop, cfg.n_max)
     assert outcomes.shape == (stop - start, n_max)
     base_seed, streams, half = _sign_origins(cfg, start, stop)
     assert (base_seed, streams.tolist(), half) == (cfg.base_seed, list(range(start, stop)), 2 * n_max)
@@ -362,7 +361,7 @@ def test_randomized_gate_that_fires_matches_scalar_loop(monkeypatch):
     every = tuple(range(1, cfg.n_max + 1))
     for steps, grid in ((1, cfg.grid), (7, cfg.grid), (cfg.n_max, cfg.grid), (7, cfg.grid[:-1]), (7, every)):
         monkeypatch.setattr(germ.algorithm, "STEP_BLOCK", steps * cfg.replications * _step_bytes(problem.class_size))
-        outcomes = _draw_outcome_block(problem, cfg, 0, cfg.replications)
+        outcomes = draw_outcomes(problem, cfg.base_seed, 0, cfg.replications, cfg.n_max)
         chosen, rbars = _step_block(problem, algo, outcomes, _sign_origins(cfg, 0, cfg.replications), grid)
         for r, trajectory in enumerate(trajectories):
             for g, n in enumerate(grid):
@@ -407,7 +406,7 @@ def test_sign_reads_of_a_full_chunk_stay_within_the_cap(monkeypatch):
     problem = load_scenario("three-outcome-misspecified").problem
     algo = GermAlgorithm(gap=GapSpec(UniformConvergence(EmpiricalMcDiarmid()), problem.class_size))
     cfg = McConfig(replications=CHUNK, n_max=2000, base_seed=8, grid=(500, 1000, 2000))
-    outcomes = _draw_outcome_block(problem, cfg, 0, CHUNK)
+    outcomes = draw_outcomes(problem, cfg.base_seed, 0, CHUNK, cfg.n_max)
     origins = _sign_origins(cfg, 0, CHUNK)
     # the most signs one read held, and the rows read; kept in place, so
     # that recording allocates nothing per read
@@ -596,7 +595,7 @@ def test_estimator_deviation_matches_scalar_supremum():
     from germ.rademacher import exact_rademacher
 
     # the chunk's own suprema, compared entry by entry with the scalar replay
-    outcomes = _draw_outcome_block(problem, cfg, 0, cfg.replications)
+    outcomes = draw_outcomes(problem, cfg.base_seed, 0, cfg.replications, cfg.n_max)
     grid = np.array(cfg.grid)
     sups = _sign_sups(problem.loss.as_array(), outcomes, _sign_origins(cfg, 0, cfg.replications), grid, np.cumsum(grid) - grid)
     exact = {n: exact_rademacher(problem, n) for n in cfg.grid}

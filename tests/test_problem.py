@@ -15,7 +15,6 @@ from germ.problem import (
     LearningProblem,
     LossTable,
     Sample,
-    draw_sample,
     load_problem,
     multinomial_blocks,
     optimal_risk,
@@ -26,7 +25,7 @@ from germ.problem import (
     save_problem,
 )
 from germ.rng import philox_stream
-from scalar_reference import empirical_risk
+from scalar_reference import draw_sample, empirical_risk
 
 
 def make_problem(probs, rows, name="p"):

@@ -20,10 +20,10 @@ from germ.rademacher import (
     rbar_massart,
     rbar_undershoot_rate,
 )
-from germ.rng import draw_signs, philox_stream
+from germ.rng import philox_stream
 from germ.scenarios import builtin_scenarios
 import scalar_reference as ref
-from scalar_reference import rademacher_sup, rbar_from_signs
+from scalar_reference import draw_signs, rademacher_sup, rbar_from_signs
 
 
 def make_problem(probs, rows, name="p"):

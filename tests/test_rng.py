@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from germ.rng import draw_signs, fill_uniforms, philox_stream, read_signs
+from germ.rng import fill_uniforms, philox_stream, read_signs
+from scalar_reference import draw_signs
 
 
 def test_one_sign_draw_equals_consecutive_draws():
