@@ -188,15 +188,15 @@ def trajectory_to_dict(trajectory: Trajectory) -> dict:
 
 
 def erm(loss: LossTable, sample_prefix: Sample) -> int:
-    """Empirical risk minimizer over the prefix; ties break to the lowest index."""
+    """Empirical risk minimizer over the prefix; ties break to the lowest index.
+
+    The loss sums are added in step order, as ``run_germ`` adds them.
+    """
     if len(sample_prefix) == 0:
         raise ValueError("the empirical risk minimizer of an empty prefix is undefined")
     _check_outcomes(sample_prefix, loss.outcome_count)
-    sums = [0.0] * loss.class_size
-    for z in sample_prefix.outcomes:
-        for h, row in enumerate(loss.rows):
-            sums[h] += row[z]
-    return min(range(len(sums)), key=sums.__getitem__)
+    sums = np.cumsum(loss.as_array().T[list(sample_prefix.outcomes)], axis=0)[-1]
+    return int(_erm_candidates(sums)[0])
 
 
 def run_germ(

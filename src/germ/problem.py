@@ -22,7 +22,7 @@ PROB_SUM_TOLERANCE = 1e-12
 ENUMERATION_BUDGET = 10**7
 
 # count vectors per block of a multinomial sum
-COUNT_BLOCK = 1024
+COUNT_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -190,75 +190,42 @@ def _outcome_index(cum: np.ndarray, words: np.ndarray) -> np.ndarray:
     return z
 
 
-def _expand_counts(prefixes: np.ndarray, left: np.ndarray, parts: int) -> np.ndarray:
-    """Each prefix row followed by every vector of ``parts`` nonnegative
-    integers that sums to its entry of ``left``.
-
-    Rows come prefix by prefix, and each prefix's rows in lexicographically
-    ascending order of the appended entries.
-    """
-    vectors = prefixes
-    for _ in range(parts - 1):
-        # row r expands into one row per next entry 0..left[r], ascending
-        reps = left + 1
-        rows = np.repeat(np.arange(len(left)), reps)
-        nxt = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        vectors = np.column_stack((vectors[rows], nxt))
-        left = left[rows] - nxt
-    return np.column_stack((vectors, left))
-
-
-def _count_vectors(total: int, parts: int) -> np.ndarray:
-    """Every vector of ``parts`` nonnegative integers summing to ``total``.
-
-    Rows are in lexicographically ascending order.
-    """
-    return _expand_counts(np.zeros((1, 0), dtype=np.int64), np.array([total], dtype=np.int64), parts)
-
-
 def _count_vector_blocks(n: int, m: int):
     """Every count vector of m categories summing to n, in blocks of rows.
 
-    Rows come in lexicographically ascending order.  Consecutive first
-    counts are joined until a block holds COUNT_BLOCK rows, and their rows
-    are built in one expansion.  A first count with more vectors than that
-    is built alone and cut into pieces of COUNT_BLOCK rows, so no block
-    spans the whole simplex or one large slice of it.
+    Rows come in lexicographically ascending order, one block per
+    COUNT_BLOCK consecutive ranks (the last block may hold fewer), and each
+    block is unranked from its ranks alone, so memory is bounded by the
+    block.  Of the N_p(t) = C(t + p - 1, p - 1) vectors of p parts summing
+    to t, N_p(t) - N_p(t - a) have a first entry below a; so a rank's first
+    entry is the largest a whose count does not exceed it, and the rank
+    less that count is unranked over the other parts.  Every table entry is
+    at most the number of vectors, so int64 is exact within the
+    enumeration budget.
     """
     if m == 1:
-        yield _count_vectors(n, 1)
+        yield np.array([[n]], dtype=np.int64)
         return
-
-    def slices(firsts: list[int]) -> np.ndarray:
-        first = np.array(firsts, dtype=np.int64)
-        return _expand_counts(first[:, np.newaxis], n - first, m - 1)
-
-    pending: list[np.ndarray] = []
-    firsts: list[int] = []
-    size = 0
-    for first in range(n + 1):
-        rows = math.comb(n - first + m - 2, m - 2)
-        if rows <= COUNT_BLOCK:
-            firsts.append(first)
-            size += rows
-            if size >= COUNT_BLOCK:
-                yield np.concatenate([*pending, slices(firsts)])
-                pending, firsts, size = [], [], 0
-            continue
-        if firsts:
-            pending.append(slices(firsts))
-            firsts = []
-        rest = slices([first])
-        for lo in range(0, rows, COUNT_BLOCK):
-            pending.append(rest[lo : lo + COUNT_BLOCK])
-            size += len(pending[-1])
-            if size >= COUNT_BLOCK:
-                yield np.concatenate(pending)
-                pending, size = [], 0
-    if firsts:
-        pending.append(slices(firsts))
-    if pending:
-        yield np.concatenate(pending)
+    # ways[p - 1][t] = N_p(t); N_1 = 1, and N_p is the running sum of N_(p-1)
+    ways = [np.ones(n + 1, dtype=np.int64)]
+    for _ in range(m - 1):
+        ways.append(np.cumsum(ways[-1]))
+    total = int(ways[-1][n])
+    for lo in range(0, total, COUNT_BLOCK):
+        rank = np.arange(lo, min(lo + COUNT_BLOCK, total), dtype=np.int64)
+        left = np.full(len(rank), n, dtype=np.int64)
+        counts = np.empty((len(rank), m), dtype=np.int64)
+        for j in range(m - 2):
+            table = ways[m - 1 - j]
+            top = table[left]
+            rest = np.searchsorted(table, top - rank)
+            counts[:, j] = left - rest
+            rank -= top - table[rest]
+            left = rest
+        # with two parts left, the rank is the first of them
+        counts[:, -2] = rank
+        counts[:, -1] = left - rank
+        yield counts
 
 
 def multinomial_blocks(probs, n: int):
@@ -266,10 +233,11 @@ def multinomial_blocks(probs, n: int):
 
     Yields ``(counts, weights)`` blocks in ascending lexicographic order:
     ``counts`` has one int row per count vector over the categories of
-    ``probs`` and ``weights`` holds their multinomial probabilities.  Rows
-    that count a zero-probability category are dropped.  An expectation
-    that depends on a sample only through its counts is a weighted sum
-    over these blocks.
+    ``probs`` and ``weights`` holds their multinomial probabilities.  Each
+    block comes from COUNT_BLOCK consecutive ranks of the enumeration, so
+    it holds at most that many rows; rows that count a zero-probability
+    category are dropped.  An expectation that depends on a sample only
+    through its counts is a weighted sum over these blocks.
 
     Raises
     ------

@@ -13,7 +13,9 @@ the Bernstein sum of squares and the gate's comparison, one step at a
 time.  It shares no kernel with the package's stepper
 (``germ.algorithm._step_block``), which serves ``run_germ``, the Monte
 Carlo engine and the exact oracle, so tests that compare those engines
-with it do not compare the kernel with itself.
+with it do not compare the kernel with itself.  ``erm`` is its ERM alone,
+the loop that ``germ.algorithm.erm`` (the stepper's ``_erm_candidates``)
+is held to.
 
 ``draw_sample`` and ``draw_signs`` draw a sample and signs from a
 ``Generator`` of ``germ.rng.philox_stream``, one call after another as a
@@ -105,6 +107,16 @@ def empirical_risk(loss: LossTable, h: int, sample: Sample) -> float:
     """(1/n) sum_i loss[h][z_i] over a nonempty sample."""
     row = loss.rows[h]
     return math.fsum(row[z] for z in sample.outcomes) / len(sample)
+
+
+def erm(loss: LossTable, sample_prefix: Sample) -> int:
+    """Empirical risk minimizer of a nonempty prefix: per-hypothesis sums
+    added in step order from 0.0, ties broken to the lowest index."""
+    sums = [0.0] * loss.class_size
+    for z in sample_prefix.outcomes:
+        for h, row in enumerate(loss.rows):
+            sums[h] += row[z]
+    return min(range(len(sums)), key=sums.__getitem__)
 
 
 def rademacher_sup(loss: LossTable, sample: Sample, signs) -> float:

@@ -36,6 +36,7 @@ from germ.rademacher import rbar_massart
 from germ.rng import philox_stream
 from germ.scenarios import load_scenario
 from scalar_reference import draw_sample, draw_signs, empirical_risk, rbar_from_signs, scalar_run_germ
+from scalar_reference import erm as scalar_erm
 
 
 def two_point_problem():
@@ -103,6 +104,22 @@ def test_erm_matches_argmin_of_empirical_risk():
         assert all(risks[got] < risks[h] for h in range(got))
 
 
+def test_erm_matches_the_scalar_reference():
+    # losses on a grid of 1/q make sums that tie in exact arithmetic; the
+    # float sums then decide, and agree only when added in the same order
+    rng = philox_stream(4050, 0)
+    for q in (3, 7, 10, 20):
+        for _ in range(500):
+            grid = rng.integers(0, q + 1, size=(rng.integers(2, 6), rng.integers(2, 5)))
+            loss = LossTable(tuple(tuple(v / q for v in row) for row in grid.tolist()))
+            sample = Sample(tuple(rng.integers(0, loss.outcome_count, size=rng.integers(1, 13)).tolist()))
+            assert erm(loss, sample) == scalar_erm(loss, sample)
+    # three orders of one sample whose two lowest sums tie exactly (0.8)
+    loss = load_scenario("three-outcome-misspecified").problem.loss
+    for outcomes, want in (((0, 0, 1), 0), ((0, 1, 0), 1), ((1, 0, 0), 1)):
+        assert erm(loss, Sample(outcomes)) == scalar_erm(loss, Sample(outcomes)) == want
+
+
 def test_huge_fixed_gap_never_updates():
     problem = two_point_problem()
     sample = Sample((0,) * 30)
@@ -126,7 +143,7 @@ def test_zero_fixed_gap_tracks_the_erm():
         for step in trajectory.steps:
             assert step.updated == (step.chosen_index != previous)
             assert step.chosen_index == step.erm_index
-            assert step.erm_index == erm(problem.loss, sample.prefix(step.k))
+            assert step.erm_index == scalar_erm(problem.loss, sample.prefix(step.k))
             previous = step.chosen_index
 
 

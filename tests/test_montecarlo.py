@@ -17,7 +17,7 @@ import pytest
 import germ.algorithm
 import germ.montecarlo
 import germ.rademacher
-from germ.algorithm import GermAlgorithm, PlainErm, _step_block, _step_bytes, algo_label, erm
+from germ.algorithm import GermAlgorithm, PlainErm, _step_block, _step_bytes, algo_label
 from germ.errors import ResourceLimitError
 from germ.gap import (
     EmpiricalBernstein,
@@ -58,7 +58,7 @@ from germ.problem import (
 from germ.rademacher import SIGN_BLOCK, _rbars, _sign_blocks, _sign_sups
 from germ.rng import philox_stream, read_signs
 from germ.scenarios import load_scenario
-from scalar_reference import draw_sample, draw_signs, rademacher_sup, scalar_run_germ
+from scalar_reference import draw_sample, draw_signs, erm, rademacher_sup, scalar_run_germ
 
 
 def three_outcome_problem() -> LearningProblem:

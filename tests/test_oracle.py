@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import germ.oracle
 import germ.problem
-from germ.algorithm import GermAlgorithm, PlainErm, erm
+from germ.algorithm import GermAlgorithm, PlainErm
 from germ.errors import ResourceLimitError
 from germ.gap import (
     EmpiricalBernstein,
@@ -42,7 +42,7 @@ from germ.problem import (
 )
 from germ.rng import philox_stream
 from germ.scenarios import load_scenario
-from scalar_reference import pairwise_bernstein_rhs, pairwise_rhs_from_sq, scalar_run_germ, unique_rows
+from scalar_reference import erm, pairwise_bernstein_rhs, pairwise_rhs_from_sq, scalar_run_germ, unique_rows
 
 
 def make_problem(rows, probs):
@@ -213,8 +213,8 @@ def exact_rational_curve(problem, algo, n_max):
 
     Each prefix weighs the Fraction product of its float outcome
     probabilities, and its hypothesis comes from the scalar reference loop
-    (gated) or ``erm`` (plain) on that prefix, so nothing is rounded before
-    the sum.
+    (gated) or the reference ``erm`` (plain) on that prefix, so nothing is
+    rounded before the sum.
     """
     probs = [Fraction(p) for p in problem.distribution.probs]
     pop = [Fraction(population_risk(problem, h)) for h in range(problem.class_size)]
@@ -536,7 +536,7 @@ PAIRWISE_CASES = {
 }
 
 
-@pytest.mark.parametrize("block", [germ.problem.COUNT_BLOCK, 64])
+@pytest.mark.parametrize("block", [1024, 64])
 @pytest.mark.parametrize("case", sorted(PAIRWISE_CASES))
 def test_pairwise_coverage_matches_per_vector_reference(case, block, monkeypatch):
     monkeypatch.setattr(germ.problem, "COUNT_BLOCK", block)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,9 +105,9 @@ def test_enumerated_mean_of_empirical_risk_matches_population_risk():
     assert total / m**n == pytest.approx(population_risk(problem, 0), abs=1e-12)
 
 
-@pytest.mark.parametrize("block", [germ.problem.COUNT_BLOCK, 5])
+@pytest.mark.parametrize("block", [1024, 5])
 def test_multinomial_blocks_cover_every_possible_count_vector(block, monkeypatch):
-    # a block of 5 rows cuts the 21 vectors with first count 0 into pieces
+    # blocks of 5 ranks cut the 56 vectors within and across first counts
     monkeypatch.setattr(germ.problem, "COUNT_BLOCK", block)
     probs = (0.2, 0.0, 0.5, 0.3)
     n = 5
@@ -116,7 +117,7 @@ def test_multinomial_blocks_cover_every_possible_count_vector(block, monkeypatch
         list(c) for c in itertools.product(range(n + 1), repeat=len(probs)) if sum(c) == n and c[1] == 0
     )
     assert counts == want
-    assert all(len(c) < 2 * block for c, _ in multinomial_blocks((0.25,) * 4, n))
+    assert all(len(c) <= block for c, _ in multinomial_blocks((0.25,) * 4, n))
     for c, w in blocks:
         for row, weight in zip(c.tolist(), w.tolist()):
             exact = math.factorial(n) / math.prod(math.factorial(x) for x in row)
@@ -127,15 +128,32 @@ def test_multinomial_blocks_cover_every_possible_count_vector(block, monkeypatch
 
 @pytest.mark.parametrize("block", [5, 1024])
 def test_count_vector_blocks_are_the_lexicographic_enumeration(block, monkeypatch):
+    # nonnegative rows that sum to n, strictly ascending, C(n + m - 1, m - 1)
+    # of them: every count vector once, in lexicographic order
     monkeypatch.setattr(germ.problem, "COUNT_BLOCK", block)
     for n in range(31):
         for m in range(1, 7):
             blocks = list(germ.problem._count_vector_blocks(n, m))
-            assert np.array_equal(np.concatenate(blocks), germ.problem._count_vectors(n, m))
-            # a block closes once it holds COUNT_BLOCK rows, and a first
-            # count's slice larger than that is cut into COUNT_BLOCK pieces
-            assert all(block <= len(b) < 2 * block for b in blocks[:-1])
-            assert len(blocks[-1]) < 2 * block
+            rows = np.concatenate(blocks)
+            assert (rows >= 0).all() and (rows.sum(axis=1) == n).all()
+            step = np.diff(rows, axis=0)
+            # the first nonzero entry of each step is positive
+            assert (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all()
+            assert len(rows) == math.comb(n + m - 1, m - 1)
+            # a block is COUNT_BLOCK consecutive ranks
+            assert all(len(b) == block for b in blocks[:-1])
+            assert 1 <= len(blocks[-1]) <= block
+
+
+def test_count_vector_blocks_hold_memory_to_one_block():
+    # (62, 6) has C(67, 5) = 9,657,648 vectors, 720,720 with first count 0
+    tracemalloc.start()
+    try:
+        next(germ.problem._count_vector_blocks(62, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_multinomial_blocks_budget(monkeypatch):

@@ -10,8 +10,8 @@ from scalar_reference import draw_signs
 
 
 def test_one_sign_draw_equals_consecutive_draws():
-    # the Monte Carlo engine draws the signs of a block of steps in one call
-    # and relies on this to match the scalar loop's per-step draws
+    # the reference draw_signs, which read_signs is pinned to, gives the
+    # same signs in one draw of a + b as in a draw of a and then one of b
     for n, a, b in ((200, 1, 1), (200, 3, 4), (7, 90, 37), (1, 4095, 1)):
         bulk = philox_stream(11, 5)
         bulk.random(n)
