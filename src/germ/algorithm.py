@@ -497,13 +497,27 @@ def _gate_block(S, sums, k, incumbent, at, gate):
     eps * t1, and a block of T < 2**14 steps (the STEP_BLOCK cap) adds up
     about (T + 4) * eps * t1 < 4e-12 * t1 of them.  Each live row goes
     through the same float operations whichever rows are live.
+
+    Before any row's lag is formed, one test bounds them all: a lag is a
+    function of the sums alone, and each of the t0 = t1 - T steps before
+    the block adds at most reach[inc] to it, so with the block's own steps
+    a row's bound is at most t1 * max(reach).  The float lag at the block
+    start lies within eps * t1**2 of the exact one (t0 roundings of each of
+    two sums below t1 and one of their difference, each at most
+    eps * t1 / 2), and the other roundings of the test stay far below
+    1e-9 * t1.  So when t1 * max(reach) falls short of the least
+    k * floor(k) by 2e-9 * t1 + 2.3e-16 * t1**2 (2.3e-16 > eps), no row is
+    live, and the block returns what the row test returns then.
     """
     gaps, lag_needed, reach, settle = gate
     H = len(reach)
     T, t1 = len(k), int(k[-1, 0])
-    lag = sums[np.arange(len(incumbent)), incumbent] - functools.reduce(np.minimum, sums[:, :H].T)
-    live = (lag + T * reach[incumbent] >= lag_needed[t1 - T : t1].min() - 1e-9 * t1).nonzero()[0]
     picked = incumbent[np.newaxis].repeat(len(at), axis=0)
+    need = lag_needed[t1 - T : t1].min()
+    if t1 * reach.max() < need - t1 * (2e-9 + 2.3e-16 * t1):
+        return picked
+    lag = sums[np.arange(len(incumbent)), incumbent] - functools.reduce(np.minimum, sums[:, :H].T)
+    live = (lag + T * reach[incumbent] >= need - 1e-9 * t1).nonzero()[0]
     if live.size:
         # every row live reads the block without a copy
         sel = slice(None) if live.size == len(incumbent) else live

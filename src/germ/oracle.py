@@ -5,13 +5,13 @@ every step n <= n_max is an exact finite sum over outcome sequences.  The
 oracle walks the sequences forward one depth at a time and merges prefixes
 that reach the same state (loss sums, outcome counts, incumbent), since
 their futures are identical; each state carries the total probability of
-its prefixes.  A depth is stepped as one one-step block through
-``algorithm._gate_block``, the pruned gate that the stepper of
-``run_germ`` and the Monte Carlo engine calls per block of steps, with
-the states in the stepper's row layout.  So every gate decision matches
-``run_germ`` on every sequence, and each curve value is the sequence
-average up to the rounding of the merged weight sums.  One walk yields
-the whole curve.
+its prefixes, and one sort of the states' key bytes merges a depth.  A
+depth is stepped as one one-step block through ``algorithm._gate_block``,
+the pruned gate that the stepper of ``run_germ`` and the Monte Carlo
+engine calls per block of steps, with the states in the stepper's row
+layout.  So every gate decision matches ``run_germ`` on every sequence,
+and each curve value is the sequence average up to the rounding of the
+merged weight sums.  One walk yields the whole curve.
 
 The exact pairwise-coverage sum runs over outcome-count vectors instead
 (``problem.multinomial_blocks``), in blocks, with NumPy, through the
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -151,9 +152,13 @@ def _merge_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lexicographic order, and the index of each row of ``key`` among them.
 
     This is ``np.unique(key, axis=0, return_inverse=True)``, which orders
-    rows the same way, computed with one lexsort.
+    rows the same way, computed with one sort: with each column's sign bit
+    flipped and its bytes written big-endian, a row's bytes, read as one
+    string, compare as the row compares, so one stable argsort of those
+    strings orders the rows.
     """
-    order = np.lexsort(key.T[::-1])
+    raw = (key.view(np.uint64) ^ np.uint64(1 << 63)).astype(">u8")
+    order = np.argsort(raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1])))[:, 0], kind="stable")
     key = key[order]
     first = np.empty(len(key), dtype=bool)
     first[0] = True
@@ -176,10 +181,11 @@ def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: 
     every path through the parent, and states that cannot switch skip the
     gate kernels as Monte Carlo rows do.  States merge on the bits of
     their row and their chosen hypothesis: sums are keyed bit for bit
-    because ERM breaks ties on them.  One lexsort of the keys merges a
+    because ERM breaks ties on them.  One sort of the keys' bytes merges a
     layer (``_merge_rows``), so a layer's states lie in the ascending
     order of their keys read as int64 columns, the order
-    ``np.unique(axis=0)`` gives.
+    ``np.unique(axis=0)`` gives, which sets the order in which
+    ``np.bincount`` adds their weights.
     """
     L = problem.loss.as_array()
     H = problem.class_size
@@ -197,9 +203,9 @@ def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: 
     values = [0.0] * (n_max + 1)
     for k in range(1, n_max + 1):
         # child j * N + i is state i followed by outcome outcomes[j]
-        parents = np.tile(sums, (len(outcomes), 1))
-        S = (parents + losses[np.repeat(outcomes, len(sums))])[np.newaxis]
-        chosen = np.tile(chosen, len(outcomes))
+        parents = np.concatenate([sums] * len(outcomes))
+        S = (parents + losses[outcomes].repeat(len(sums), axis=0))[np.newaxis]
+        chosen = np.concatenate([chosen] * len(outcomes))
         if germ:
             _gate_block(S, parents, np.array([[k]]), chosen, [], gate)
         else:
@@ -336,11 +342,11 @@ def pairwise_bernstein_coverage(problem: LearningProblem, n: int, delta: float) 
     L = problem.loss.as_array()
     pop = population_risks(problem)
 
-    def covered_weights():
-        for counts, weights in multinomial_blocks(problem.distribution.probs, n):
-            yield from weights[_pairwise_covered(counts, n, L, pop, delta)].tolist()
-
-    return math.fsum(covered_weights())
+    covered = (
+        weights[_pairwise_covered(counts, n, L, pop, delta)].tolist()
+        for counts, weights in multinomial_blocks(problem.distribution.probs, n)
+    )
+    return math.fsum(itertools.chain.from_iterable(covered))
 
 
 def curve_to_csv(curve: RiskCurve) -> str:

@@ -23,6 +23,7 @@ count vectors of ``problem.multinomial_blocks``, within its budget.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -167,9 +168,9 @@ def _expect(problem: LearningProblem, k: int, value) -> float:
     def terms():
         for counts, weights in multinomial_blocks(half + half, k):
             sups = ((counts[:, :m] - counts[:, m:]) @ loss_t).max(axis=1) / k
-            yield from (weights * value(sups)).tolist()
+            yield (weights * value(sups)).tolist()
 
-    return math.fsum(terms())
+    return math.fsum(itertools.chain.from_iterable(terms()))
 
 
 def exact_rademacher(problem: LearningProblem, k: int) -> float:

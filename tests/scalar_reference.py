@@ -25,7 +25,7 @@ reads by stream position without a generator
 ``scalar_run_germ`` reads its signs through ``draw_signs``.
 
 ``unique_rows`` is the ``np.unique(axis=0)`` merge that the exact oracle's
-one-lexsort merge (``germ.oracle._merge_rows``) must reproduce.
+one-sort byte-key merge (``germ.oracle._merge_rows``) must reproduce.
 """
 
 from __future__ import annotations

@@ -23,6 +23,8 @@ from germ.gap import (
     MassartDeterministic,
     UniformConvergence,
     UserConstant,
+    delta_uniform,
+    step_schedule,
 )
 from germ.montecarlo import McConfig, draw_outcomes, mc_risk_curve
 from germ.oracle import exact_risk_curve
@@ -122,6 +124,30 @@ def test_headroom_admits_a_fire_that_rounding_puts_past_k_times_the_gap(monkeypa
     expected = list(scalar_run_germ(problem, Sample(z), gap).indices())
     assert chosen[:, 0].tolist() == expected
     assert expected.index(1) == 34
+
+
+@pytest.mark.parametrize("edge", [10, 16, 21])
+@pytest.mark.parametrize("steps", [1, 4, 7])
+def test_a_block_whose_bound_meets_the_largest_lag_is_gated(monkeypatch, steps, edge):
+    # losses in {0, 1}, so no lag grows by more than 1 per step and t1 bounds
+    # every row's lag at the end of a block; the gap is 1 at step ``edge``
+    # and above 4 elsewhere.  A row whose incumbent loses every step lags by
+    # exactly edge = edge * gap there, so a block that ends at ``edge`` sits
+    # on the quiet-block bound and must still be scanned: the gate fires
+    problem = LearningProblem("quiet-edge", DiscreteDistribution((0.5, 0.5)), LossTable(((1.0, 0.0), (0.0, 1.0))))
+    n = 30
+    values = tuple((1.0 - delta_uniform(k, 0.0)) / 4.0 if k == edge else 1.0 for k in range(1, n + 1))
+    gap = GapSpec(UniformConvergence(UserConstant(values)), problem.class_size)
+    deltas = step_schedule(gap, n)[0]
+    assert edge * deltas[edge - 1] == edge and min(deltas[: edge - 1].min(), deltas[edge:].min()) > 4.0
+    z = np.vstack([np.zeros((1, n), dtype=np.intp), np.ones((1, n), dtype=np.intp), philox_stream(edge, 0).integers(0, 2, (6, n))])
+    monkeypatch.setattr(germ.algorithm, "STEP_BLOCK", steps * len(z) * _step_bytes(problem.class_size))
+    for initial in (0, 1):
+        chosen, _ = _step_block(problem, GermAlgorithm(gap, initial_index=initial), z, None, tuple(range(1, n + 1)))
+        expected = [list(scalar_run_germ(problem, Sample(tuple(row)), gap, initial=initial).indices()) for row in z.tolist()]
+        assert chosen.T.tolist() == expected
+        # the row whose incumbent loses every step switches at the edge
+        assert expected[initial].index(1 - initial) == edge - 1
 
 
 @pytest.mark.parametrize("steps", [3, 8, 40])

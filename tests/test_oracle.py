@@ -41,7 +41,7 @@ from germ.problem import (
     population_risk,
 )
 from germ.rng import philox_stream
-from germ.scenarios import load_scenario
+from germ.scenarios import builtin_scenarios, load_scenario
 from scalar_reference import erm, pairwise_bernstein_rhs, pairwise_rhs_from_sq, scalar_run_germ, unique_rows
 
 
@@ -138,9 +138,26 @@ def int64_keys(draw):
     return np.array(draw(st.lists(row, min_size=1, max_size=40)), dtype=np.int64)
 
 
+def layer_key(problem, algo, depth):
+    """The key that the state walk merges at ``depth``, recorded from a walk."""
+    keys = []
+    merge = germ.oracle._merge_rows
+    germ.oracle._merge_rows = lambda key: keys.append(key) or merge(key)
+    try:
+        exact_risk_curve(problem, algo, depth)
+    finally:
+        germ.oracle._merge_rows = merge
+    return keys[-1]
+
+
+# 918 children of the ladder's ERM walk at depth 8, merging onto 550 states
+LADDER_KEY = layer_key(load_scenario("margin-free-ladder").problem, PlainErm(), 8)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(int64_keys())
 @example(np.array([[7, -3, 0]], dtype=np.int64))
+@example(LADDER_KEY)
 @example(np.full((9, 4), -(2**63), dtype=np.int64))
 @example(np.array([[0.0, 1.0], [-0.0, 1.0], [0.5, -2.0], [0.0, 1.0]]).view(np.int64))
 def test_merge_rows_is_np_unique(key):
@@ -149,6 +166,18 @@ def test_merge_rows_is_np_unique(key):
     want_layer, want_inverse = unique_rows(key)
     assert layer.dtype == want_layer.dtype and np.array_equal(layer, want_layer)
     assert inverse.shape == want_inverse.shape and np.array_equal(inverse, want_inverse)
+
+
+@pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
+def test_state_order_is_the_np_unique_order(name, monkeypatch):
+    # the merge orders the states, and the states' order sets the order in
+    # which the next layer adds weights, so the curve pins it bit for bit
+    problem = load_scenario(name).problem
+    H = problem.class_size
+    algos = [PlainErm(), GermAlgorithm(massart(H)), GermAlgorithm(bernstein(H)), GermAlgorithm(FixedDelta(0.0))]
+    want = [exact_risk_curve(problem, algo, 8).values for algo in algos]
+    monkeypatch.setattr(germ.oracle, "_merge_rows", unique_rows)
+    assert [exact_risk_curve(problem, algo, 8).values for algo in algos] == want
 
 
 def test_gate_fires_inside_the_enumeration_budget():
