@@ -439,22 +439,26 @@ def _gate(algo: GermAlgorithm, L: np.ndarray, n: int, schedule, signs=None):
     ``signs`` is (outcomes, origins), which only the randomized gap reads:
     the (B, n) outcome block and the origin of each row's signs.
 
-    Returns (gaps, lag_needed, reach, settle).  ``gaps`` holds the gap the
-    scan compares at each step: the schedule for the fixed, Massart and
-    constant gaps; for Bernstein, the gap with no variance term, and for
-    the randomized gap, the gap at R-bar = 0, each a lower bound of the
-    gap that ``settle`` (``_bernstein_gate``, ``_rademacher_gate``) turns
-    into the gate's decision.  The randomized gap is 4 R-bar + r_k + 2/k
-    with R-bar >= 0, and rounding is monotone, so in floats too it is at
-    least its value at R-bar = 0.  Its settle reads only the signs of the
+    Returns (gaps, lag_needed, reach, settle, rows).  ``gaps`` holds the
+    gap the scan compares at each step: the schedule for the fixed,
+    Massart and constant gaps; for Bernstein, the gap with no variance
+    term, and for the randomized gap, the gap at R-bar = 0, each a lower
+    bound of the gap that ``settle`` (``_bernstein_gate``,
+    ``_rademacher_gate``) turns into the gate's decision.  The randomized
+    gap is 4 R-bar + r_k + 2/k with R-bar >= 0, and rounding is monotone,
+    so in floats too it is at least its value at R-bar = 0.  Its settle reads only the signs of the
     blocks whose R-bar it reads; other steps' words are never made.
-    ``lag_needed`` holds k * floor(k) and
-    ``reach`` the largest lag growth per step of each incumbent;
-    ``_gate_block`` sets them out.
+    ``lag_needed`` holds k * floor(k) and ``reach`` the largest lag
+    growth per step of each incumbent; ``_gate_block`` sets them out.
+    ``rows`` (m, columns) holds each outcome's row of the running sums
+    that ``_step_block`` and the exact oracle step: its H losses, then,
+    for the Bernstein gap alone, whose settle reads the outcome counts,
+    its indicator among the m outcomes.
     """
-    H = len(L)
+    H, m = L.shape
     ks = np.arange(1, n + 1)
     settle = None
+    rows = np.ascontiguousarray(L.T)
     if schedule is not None:
         gaps = schedule[0]
     elif is_randomized(algo.gap):
@@ -464,16 +468,17 @@ def _gate(algo: GermAlgorithm, L: np.ndarray, n: int, schedule, signs=None):
     else:
         gaps = _bernstein_gaps(np.zeros(n), H)
         settle = functools.partial(_bernstein_gate, D2=_sq_diffs(L), class_size=H)
-    return gaps, ks * np.fmax(gaps, 0.0), (L - L.min(axis=0)).max(axis=1), settle
+        rows = np.hstack([L.T, np.eye(m)])
+    return gaps, ks * np.fmax(gaps, 0.0), (L - L.min(axis=0)).max(axis=1), settle, rows
 
 
 def _gate_block(S, sums, k, incumbent, at, gate):
     """Gate decisions of one block of steps; updates ``incumbent`` in place.
 
-    Rows follow the stepper's layout: H loss sums, then the m outcome
-    counts, which only the Bernstein settle reads.  ``S`` (T, B, columns)
-    holds the running sums after each step of the block and ``sums`` (B,
-    columns) those carried into it, ``k`` (T, 1) the step indices, and
+    Rows follow ``gate``'s layout: H loss sums, then, for the Bernstein
+    settle alone, the m outcome counts.  ``S`` (T, B, columns) holds the
+    running sums after each step of the block and ``sums`` (B, columns)
+    those carried into it, ``k`` (T, 1) the step indices, and
     ``gate`` comes from ``_gate``.  Returns the incumbents after the block
     positions ``at``, (len(at), B).  A settle kernel reads the live rows'
     sums ``S``, their rows ``live`` in the block and ``k``.  The randomized
@@ -509,7 +514,7 @@ def _gate_block(S, sums, k, incumbent, at, gate):
     k * floor(k) by 2e-9 * t1 + 2.3e-16 * t1**2 (2.3e-16 > eps), no row is
     live, and the block returns what the row test returns then.
     """
-    gaps, lag_needed, reach, settle = gate
+    gaps, lag_needed, reach, settle, _ = gate
     H = len(reach)
     T, t1 = len(k), int(k[-1, 0])
     picked = incumbent[np.newaxis].repeat(len(at), axis=0)
@@ -563,7 +568,6 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     """
     loss = problem.loss
     L = loss.as_array()
-    m = loss.outcome_count
     H = loss.class_size
     B, n = outcomes.shape
     germ = isinstance(algo, GermAlgorithm)
@@ -572,10 +576,7 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     randomized = germ and is_randomized(algo.gap)
     gate = germ and _gate(algo, L, n, schedule, (outcomes, origins))
     ks = np.arange(1, n + 1)
-    # one row per outcome: its H losses, then, when the gate settles on
-    # counts (Bernstein), its indicator among the m outcomes, so the
-    # running sums carry the outcome counts
-    losses = np.hstack([L.T, np.eye(m)]) if gate and gate[3] else np.ascontiguousarray(L.T)
+    losses = gate[4] if germ else np.ascontiguousarray(L.T)
     sums = np.zeros((B, losses.shape[1]))
     incumbent = np.full(B, algo.initial_index if germ else 0, dtype=np.intp)
 

@@ -16,9 +16,9 @@ offset k (k - 1) / 2 from there, and the estimator-deviation event's grid
 size n with the n signs after those of the smaller grid sizes, as
 drawing them in turn places them.  Only the signs a decision or an output
 needs are read, and no generator is built per replication: the samples of
-a block of replications come from ``draw_outcomes``, one Philox re-keyed
-per row (``rng.fill_uniforms``), and the signs of a block of rows from
-another (``rng.read_signs``); tests pin both to ``philox_stream``'s
+a block of replications come from ``draw_outcomes`` and the signs of a
+block of rows from ``rng.read_signs``, both through ``rng.read_words``,
+one Philox re-keyed per row, which a test pins to ``philox_stream``'s
 stream.  ``draw_outcomes`` is the package's one sample draw: ``germ
 run``'s trajectory of n steps, which for n <= n_max is replication 0's
 first n steps, and ``germ rademacher``'s empirical sample come from it
@@ -47,7 +47,7 @@ from .gap import GapSpec, UniformConvergence
 from .oracle import RiskCurve
 from .problem import LearningProblem, _outcome_index, optimal_risk, population_risks
 from .rademacher import _sign_sups, deviation_radius, exact_rademacher
-from .rng import check_integer, fill_uniforms
+from .rng import _check_key, check_integer, read_words
 
 CHUNK = 4096
 
@@ -209,22 +209,22 @@ def draw_outcomes(problem: LearningProblem, base_seed: int, start: int, stop: in
     (stop - start, n): the samples of replications start..stop.
 
     Outcome i of a row is the inverse-CDF outcome of the stream's word i
-    (``_outcome_index``).  The words are drawn by ``fill_uniforms`` into
-    one reused buffer of rows, as many as STEP_BLOCK bytes hold and at
-    least one, and turned into outcomes a buffer at a time.
+    (``_outcome_index``).  The words are read by ``read_words``, the span
+    (0, n) of as many rows as STEP_BLOCK bytes hold and at least one, and
+    turned into outcomes a block of rows at a time.
     """
     if n < 1:
         raise ValueError(f"the sample size must be >= 1, got n={n}")
+    # a uint64 range past 2**64 - 1 would wrap to stream 0
+    _check_key(base_seed, start)
+    _check_key(base_seed, max(stop - 1, start))
     m = problem.loss.outcome_count
     cum = np.cumsum(problem.distribution.as_array())
-    B = stop - start
-    outcomes = np.empty((B, n), dtype=np.min_scalar_type(m - 1))
+    outcomes = np.empty((stop - start, n), dtype=np.min_scalar_type(m - 1))
     rows = max(1, STEP_BLOCK // (8 * n))
-    buf = np.empty((min(rows, B), n), dtype=np.uint64)
-    for a in range(0, B, rows):
-        words = buf[: min(rows, B - a)]
-        fill_uniforms(base_seed, start + a, words)
-        outcomes[a : a + len(words)] = _outcome_index(cum, words)
+    for a in range(start, stop, rows):
+        streams = np.arange(a, min(a + rows, stop), dtype=np.uint64)
+        outcomes[a - start : a - start + rows] = _outcome_index(cum, read_words(base_seed, streams, [(0, n)]))
     return outcomes
 
 

@@ -3,18 +3,19 @@
 For a finite outcome space the expected risk of a deterministic learner at
 every step n <= n_max is an exact finite sum over outcome sequences.  The
 oracle walks the sequences forward one depth at a time and merges prefixes
-that reach the same state (loss sums, outcome counts, incumbent), since
-their futures are identical; each state carries the total probability of
-its prefixes, and one sort of the states' key bytes merges a depth.  A
-depth is stepped as one one-step block through ``algorithm._gate_block``,
-the pruned gate that the stepper of ``run_germ`` and the Monte Carlo
-engine calls per block of steps, with the states in the stepper's row
-layout.  So every gate decision matches ``run_germ`` on every sequence,
-and each curve value is the sequence average up to the rounding of the
-merged weight sums.  One walk yields the whole curve.
+that reach the same state (loss sums, incumbent, and for the Bernstein gap,
+whose gate reads them, the outcome counts), since their futures are
+identical; each state carries the total probability of its prefixes, and
+one sort of the states' key bytes merges a depth.  A depth is stepped as
+one one-step block through ``algorithm._gate_block``, the pruned gate that
+the stepper of ``run_germ`` and the Monte Carlo engine calls per block of
+steps, with the states in the stepper's row layout.  So every gate
+decision matches ``run_germ`` on every sequence, and each curve value is
+the sequence average up to the rounding of the merged weight sums.  One
+walk yields the whole curve.
 
 The exact pairwise-coverage sum runs over outcome-count vectors instead
-(``problem.multinomial_blocks``), in blocks, with NumPy, through the
+(``problem.multinomial_sum``), in blocks, with NumPy, through the
 event that the Monte Carlo engine counts (``analysis._pairwise_covered``).
 """
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +38,7 @@ from .problem import (
     DiscreteDistribution,
     LearningProblem,
     LossTable,
-    multinomial_blocks,
+    multinomial_sum,
     population_risk,
     population_risks,
 )
@@ -172,29 +172,28 @@ def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: 
     """Expected population risk of the chosen hypothesis at each depth 1..n_max.
 
     Layer k holds one row per state that length-k prefixes reach, in the
-    stepper's row layout: the per-hypothesis loss sums, then the outcome
-    counts.  Beside each row lie its chosen hypothesis and the total
-    probability of those prefixes.  The children, one per state and
-    possible outcome, take one step as a one-step block of
-    ``algorithm._gate_block``, the gate of ``run_germ`` and the Monte
+    stepper's row layout, which ``algorithm._gate`` picks: the
+    per-hypothesis loss sums, then, for the Bernstein gap alone, whose
+    settle reads them, the outcome counts.  Beside each row lie its chosen
+    hypothesis and the total probability of those prefixes.  The children,
+    one per state and possible outcome, take one step as a one-step block
+    of ``algorithm._gate_block``, the gate of ``run_germ`` and the Monte
     Carlo engine, so each gate decision is the one ``run_germ`` makes on
     every path through the parent, and states that cannot switch skip the
     gate kernels as Monte Carlo rows do.  States merge on the bits of
-    their row and their chosen hypothesis: sums are keyed bit for bit
-    because ERM breaks ties on them.  One sort of the keys' bytes merges a
-    layer (``_merge_rows``), so a layer's states lie in the ascending
-    order of their keys read as int64 columns, the order
-    ``np.unique(axis=0)`` gives, which sets the order in which
+    their row and their chosen hypothesis, all that the gate reads: sums
+    are keyed bit for bit because ERM breaks ties on them.  One sort of
+    the keys' bytes merges a layer (``_merge_rows``), so a layer's states
+    lie in the ascending order of their keys read as int64 columns, the
+    order ``np.unique(axis=0)`` gives, which sets the order in which
     ``np.bincount`` adds their weights.
     """
     L = problem.loss.as_array()
-    H = problem.class_size
     probs = problem.distribution.as_array()
     pop = population_risks(problem)
     germ = isinstance(algo, GermAlgorithm)
     gate = germ and _gate(algo, L, n_max, schedule)
-    # one row per outcome: its H losses, then its indicator among the outcomes
-    losses = np.hstack([L.T, np.eye(len(probs))])
+    losses = gate[4] if germ else L.T
     # a zero-probability outcome adds no weight to any depth
     outcomes = np.flatnonzero(probs > 0.0)
     sums = np.zeros((1, losses.shape[1]))
@@ -209,7 +208,7 @@ def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: 
         if germ:
             _gate_block(S, parents, np.array([[k]]), chosen, [], gate)
         else:
-            chosen = _erm_candidates(S[0, :, :H])[0]
+            chosen = _erm_candidates(S[0])[0]
         layer, merged = _merge_rows(np.column_stack([S[0].view(np.int64), chosen]))
         sums, chosen = layer[:, :-1].view(np.float64), layer[:, -1]
         weights = np.bincount(merged, weights=(probs[outcomes, np.newaxis] * weights).ravel())
@@ -331,8 +330,8 @@ def pairwise_bernstein_coverage(problem: LearningProblem, n: int, delta: float) 
     gap at most empirical gap plus the pairwise slack.  Both the empirical
     risks and the slack depend on the sample only through its outcome
     counts, so the expectation reduces to a multinomial sum over count
-    vectors, evaluated a block of vectors at a time and summed with
-    ``math.fsum``.  Raises ``ResourceLimitError`` past the count-vector
+    vectors (``problem.multinomial_sum``), evaluated a block of vectors at
+    a time.  Raises ``ResourceLimitError`` past the count-vector
     budget.
     """
     if n < 2:
@@ -341,12 +340,8 @@ def pairwise_bernstein_coverage(problem: LearningProblem, n: int, delta: float) 
         raise ValueError(f"confidence level must lie in (0, 1), got {delta}")
     L = problem.loss.as_array()
     pop = population_risks(problem)
-
-    covered = (
-        weights[_pairwise_covered(counts, n, L, pop, delta)].tolist()
-        for counts, weights in multinomial_blocks(problem.distribution.probs, n)
-    )
-    return math.fsum(itertools.chain.from_iterable(covered))
+    # only the covered weights are summed: the others add nothing
+    return multinomial_sum(problem.distribution.probs, n, lambda c, w: w[_pairwise_covered(c, n, L, pop, delta)])
 
 
 def curve_to_csv(curve: RiskCurve) -> str:

@@ -8,6 +8,7 @@ works directly on these tables.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -256,6 +257,14 @@ def multinomial_blocks(probs, n: int):
         counts = counts[~(counts[:, impossible] > 0).any(axis=1)]
         if len(counts):
             yield counts, np.exp(log_fact[n] - log_fact[counts].sum(axis=1) + counts @ log_p)
+
+
+def multinomial_sum(probs, n: int, weigh) -> float:
+    """``math.fsum`` of the float terms ``weigh(counts, weights)`` of every
+    block of ``multinomial_blocks(probs, n)``, fed a block at a time so that
+    memory stays bounded by one block."""
+    terms = (weigh(counts, weights).tolist() for counts, weights in multinomial_blocks(probs, n))
+    return math.fsum(itertools.chain.from_iterable(terms))
 
 
 def problem_to_dict(problem: LearningProblem) -> dict:

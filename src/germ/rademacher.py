@@ -18,17 +18,16 @@ signed draw is one of 2m categories (outcome z with sign +1 or -1, each
 with probability p_z / 2), and the supremum depends on the draws only
 through the signed counts W_z = c+_z - c-_z.  So every expectation over
 samples and signs is one multinomial sum over the C(k + 2m - 1, 2m - 1)
-count vectors of ``problem.multinomial_blocks``, within its budget.
+count vectors (``problem.multinomial_sum``), within its budget.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .problem import LearningProblem, multinomial_blocks
+from .problem import LearningProblem, multinomial_sum
 from .rng import read_signs
 
 # Most signs, rows x signs per row, that ``_sign_sups`` reads in one block;
@@ -154,10 +153,10 @@ def rbar_massart(class_size: int, k):
 def _expect(problem: LearningProblem, k: int, value) -> float:
     """E[value(sup)] over k signed draws, sup = max_h (1/k) sum_i sigma_i loss(h, Z_i).
 
-    ``value`` maps a block of suprema to the quantity averaged; all weighted
-    terms go through one ``math.fsum``.  Categories 0..m-1 count draws with
-    sign +1 and m..2m-1 those with sign -1.  Raises ``ResourceLimitError``
-    past the count-vector budget.
+    ``value`` maps a block of suprema to the quantity averaged, and
+    ``problem.multinomial_sum`` adds the weighted terms.  Categories 0..m-1
+    count draws with sign +1 and m..2m-1 those with sign -1.  Raises
+    ``ResourceLimitError`` past the count-vector budget.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -165,12 +164,11 @@ def _expect(problem: LearningProblem, k: int, value) -> float:
     loss_t = problem.loss.as_array().T
     half = [p / 2.0 for p in problem.distribution.probs]
 
-    def terms():
-        for counts, weights in multinomial_blocks(half + half, k):
-            sups = ((counts[:, :m] - counts[:, m:]) @ loss_t).max(axis=1) / k
-            yield (weights * value(sups)).tolist()
+    def weigh(counts, weights):
+        sups = ((counts[:, :m] - counts[:, m:]) @ loss_t).max(axis=1) / k
+        return weights * value(sups)
 
-    return math.fsum(itertools.chain.from_iterable(terms()))
+    return multinomial_sum(half + half, k, weigh)
 
 
 def exact_rademacher(problem: LearningProblem, k: int) -> float:

@@ -6,14 +6,15 @@ Every source of randomness in this package is the stream of one
 no matter which worker runs it or in what order.  Philox is a 64-bit
 counter-based generator keyed by the (seed, stream) pair, with
 platform-independent output, so recorded fixtures stay stable across
-machines and across degrees of parallelism.  ``fill_uniforms`` reads the
-same streams without building a generator per stream: it re-keys one
-Philox per row, and a test pins its rows to ``philox_stream``'s.
+machines and across degrees of parallelism.  ``read_words`` reads the
+words at given positions of many streams without building a generator
+per stream: it re-keys one Philox per row, and a test pins its rows to
+``philox_stream``'s.
 
 Signs come from the same streams.  Being counter-based, Philox makes any
 word of a stream from its key and position alone, so ``read_signs``
-reads the signs at given positions of many streams with one re-keyed
-Philox and no generator per stream.  A row's signs are addressed by an
+reads the signs at given positions of many streams from the words that
+``read_words`` reads there.  A row's signs are addressed by an
 origin (base_seed, stream, half), the index of the 32-bit half they
 count from.  The layout it relies on, pinned by a test: the stream is a
 sequence of 64-bit words, word j being word j % 4 of the block that
@@ -78,24 +79,35 @@ def philox_stream(base_seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def fill_uniforms(base_seed: int, first_stream: int, out: np.ndarray) -> None:
-    """Set ``out[i]`` to the first n words of ``philox_stream(base_seed,
-    first_stream + i)``: uniform 64-bit integers, the words its ``random(n)``
-    turns into uniform floats.
+def read_words(base_seed: int, streams: np.ndarray, spans) -> np.ndarray:
+    """Words at given positions of many streams, (rows, total count) uint64.
 
-    ``out`` is a uint64 array of shape (rows, n).  One Philox is re-keyed to
-    (base_seed, stream) with counter 0 and an empty buffer before each row,
-    the state a fresh ``philox_stream`` starts in, so no generator is built
-    per row.
+    Row i reads the stream of (base_seed, streams[i]) for an integer array
+    ``streams``: for each (first, count) pair of ``spans`` in turn, the
+    ``count`` words from word ``first`` on, counted modulo the stream's
+    2**256 blocks of 4.  One Philox is set to each row's key and to the
+    block of each span's first word, and only the span's words are made;
+    the first n words are those that ``random(n)`` of a fresh
+    ``philox_stream`` turns into floats.
     """
-    _check_key(base_seed, first_stream)
-    _check_key(base_seed, first_stream + max(len(out) - 1, 0))
-    bits = np.random.Philox(key=np.array([base_seed, first_stream], dtype=np.uint64))
-    state = bits.state
-    for i, row in enumerate(out):
-        state["state"]["key"] = np.array([base_seed, first_stream + i], dtype=np.uint64)
-        bits.state = state
-        row[:] = bits.random_raw(len(row))
+    _check_key(base_seed, 0)
+    ends = np.cumsum([0] + [int(count) for _, count in spans]).tolist()
+    reads = []
+    for (first, _), a, b in zip(spans, ends, ends[1:]):
+        block, pos = divmod(int(first) % 2**258, 4)
+        reads.append((_limbs(block), pos, a, b))
+    words = np.empty((len(streams), ends[-1]), dtype=np.uint64)
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    # lists set a Philox state faster than arrays do; buffer_pos 4 makes the
+    # next read generate the block with the state's counter + 1
+    state = {"bit_generator": "Philox", "state": {}, "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for row, stream in zip(words, streams.tolist()):
+        state["state"] = {"key": [base_seed, stream]}
+        for counter, pos, a, b in reads:
+            state["state"]["counter"] = counter
+            bits.state = state
+            row[a:b] = bits.random_raw(pos + b - a)[pos:]
+    return words
 
 
 def read_signs(origins, spans) -> np.ndarray:
@@ -107,11 +119,10 @@ def read_signs(origins, spans) -> np.ndarray:
     signs are the ``count`` signs from half half + offset of the row's
     stream on.  A row's spans follow each other in the output.
 
-    One Philox is set to each row's key and to the block of a span's first
-    word, as ``fill_uniforms`` re-keys it, and ``random_raw`` copies only
-    the span's words into one (rows, words) array; nothing else of the
-    stream is made, and spans that continue each other are read as one.
-    The sign bits of the whole array are then extracted at once.
+    The words that hold the spans come from ``read_words``, which makes
+    only those words of each stream, and spans that continue each other
+    are read as one.  The sign bits of the whole array are then extracted
+    at once.
     """
     base_seed, streams, half = origins
     reads = []
@@ -124,19 +135,7 @@ def read_signs(origins, spans) -> np.ndarray:
             reads.append([offset, count])
     # count halves from either half of a word lie in count // 2 + 1 words
     widths = [count // 2 + 1 for _, count in reads]
-    starts = [(_limbs(block), pos) for block, pos in (_word_block(half + offset) for offset, _ in reads)]
-    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    # lists set a Philox state faster than arrays do; buffer_pos 4 makes the
-    # next read generate the block with the state's counter + 1
-    state = {"bit_generator": "Philox", "state": {}, "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    chunks = []
-    for stream in streams.tolist():
-        state["state"] = {"key": [base_seed, stream]}
-        for (counter, pos), width in zip(starts, widths):
-            state["state"]["counter"] = counter
-            bits.state = state
-            chunks.append(bits.random_raw(pos + width)[pos:])
-    words = np.concatenate(chunks).reshape(len(streams), sum(widths))
+    words = read_words(base_seed, streams, [((half + offset) // 2, width) for (offset, _), width in zip(reads, widths)])
     # bit 31 of each half, low half first
     halves = np.empty((len(streams), 2 * words.shape[1]), dtype=np.int8)
     halves[:, 0::2] = (words >> np.uint64(31)) & np.uint64(1)
@@ -151,12 +150,6 @@ def read_signs(origins, spans) -> np.ndarray:
     signs *= 2
     signs -= 1
     return signs
-
-
-def _word_block(half: int) -> tuple[int, int]:
-    """(block, place): the word holding ``half`` is word ``place`` of the
-    block that Philox makes with counter block + 1."""
-    return divmod(half // 2 % 2**258, 4)
 
 
 def _limbs(counter: int) -> list[int]:

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import germ.algorithm
+import germ.oracle
 from germ.algorithm import (
     GermAlgorithm,
     PlainErm,
@@ -13,6 +15,8 @@ from germ.algorithm import (
     erm,
     run_germ,
     trajectory_to_dict,
+    _gate,
+    _step_block,
 )
 from germ.cli import _write_json
 from germ.gap import (
@@ -25,7 +29,10 @@ from germ.gap import (
     UserConstant,
     bernstein_delta_from_sq,
     delta_uniform,
+    is_randomized,
+    step_schedule,
 )
+from germ.oracle import exact_risk_curve
 from germ.problem import (
     DiscreteDistribution,
     LearningProblem,
@@ -320,6 +327,45 @@ def test_massart_and_bernstein_ignore_rng():
         with_origin = run_germ(problem, sample, gap, origin=(1, 1, 0))
         without = run_germ(problem, sample, gap)
         assert with_origin == without
+
+
+def test_only_the_bernstein_gap_carries_outcome_counts(monkeypatch):
+    # the gate picks each outcome's row of the running sums: its H losses,
+    # and its m outcome indicators only where the Bernstein settle reads them
+    problem = load_scenario("three-outcome-misspecified").problem
+    L = problem.loss.as_array()
+    H, m = L.shape
+    n = 6
+    outcomes = np.array([[0, 2, 1, 1, 0, 2]], dtype=np.uint8)
+    origins = (3, np.array([0], dtype=np.uint64), 2 * n)
+    widths = []
+    gate_block = germ.algorithm._gate_block
+
+    def recorded(S, *args):
+        widths.append(S.shape[-1])
+        return gate_block(S, *args)
+
+    monkeypatch.setattr(germ.algorithm, "_gate_block", recorded)
+    monkeypatch.setattr(germ.oracle, "_gate_block", recorded)
+    gaps = [
+        (GapSpec(EmpiricalBernstein(), H), H + m),
+        (GapSpec(UniformConvergence(MassartDeterministic()), H), H),
+        (GapSpec(UniformConvergence(UserConstant(values=(0.1,) * n)), H), H),
+        (GapSpec(UniformConvergence(EmpiricalMcDiarmid()), H), H),
+        (FixedDelta(0.0), H),
+    ]
+    for gap, width in gaps:
+        algo = GermAlgorithm(gap, initial_index=2)
+        rows = _gate(algo, L, n, step_schedule(gap, n), (outcomes, origins))[4]
+        assert rows.shape == (m, width)
+        assert np.array_equal(rows[:, :H], L.T)
+        assert np.array_equal(rows[:, H:], np.eye(m)[:, : width - H])
+        # the stepper and the exact oracle step the rows the gate picks
+        widths.clear()
+        _step_block(problem, algo, outcomes, origins, [n])
+        if not is_randomized(gap):
+            exact_risk_curve(problem, algo, 3)
+        assert widths and set(widths) == {width}
 
 
 def test_user_constant_values_feed_the_uniform_gap():

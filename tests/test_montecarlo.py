@@ -457,9 +457,9 @@ def test_randomized_experiment_builds_no_generator_and_draws_outcomes_once(monke
         return wrapper
 
     monkeypatch.setattr(np.random, "Generator", counted("Generator", np.random.Generator))
-    monkeypatch.setattr(germ.montecarlo, "fill_uniforms", counted("fill_uniforms", germ.montecarlo.fill_uniforms))
+    monkeypatch.setattr(germ.montecarlo, "read_words", counted("read_words", germ.montecarlo.read_words))
     curve, coverages = mc_experiment(problem, algo, cfg, events)
-    assert calls == {"fill_uniforms": 2}
+    assert calls == {"read_words": 2}
     assert coverages == lone
     assert curve == mc_risk_curve(problem, algo, cfg)
 

@@ -216,12 +216,17 @@ def test_exact_curve_matches_brute_force_within_rounding():
         make_problem([(r[0], v, r[1]) for r, v in zip(rows, (0.9, 0.0, 0.5))], (0.3, 0.0, 0.7)),
         # rows 0 and 1 agree, so their sums tie bit for bit at every step
         make_problem((rows[0], rows[0], rows[2]), (0.3, 0.7)),
+        # outcomes 0 and 2 have the same loss column, so prefixes with other
+        # outcome counts reach the same sums; only the Bernstein gate reads
+        # the counts, so only its states keep them apart
+        make_problem([(r[0], r[1], r[0]) for r in rows], (0.2, 0.5, 0.3)),
     ]
     algos = [
         PlainErm(),
         GermAlgorithm(gap=massart(3), initial_index=2),
         GermAlgorithm(gap=bernstein(3), initial_index=2),
         GermAlgorithm(gap=FixedDelta(0.05), initial_index=1),
+        GermAlgorithm(gap=FixedDelta(0.0), initial_index=1),
         GermAlgorithm(
             gap=GapSpec(UniformConvergence(UserConstant(values=(0.0,) * 5)), 3),
             initial_index=2,

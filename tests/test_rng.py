@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from germ.rng import fill_uniforms, philox_stream, read_signs
+from germ.montecarlo import draw_outcomes
+from germ.rng import philox_stream, read_signs, read_words
+from germ.scenarios import load_scenario
 from scalar_reference import draw_signs
 
 
@@ -28,25 +30,39 @@ def test_one_sign_draw_equals_consecutive_draws():
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 2000])
 def test_fill_uniforms_matches_philox_stream(n):
-    # n not a multiple of 4 leaves Philox's four-word buffer part used,
-    # which the next row must not read
+    # read_words fills rows with the words of philox_stream; n not a
+    # multiple of 4 leaves Philox's four-word buffer part used, which the
+    # next row must not read
     for first in (0, 1, 4096, 2**64 - 3):
-        out = np.zeros((3, n), dtype=np.uint64)
-        fill_uniforms(7, first, out)
+        out = read_words(7, np.arange(first, first + 3, dtype=np.uint64), [(0, n)])
+        assert out.shape == (3, n) and out.dtype == np.uint64
         for i in range(3):
             assert np.array_equal(out[i], philox_stream(7, first + i).bit_generator.random_raw(n)), (first, i)
             # random() is (word >> 11) * 2**-53 of the same words
             assert np.array_equal((out[i] >> np.uint64(11)) * 2.0**-53, philox_stream(7, first + i).random(n))
-    out = np.empty((1, n), dtype=np.uint64)
-    fill_uniforms(2**64 - 1, 2**64 - 1, out)
+    out = read_words(2**64 - 1, np.array([2**64 - 1], dtype=np.uint64), [(0, n)])
     assert np.array_equal(out[0], philox_stream(2**64 - 1, 2**64 - 1).bit_generator.random_raw(n))
+    # two spans a row, the second from the middle of a block, in either order
+    streams = np.array([5, 2**64 - 1], dtype=np.uint64)
+    for spans in ([(0, n), (n + 6, 3)], [(4 * n + 2, 5), (1, n)]):
+        out = read_words(9, streams, spans)
+        for row, stream in zip(out, streams.tolist()):
+            words = philox_stream(9, stream).bit_generator.random_raw(4 * n + 7)
+            assert np.array_equal(row, np.concatenate([words[a : a + count] for a, count in spans])), spans
 
 
 def test_fill_uniforms_rejects_streams_past_64_bits():
+    # the outcome draw and the word read refuse keys past 64 bits rather
+    # than wrap them to stream 0
+    problem = load_scenario("symmetric-coin").problem
     with pytest.raises(ValueError, match="64-bit"):
-        fill_uniforms(0, 2**64 - 2, np.empty((3, 4), dtype=np.uint64))
+        draw_outcomes(problem, 0, 2**64 - 2, 2**64 + 1, 4)
+    with pytest.raises(ValueError, match="64-bit"):
+        read_words(2**64, np.array([0], dtype=np.uint64), [(0, 4)])
     with pytest.raises(ValueError, match="integer"):
-        fill_uniforms(0.5, 0, np.empty((1, 4), dtype=np.uint64))
+        draw_outcomes(problem, 0.5, 0, 1, 4)
+    with pytest.raises(ValueError, match="integer"):
+        read_words(0.5, np.array([0], dtype=np.uint64), [(0, 4)])
 
 
 def test_philox_stream_rejects_booleans_and_non_integers():
