@@ -16,7 +16,8 @@ montecarlo modules, never asserted per run.
 in lockstep, a block of steps at a time, through ``_gate_block``, the one
 gate, which ``_gate`` sets up once per run and which runs the array
 kernels ``_erm_candidates``, ``_scan_gate`` and the settles
-``_bernstein_gate`` and ``_rademacher_gate``.  The randomized gap's R-bar
+``_bernstein_gate`` and ``_rademacher_gate``; only ``_gate`` tells the
+learners apart.  The randomized gap's R-bar
 (the rademacher module's ``_rbars``) is read only at the grid steps and
 in the blocks where a row's gate can fire at R-bar = 0.  Each row's signs
 are addressed by its origin in its Philox stream (``rng.read_signs``):
@@ -42,6 +43,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -165,26 +167,6 @@ class Trajectory:
     def indices(self) -> tuple[int, ...]:
         """Chosen index after each gated step."""
         return tuple(step.chosen_index for step in self.steps)
-
-
-def trajectory_to_dict(trajectory: Trajectory) -> dict:
-    """Plain-data record of a trajectory; non-finite gaps stay floats."""
-    return {
-        "initial_index": trajectory.initial_index,
-        "steps": [
-            {
-                "k": s.k,
-                "erm_index": s.erm_index,
-                "chosen_index": s.chosen_index,
-                "delta": s.delta,
-                "erm_empirical_loss": s.erm_empirical_loss,
-                "incumbent_empirical_loss": s.incumbent_empirical_loss,
-                "updated": s.updated,
-                "rbar": s.rbar,
-            }
-            for s in trajectory.steps
-        ],
-    }
 
 
 def erm(loss: LossTable, sample_prefix: Sample) -> int:
@@ -433,43 +415,65 @@ def _step_bytes(class_size: int) -> int:
     return 8 * (class_size + 10)
 
 
-def _gate(algo: GermAlgorithm, L: np.ndarray, n: int, schedule, signs=None):
-    """The gate of ``algo`` over steps 1..n on loss array ``L``, built once
-    per run for ``_gate_block``; ``schedule`` is ``step_schedule``'s.
-    ``signs`` is (outcomes, origins), which only the randomized gap reads:
-    the (B, n) outcome block and the origin of each row's signs.
+class Gate(NamedTuple):
+    """What ``_gate`` builds once per run; ``_gate`` sets out each field."""
 
-    Returns (gaps, lag_needed, reach, settle, rows).  ``gaps`` holds the
-    gap the scan compares at each step: the schedule for the fixed,
-    Massart and constant gaps; for Bernstein, the gap with no variance
-    term, and for the randomized gap, the gap at R-bar = 0, each a lower
-    bound of the gap that ``settle`` (``_bernstein_gate``,
-    ``_rademacher_gate``) turns into the gate's decision.  The randomized
-    gap is 4 R-bar + r_k + 2/k with R-bar >= 0, and rounding is monotone,
-    so in floats too it is at least its value at R-bar = 0.  Its settle reads only the signs of the
-    blocks whose R-bar it reads; other steps' words are never made.
-    ``lag_needed`` holds k * floor(k) and ``reach`` the largest lag
-    growth per step of each incumbent; ``_gate_block`` sets them out.
-    ``rows`` (m, columns) holds each outcome's row of the running sums
-    that ``_step_block`` and the exact oracle step: its H losses, then,
-    for the Bernstein gap alone, whose settle reads the outcome counts,
-    its indicator among the m outcomes.
+    gaps: np.ndarray | None
+    lag_needed: np.ndarray | None
+    reach: np.ndarray | None
+    settle: Callable | None
+    rows: np.ndarray
+    initial: int
+    rbars: Callable
+
+
+def _gate(algo: AlgorithmSpec, L: np.ndarray, n: int, signs=None) -> Gate:
+    """The gate of ``algo`` over steps 1..n on loss array ``L``, built once
+    per run for ``_gate_block``: the one place that tells the learners
+    apart.  ``signs`` is (outcomes, origins), which only the randomized gap
+    reads: the (B, n) outcome block and the origin of each row's signs.
+
+    ``gaps`` holds the gap the scan compares at each step: the schedule
+    (``step_schedule``) for the fixed, Massart and constant gaps; for
+    Bernstein, the gap with no variance term, and for the randomized gap,
+    the gap at R-bar = 0, each a lower bound of the gap that ``settle``
+    (``_bernstein_gate``, ``_rademacher_gate``) turns into the gate's
+    decision.  The randomized gap is 4 R-bar + r_k + 2/k with R-bar >= 0,
+    and rounding is monotone, so in floats too it is at least its value at
+    R-bar = 0.  Its settle reads only the signs of the blocks whose R-bar
+    it reads; other steps' words are never made.  ``lag_needed`` holds
+    k * floor(k) and ``reach`` the largest lag growth per step of each
+    incumbent; ``_gate_block`` sets them out.  Plain ERM has no gap: these
+    four are None.  ``rows`` (m, columns) holds each outcome's row of the
+    running sums that ``_step_block`` and the exact oracle step: its H
+    losses, then, for the Bernstein gap alone, whose settle reads the
+    outcome counts, its indicator among the m outcomes.  ``initial`` is
+    the incumbent before step 1, and ``rbars`` maps an increasing int
+    array of steps to the R-bar there: (len(grid), B) for the randomized
+    gap, the schedule's (len(grid), 1) for Massart and constant, and None
+    for the other learners.
     """
     H, m = L.shape
-    ks = np.arange(1, n + 1)
-    settle = None
     rows = np.ascontiguousarray(L.T)
+    settle, rbars = None, (lambda grid: None)
+    if isinstance(algo, PlainErm):
+        return Gate(None, None, None, settle, rows, 0, rbars)
+    ks = np.arange(1, n + 1)
+    schedule = step_schedule(algo.gap, n)
     if schedule is not None:
-        gaps = schedule[0]
+        gaps, table = schedule
+        if table is not None:
+            rbars = lambda grid: table[grid - 1, np.newaxis]
     elif is_randomized(algo.gap):
         gaps = delta_uniform(ks, 0.0)
         outcomes, origins = signs
         settle = functools.partial(_rademacher_gate, L=L, outcomes=outcomes, origins=origins, cache={})
+        rbars = lambda grid: _rbars(L, outcomes, origins, grid, grid * (grid - 1) // 2).T
     else:
         gaps = _bernstein_gaps(np.zeros(n), H)
         settle = functools.partial(_bernstein_gate, D2=_sq_diffs(L), class_size=H)
         rows = np.hstack([L.T, np.eye(m)])
-    return gaps, ks * np.fmax(gaps, 0.0), (L - L.min(axis=0)).max(axis=1), settle, rows
+    return Gate(gaps, ks * np.fmax(gaps, 0.0), (L - L.min(axis=0)).max(axis=1), settle, rows, algo.initial_index, rbars)
 
 
 def _gate_block(S, sums, k, incumbent, at, gate):
@@ -480,7 +484,8 @@ def _gate_block(S, sums, k, incumbent, at, gate):
     running sums after each step of the block and ``sums`` (B, columns)
     those carried into it, ``k`` (T, 1) the step indices, and
     ``gate`` comes from ``_gate``.  Returns the incumbents after the block
-    positions ``at``, (len(at), B).  A settle kernel reads the live rows'
+    positions ``at``, (len(at), B), for plain ERM its candidates there,
+    and nothing else.  A settle kernel reads the live rows'
     sums ``S``, their rows ``live`` in the block and ``k``.  The randomized
     one reads a row's R-bar, at every step of the block, only when the gap
     at R-bar = 0 fires for that row within the block; no other block's
@@ -514,22 +519,23 @@ def _gate_block(S, sums, k, incumbent, at, gate):
     k * floor(k) by 2e-9 * t1 + 2.3e-16 * t1**2 (2.3e-16 > eps), no row is
     live, and the block returns what the row test returns then.
     """
-    gaps, lag_needed, reach, settle, _ = gate
-    H = len(reach)
+    if gate.gaps is None:
+        return _erm_candidates(S[at])[0]
+    H = len(gate.reach)
     T, t1 = len(k), int(k[-1, 0])
     picked = incumbent[np.newaxis].repeat(len(at), axis=0)
-    need = lag_needed[t1 - T : t1].min()
-    if t1 * reach.max() < need - t1 * (2e-9 + 2.3e-16 * t1):
+    need = gate.lag_needed[t1 - T : t1].min()
+    if t1 * gate.reach.max() < need - t1 * (2e-9 + 2.3e-16 * t1):
         return picked
     lag = sums[np.arange(len(incumbent)), incumbent] - functools.reduce(np.minimum, sums[:, :H].T)
-    live = (lag + T * reach[incumbent] >= need - 1e-9 * t1).nonzero()[0]
+    live = (lag + T * gate.reach[incumbent] >= need - 1e-9 * t1).nonzero()[0]
     if live.size:
         # every row live reads the block without a copy
         sel = slice(None) if live.size == len(incumbent) else live
         S_live, inc = S[:, sel], incumbent[sel]
         cand, best = _erm_candidates(S_live[..., :H])
-        gap = np.broadcast_to(gaps[t1 - T : t1, np.newaxis], cand.shape)
-        block_settle = settle and functools.partial(settle, S=S_live, live=live, k=k)
+        gap = np.broadcast_to(gate.gaps[t1 - T : t1, np.newaxis], cand.shape)
+        block_settle = gate.settle and functools.partial(gate.settle, S=S_live, live=live, k=k)
         picked[:, sel] = _scan_gate(S_live, cand, best, k, gap, inc, at, block_settle)
         incumbent[sel] = inc
     return picked
@@ -551,10 +557,10 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     vector add per step over a step-major (T, B, H) array, so each step is
     one contiguous slab.  The Bernstein gap also needs each row's outcome
     counts; they ride in m more columns, the indicators of the step's
-    outcome, so the same take and add carry them.  Plain ERM forms its
-    candidate at the grid steps only.  A gated learner's block goes
-    through ``_gate_block``, which skips the rows that cannot switch
-    within it.
+    outcome, so the same take and add carry them.  ``_gate`` picks the
+    columns, the first incumbent and the R-bar readback.  Every block goes
+    through ``_gate_block``: plain ERM forms its candidate at the grid
+    steps only, and a gate skips the rows that cannot switch within it.
 
     Each (row, step) pair goes through the same float operations whatever
     the block length, which is as many steps as STEP_BLOCK bytes allow, at
@@ -564,25 +570,20 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     entries lie in 1..n: ``chosen`` (len(grid), B) holds the chosen
     indices.  ``rbars`` holds the Rademacher bounds of a
     uniform-convergence gap, (len(grid), B) for EmpiricalMcDiarmid and
-    (len(grid), 1) for the other modes, and is None for other gaps.
+    (len(grid), 1) for the other modes, and is None for other learners.
     """
     loss = problem.loss
-    L = loss.as_array()
     H = loss.class_size
     B, n = outcomes.shape
-    germ = isinstance(algo, GermAlgorithm)
     check_algorithm(algo, H, n)
-    schedule = step_schedule(algo.gap, n) if germ else None
-    randomized = germ and is_randomized(algo.gap)
-    gate = germ and _gate(algo, L, n, schedule, (outcomes, origins))
+    gate = _gate(algo, loss.as_array(), n, (outcomes, origins))
     ks = np.arange(1, n + 1)
-    losses = gate[4] if germ else np.ascontiguousarray(L.T)
-    sums = np.zeros((B, losses.shape[1]))
-    incumbent = np.full(B, algo.initial_index if germ else 0, dtype=np.intp)
+    sums = np.zeros((B, gate.rows.shape[1]))
+    incumbent = np.full(B, gate.initial, dtype=np.intp)
 
     chosen = np.empty((len(grid), B), dtype=np.intp)
     steps = min(n, max(1, STEP_BLOCK // (B * _step_bytes(H))))
-    S_buf = np.empty((steps + 1, B, losses.shape[1]))
+    S_buf = np.empty((steps + 1, B, gate.rows.shape[1]))
     for t0 in range(0, n, steps):
         t1 = min(n, t0 + steps)
         T = t1 - t0
@@ -592,20 +593,12 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
         S[0] = sums
         # outcomes lie in 0..m-1, so "clip" changes no value; it spares the
         # buffered copy of ``out`` that the default mode makes
-        np.take(losses, z, axis=0, out=S[1:], mode="clip")
+        np.take(gate.rows, z, axis=0, out=S[1:], mode="clip")
         _accumulate_steps(S)
         S = S[1:]
         # grid positions g0..g1 fall in this block, at block positions ``at``
         g0, g1 = bisect_right(grid, t0), bisect_right(grid, t1)
         at = [g - t0 - 1 for g in grid[g0:g1]]
-        if not germ:
-            chosen[g0:g1] = _erm_candidates(S[at])[0]
-        else:
-            chosen[g0:g1] = _gate_block(S, sums, ks[t0:t1, np.newaxis], incumbent, at, gate)
+        chosen[g0:g1] = _gate_block(S, sums, ks[t0:t1, np.newaxis], incumbent, at, gate)
         sums = S[-1].copy()
-    if randomized:
-        grid = np.asarray(grid)
-        return chosen, _rbars(L, outcomes, origins, grid, grid * (grid - 1) // 2).T
-    if schedule is not None and schedule[1] is not None:
-        return chosen, schedule[1][np.asarray(grid) - 1, np.newaxis]
-    return chosen, None
+    return chosen, gate.rbars(np.asarray(grid))

@@ -35,7 +35,6 @@ from .algorithm import (
     PlainErm,
     algo_label,
     run_germ,
-    trajectory_to_dict,
 )
 from .analysis import bernstein_certificate
 from .errors import ResourceLimitError
@@ -78,18 +77,22 @@ MC_DEFAULT_GRID = (10, 20, 50, 100, 200)
 
 
 def _engine_config(
-    engine: str, n_max: int | None, replications: int, grid: tuple[int, ...] | None, seed: int | None
+    engine: str, n_max: int | None, replications: int | None, grid: tuple[int, ...] | None, seed: int | None
 ) -> tuple[int, McConfig | None]:
     """The horizon and, for the mc engine, its ``McConfig``, with the
     defaults of ``germ run`` and ``germ curve`` filled in: the default
-    grid is the points of ``MC_DEFAULT_GRID`` up to n_max."""
+    grid is the points of ``MC_DEFAULT_GRID`` up to n_max.  The exact
+    engine refuses the mc engine's grid and replications."""
     if engine == "exact":
+        if grid is not None or replications is not None:
+            raise ValueError("the exact engine takes no grid or replications")
         return (EXACT_DEFAULT_N_MAX if n_max is None else n_max), None
     if seed is None:
         raise ValueError("the mc engine requires a seed")
     n_max = MC_DEFAULT_N_MAX if n_max is None else n_max
     if grid is None:
         grid = tuple(n for n in MC_DEFAULT_GRID if n <= n_max)
+    replications = MC_DEFAULT_REPLICATIONS if replications is None else replications
     return n_max, McConfig(replications, n_max, seed, grid)
 
 
@@ -388,7 +391,7 @@ def parse_experiment_config(doc: dict, config_dir: Path) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown {kind}-engine fields {sorted(unknown)}")
     n_max = _config_int(engine_doc["n_max"], "engine.n_max") if "n_max" in engine_doc else None
-    replications = _config_int(engine_doc.get("replications", MC_DEFAULT_REPLICATIONS), "engine.replications")
+    replications = _config_int(engine_doc["replications"], "engine.replications") if "replications" in engine_doc else None
     grid = engine_doc.get("grid")
     if grid is not None:
         if not isinstance(grid, list):
@@ -561,7 +564,9 @@ def run_experiment(config: ExperimentConfig, *, workers: int = 1) -> ExperimentR
     trajectory_path = None
     if trajectory is not None:
         trajectory_path = out_dir / "trajectory.json"
-        _write_json(trajectory_path, trajectory_to_dict(trajectory))
+        # the fields that ``dataclasses.asdict`` gives, without its deep copy
+        # of every value
+        _write_json(trajectory_path, dict(vars(trajectory), steps=[vars(s) for s in trajectory.steps]))
     all_passed = checks_passed == len(entries)
     report = {
         "tool": {"name": "germ", "version": __version__},
@@ -705,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--seed", type=_option_int, default=None)
     p_curve.add_argument("--out", required=True)
     p_curve.add_argument("--n-max", type=_option_int, default=None, dest="n_max")
-    p_curve.add_argument("--replications", type=_option_int, default=MC_DEFAULT_REPLICATIONS)
+    p_curve.add_argument("--replications", type=_option_int, default=None)
     p_curve.add_argument("--grid", default=None, help="comma-separated n values")
     p_curve.add_argument("--workers", type=_option_int, default=1)
     p_curve.set_defaults(func=_cmd_curve)

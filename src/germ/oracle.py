@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithm import AlgorithmSpec, GermAlgorithm, PlainErm, algo_label, check_algorithm
-from .algorithm import _erm_candidates, _gate, _gate_block
+from .algorithm import _gate, _gate_block
 from .analysis import _pairwise_covered
 from .errors import ResourceLimitError
-from .gap import is_randomized, step_schedule
+from .gap import is_randomized
 from .problem import (
     ENUMERATION_BUDGET,
     DiscreteDistribution,
@@ -168,7 +168,7 @@ def _merge_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key[first], inverse
 
 
-def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: int) -> list[float]:
+def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, n_max: int) -> list[float]:
     """Expected population risk of the chosen hypothesis at each depth 1..n_max.
 
     Layer k holds one row per state that length-k prefixes reach, in the
@@ -178,7 +178,7 @@ def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: 
     hypothesis and the total probability of those prefixes.  The children,
     one per state and possible outcome, take one step as a one-step block
     of ``algorithm._gate_block``, the gate of ``run_germ`` and the Monte
-    Carlo engine, so each gate decision is the one ``run_germ`` makes on
+    Carlo engine, plain ERM included, so each choice is the stepper's on
     every path through the parent, and states that cannot switch skip the
     gate kernels as Monte Carlo rows do.  States merge on the bits of
     their row and their chosen hypothesis, all that the gate reads: sums
@@ -188,27 +188,20 @@ def _state_walk(problem: LearningProblem, algo: AlgorithmSpec, schedule, n_max: 
     order ``np.unique(axis=0)`` gives, which sets the order in which
     ``np.bincount`` adds their weights.
     """
-    L = problem.loss.as_array()
     probs = problem.distribution.as_array()
     pop = population_risks(problem)
-    germ = isinstance(algo, GermAlgorithm)
-    gate = germ and _gate(algo, L, n_max, schedule)
-    losses = gate[4] if germ else L.T
+    gate = _gate(algo, problem.loss.as_array(), n_max)
     # a zero-probability outcome adds no weight to any depth
     outcomes = np.flatnonzero(probs > 0.0)
-    sums = np.zeros((1, losses.shape[1]))
-    chosen = np.full(1, algo.initial_index if germ else 0)
+    sums = np.zeros((1, gate.rows.shape[1]))
+    chosen = np.full(1, gate.initial)
     weights = np.ones(1)
     values = [0.0] * (n_max + 1)
     for k in range(1, n_max + 1):
         # child j * N + i is state i followed by outcome outcomes[j]
         parents = np.concatenate([sums] * len(outcomes))
-        S = (parents + losses[outcomes].repeat(len(sums), axis=0))[np.newaxis]
-        chosen = np.concatenate([chosen] * len(outcomes))
-        if germ:
-            _gate_block(S, parents, np.array([[k]]), chosen, [], gate)
-        else:
-            chosen = _erm_candidates(S[0])[0]
+        S = (parents + gate.rows[outcomes].repeat(len(sums), axis=0))[np.newaxis]
+        chosen = _gate_block(S, parents, np.array([[k]]), np.concatenate([chosen] * len(outcomes)), [0], gate)[0]
         layer, merged = _merge_rows(np.column_stack([S[0].view(np.int64), chosen]))
         sums, chosen = layer[:, :-1].view(np.float64), layer[:, -1]
         weights = np.bincount(merged, weights=(probs[outcomes, np.newaxis] * weights).ravel())
@@ -268,7 +261,7 @@ def exact_risk_curve(
         )
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    totals = _state_walk(problem, algo, step_schedule(algo.gap, n_max) if germ else None, n_max)
+    totals = _state_walk(problem, algo, n_max)
     if germ:
         ns = tuple(range(0, n_max + 1))
         initial_value = population_risk(problem, algo.initial_index)

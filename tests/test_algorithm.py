@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from germ.algorithm import (
     algo_label,
     erm,
     run_germ,
-    trajectory_to_dict,
     _gate,
     _step_block,
 )
@@ -30,7 +30,6 @@ from germ.gap import (
     bernstein_delta_from_sq,
     delta_uniform,
     is_randomized,
-    step_schedule,
 )
 from germ.oracle import exact_risk_curve
 from germ.problem import (
@@ -164,7 +163,7 @@ def test_updated_counts_the_switches_of_a_zero_gap_trajectory():
     switches = sum(a != b for a, b in zip(indices, indices[1:]))
     assert 0 < switches < len(trajectory.steps)
     assert sum(step.updated for step in trajectory.steps) == switches
-    assert [s["updated"] for s in trajectory_to_dict(trajectory)["steps"]] == [a != b for a, b in zip(indices, indices[1:])]
+    assert [s["updated"] for s in asdict(trajectory)["steps"]] == [a != b for a, b in zip(indices, indices[1:])]
 
 
 def test_first_update_step_with_massart_gap():
@@ -271,7 +270,7 @@ def test_run_germ_equals_the_scalar_reference():
             got = run_germ(problem, sample, gap, initial=initial, origin=(4301, trial, 0))
             want = scalar_run_germ(problem, sample, gap, initial=initial, rng=philox_stream(4301, trial))
             assert got == want, gap
-            assert repr(trajectory_to_dict(got)) == repr(trajectory_to_dict(want)), gap
+            assert repr(got) == repr(want), gap
             if any(s.chosen_index != initial for s in got.steps):
                 fired.add(algo_label(GermAlgorithm(gap)))
     assert {"germ:uniform-massart:init0", "germ:bernstein:init0", "germ:fixed:init0"} <= fired
@@ -354,16 +353,16 @@ def test_only_the_bernstein_gap_carries_outcome_counts(monkeypatch):
         (GapSpec(UniformConvergence(EmpiricalMcDiarmid()), H), H),
         (FixedDelta(0.0), H),
     ]
-    for gap, width in gaps:
-        algo = GermAlgorithm(gap, initial_index=2)
-        rows = _gate(algo, L, n, step_schedule(gap, n), (outcomes, origins))[4]
+    algos = [(GermAlgorithm(gap, initial_index=2), width) for gap, width in gaps] + [(PlainErm(), H)]
+    for algo, width in algos:
+        rows = _gate(algo, L, n, (outcomes, origins)).rows
         assert rows.shape == (m, width)
         assert np.array_equal(rows[:, :H], L.T)
         assert np.array_equal(rows[:, H:], np.eye(m)[:, : width - H])
         # the stepper and the exact oracle step the rows the gate picks
         widths.clear()
         _step_block(problem, algo, outcomes, origins, [n])
-        if not is_randomized(gap):
+        if isinstance(algo, PlainErm) or not is_randomized(algo.gap):
             exact_risk_curve(problem, algo, 3)
         assert widths and set(widths) == {width}
 
@@ -427,7 +426,7 @@ def test_trajectory_json_is_stable_and_encodes_infinities(tmp_path):
     problem = two_point_problem()
     trajectory = run_germ(problem, Sample((0, 1, 0)), bernstein_gap(2), initial=1)
     path = tmp_path / "trajectory.json"
-    _write_json(path, trajectory_to_dict(trajectory))
+    _write_json(path, asdict(trajectory))
     text = path.read_text(encoding="utf-8")
     assert text.endswith("\n")
     decoded = json.loads(text)
@@ -438,7 +437,7 @@ def test_trajectory_json_is_stable_and_encodes_infinities(tmp_path):
         bernstein_delta_from_sq(2, 2.0, 2)
     )
     assert [s["k"] for s in decoded["steps"]] == [1, 2, 3]
-    _write_json(path, trajectory_to_dict(trajectory))
+    _write_json(path, asdict(trajectory))
     assert path.read_text(encoding="utf-8") == text
 
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import germ.cli
 import germ.montecarlo
-from germ.algorithm import GermAlgorithm, PlainErm, _step_block, trajectory_to_dict
+from germ.algorithm import GermAlgorithm, PlainErm, _step_block
 from germ.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -312,7 +313,7 @@ def test_randomized_trajectory_matches_the_scalar_reference(tmp_path):
     gen = philox_stream(11, 0)
     sample = draw_sample(config.problem, 40, gen).prefix(25)
     want = scalar_run_germ(config.problem, sample, config.algo.gap, initial=2, rng=gen)
-    _write_json(tmp_path / "want.json", trajectory_to_dict(want))
+    _write_json(tmp_path / "want.json", asdict(want))
     assert (tmp_path / "out" / "trajectory.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
@@ -484,6 +485,18 @@ def test_curve_refuses_a_loose_algo_spec(tmp_path, capsys, algo):
     code = main(["curve", "symmetric-coin", "--algo", algo, "--engine", "exact", "--n-max", "3", "--out", out])
     assert code == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "curves").exists()
+
+
+@pytest.mark.parametrize(
+    "options", [["--grid", "5,7"], ["--replications", "3"], ["--grid", "5,7", "--replications", "3"]]
+)
+def test_curve_exact_engine_refuses_mc_options(tmp_path, capsys, options):
+    # the exact engine reads neither, and the config parser refuses them too
+    out = str(tmp_path / "curves")
+    code = main(["curve", "symmetric-coin", "--algo", "erm", "--engine", "exact", "--n-max", "4", "--out", out, *options])
+    assert code == EXIT_CONFIG
+    assert "the exact engine takes no grid or replications" in capsys.readouterr().err
     assert not (tmp_path / "curves").exists()
 
 

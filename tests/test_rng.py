@@ -29,7 +29,7 @@ def test_one_sign_draw_equals_consecutive_draws():
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 2000])
-def test_fill_uniforms_matches_philox_stream(n):
+def test_read_words_matches_philox_stream(n):
     # read_words fills rows with the words of philox_stream; n not a
     # multiple of 4 leaves Philox's four-word buffer part used, which the
     # next row must not read
@@ -51,7 +51,7 @@ def test_fill_uniforms_matches_philox_stream(n):
             assert np.array_equal(row, np.concatenate([words[a : a + count] for a, count in spans])), spans
 
 
-def test_fill_uniforms_rejects_streams_past_64_bits():
+def test_read_words_rejects_streams_past_64_bits():
     # the outcome draw and the word read refuse keys past 64 bits rather
     # than wrap them to stream 0
     problem = load_scenario("symmetric-coin").problem
