@@ -520,7 +520,8 @@ def _gate_block(S, sums, k, incumbent, at, gate):
     live, and the block returns what the row test returns then.
     """
     if gate.gaps is None:
-        return _erm_candidates(S[at])[0]
+        # ``at`` ascends, so a block read at every step is ``S`` itself, not a copy
+        return _erm_candidates(S if len(at) == len(S) else S[at])[0]
     H = len(gate.reach)
     T, t1 = len(k), int(k[-1, 0])
     picked = incumbent[np.newaxis].repeat(len(at), axis=0)

@@ -24,6 +24,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -436,26 +437,51 @@ def parse_experiment_config(doc: dict, config_dir: Path) -> ExperimentConfig:
     )
 
 
-def _json_safe(value):
-    """Recursively make a report or trajectory value JSON-serializable and byte-stable."""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if value == math.inf:
-            return "inf"
-        if value == -math.inf:
-            return "-inf"
-        return value
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
+def _float_text(value: float) -> str:
+    """A float as ``json`` writes it, with nan, inf and -inf as strings."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return '"nan"' if value != value else '"inf"' if value > 0 else '"-inf"'
+
+
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
+    in one pass, except that nan, inf and -inf are the strings "nan", "inf"
+    and "-inf".  Keys must be strings, as in every document ``run`` writes;
+    a value ``json`` cannot write, or any other key, raises TypeError."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    for base in (str, int, float):
+        # a subclass, such as np.float64, is written as its base, as json does
+        if isinstance(value, base):
+            return _SCALAR_TEXT[base](value)
+    inner = indent + "  "
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
+        items = [_json_text(item, inner) for item in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _write_json(path: Path, doc) -> None:
     """Write ``doc`` byte-stably: sorted keys, two-space indent, non-finite floats as strings."""
-    path.write_text(json.dumps(_json_safe(doc), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(_json_text(doc) + "\n", encoding="utf-8")
 
 
 def _check_echo(check: Check) -> dict:
@@ -628,6 +654,9 @@ def _cmd_curve(args) -> int:
     scenario = load_scenario(args.scenario)
     problem = scenario.problem
     grid = tuple(_digits(n, "a grid entry") for n in args.grid.split(",")) if args.grid else None
+    if args.engine == "exact" and args.seed is not None:
+        # a run's exact engine takes a seed for its trajectory; a curve has none
+        raise ValueError("the exact engine takes no seed")
     n_max, mc = _engine_config(args.engine, args.n_max, args.replications, grid, args.seed)
     algo = parse_algo_spec(args.algo, problem.class_size)
     if mc is None:

@@ -26,10 +26,16 @@ reads by stream position without a generator
 
 ``unique_rows`` is the ``np.unique(axis=0)`` merge that the exact oracle's
 one-sort byte-key merge (``germ.oracle._merge_rows``) must reproduce.
+
+``json_text`` is the text that ``germ.cli._write_json`` writes in one pass:
+the standard library's ``json.dumps(indent=2, sort_keys=True)`` of the
+document after ``json_safe`` has copied it with nan, inf and -inf as
+strings.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -237,3 +243,26 @@ def scalar_run_germ(
         incumbent = chosen
 
     return Trajectory(initial_index=initial, steps=tuple(steps))
+
+
+def json_safe(value):
+    """A copy of a report or trajectory value with nan, inf and -inf as the
+    strings "nan", "inf" and "-inf", and tuples as lists."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "nan"
+        if value == math.inf:
+            return "inf"
+        if value == -math.inf:
+            return "-inf"
+        return value
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    return value
+
+
+def json_text(doc) -> str:
+    """The text of ``doc`` in a JSON file that ``germ run`` writes."""
+    return json.dumps(json_safe(doc), indent=2, sort_keys=True) + "\n"

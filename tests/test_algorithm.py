@@ -41,7 +41,7 @@ from germ.problem import (
 from germ.rademacher import rbar_massart
 from germ.rng import philox_stream
 from germ.scenarios import load_scenario
-from scalar_reference import draw_sample, draw_signs, empirical_risk, rbar_from_signs, scalar_run_germ
+from scalar_reference import draw_sample, draw_signs, empirical_risk, json_text, rbar_from_signs, scalar_run_germ
 from scalar_reference import erm as scalar_erm
 
 
@@ -437,8 +437,7 @@ def test_trajectory_json_is_stable_and_encodes_infinities(tmp_path):
         bernstein_delta_from_sq(2, 2.0, 2)
     )
     assert [s["k"] for s in decoded["steps"]] == [1, 2, 3]
-    _write_json(path, asdict(trajectory))
-    assert path.read_text(encoding="utf-8") == text
+    assert text == json_text(asdict(trajectory))
 
 
 def test_trajectory_final_index_defaults_to_initial():

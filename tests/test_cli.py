@@ -1,12 +1,16 @@
 """CLI tests: config parsing, exit codes, artifacts, and output lines."""
 
 import json
+import math
 import re
+import shutil
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import germ.cli
 import germ.montecarlo
@@ -36,7 +40,7 @@ from germ.montecarlo import (
 from germ.oracle import curve_to_csv
 from germ.rng import philox_stream
 from germ.scenarios import load_scenario
-from scalar_reference import draw_sample, draw_signs, rbar_from_signs, scalar_run_germ
+from scalar_reference import draw_sample, draw_signs, json_text, rbar_from_signs, scalar_run_germ
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -313,8 +317,7 @@ def test_randomized_trajectory_matches_the_scalar_reference(tmp_path):
     gen = philox_stream(11, 0)
     sample = draw_sample(config.problem, 40, gen).prefix(25)
     want = scalar_run_germ(config.problem, sample, config.algo.gap, initial=2, rng=gen)
-    _write_json(tmp_path / "want.json", asdict(want))
-    assert (tmp_path / "out" / "trajectory.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert (tmp_path / "out" / "trajectory.json").read_bytes() == json_text(asdict(want)).encode()
 
 
 @pytest.mark.parametrize(
@@ -497,6 +500,15 @@ def test_curve_exact_engine_refuses_mc_options(tmp_path, capsys, options):
     code = main(["curve", "symmetric-coin", "--algo", "erm", "--engine", "exact", "--n-max", "4", "--out", out, *options])
     assert code == EXIT_CONFIG
     assert "the exact engine takes no grid or replications" in capsys.readouterr().err
+    assert not (tmp_path / "curves").exists()
+
+
+def test_curve_exact_engine_refuses_a_seed(tmp_path, capsys):
+    # an exact curve reads no seed; an exact run's config keeps one for its trajectory
+    out = str(tmp_path / "curves")
+    code = main(["curve", "symmetric-coin", "--algo", "erm", "--engine", "exact", "--n-max", "4", "--seed", "3", "--out", out])
+    assert code == EXIT_CONFIG
+    assert "the exact engine takes no seed" in capsys.readouterr().err
     assert not (tmp_path / "curves").exists()
 
 
@@ -852,3 +864,58 @@ def test_non_numeric_config_floats_exit_2(tmp_path, capsys, where, bad):
     assert main(["run", write_config(tmp_path, doc)]) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
+def test_run_reproduces_the_golden_artifacts(tmp_path, name):
+    # each golden directory holds a config and the files ``germ run`` wrote
+    # for it before the JSON writer was replaced
+    shutil.copy(GOLDEN / name / "config.json", tmp_path)
+    assert main(["run", str(tmp_path / "config.json")]) == EXIT_PASS
+    want = GOLDEN / name / "out"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(p.name for p in want.iterdir())
+    for path in want.iterdir():
+        assert (tmp_path / "out" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**64) - 1, 10**300]),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e22, 1e16, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+    st.text(),
+    st.sampled_from(["é", " ", "\U0001f600", '"', "\\", "\x00", "\x1f\n\t", "\ud800"]),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(['"', "é", "\x7f"]), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_JSON_DOCS)
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    _write_json(path, doc)
+    assert path.read_bytes() == json_text(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{1, 2}, np.int64(3), {"a": [np.int64(1)]}, [np.float32(0.5)], {"a": np.bool_(True)}, {"a": frozenset()}, object()],
+    ids=["set", "int64", "nested-int64", "float32", "bool_", "nested-frozenset", "object"],
+)
+def test_write_json_raises_type_error_where_json_dumps_does(tmp_path, doc):
+    with pytest.raises(TypeError):
+        json_text(doc)
+    with pytest.raises(TypeError):
+        _write_json(tmp_path / "doc.json", doc)
