@@ -18,8 +18,9 @@ gate, which ``_gate`` sets up once per run and which runs the array
 kernels ``_erm_candidates``, ``_scan_gate`` and the settles
 ``_bernstein_gate`` and ``_rademacher_gate``; only ``_gate`` tells the
 learners apart.  The randomized gap's R-bar
-(the rademacher module's ``_rbars``) is read only at the grid steps and
-in the blocks where a row's gate can fire at R-bar = 0.  Each row's signs
+(the rademacher module's ``_rbars``) is read only in the blocks where a
+row's gate can fire at R-bar = 0, and at the steps and rows a caller
+asks the gate's readback for.  Each row's signs
 are addressed by its origin in its Philox stream (``rng.read_signs``):
 step k's signs lie at half offset k (k - 1) / 2 from it, so a read makes
 only the words of the steps it needs, and every sign read is the one that
@@ -214,9 +215,10 @@ def run_germ(
     Trajectory
         One record per step; deterministic given inputs and seed.
 
-    The choices come from one row of ``_step_block``.  The records' sums
-    come from ``np.cumsum``, which adds in step order as the stepper does,
-    and their candidates and gaps from the kernels it steps through.
+    The choices come from one row of ``_step_block``, and the records'
+    R-bars from the readback it returns, read at every step.  The records'
+    sums come from ``np.cumsum``, which adds in step order as the stepper
+    does, and their candidates and gaps from the kernels it steps through.
     """
     loss = problem.loss
     n = len(sample.outcomes)
@@ -240,8 +242,9 @@ def run_germ(
 
     z = np.array(sample.outcomes)
     ks = np.arange(1, n + 1)
-    chosen, rbars = _step_block(problem, algo, z[np.newaxis], origins, ks)
+    chosen, readback = _step_block(problem, algo, z[np.newaxis], origins, ks)
     chosen = chosen[:, 0]
+    rbars = readback(ks, [0])
     L = loss.as_array()
     S = np.cumsum(L.T[z], axis=0)
     cand, best = _erm_candidates(S)
@@ -329,17 +332,16 @@ def _bernstein_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, D2, class_si
     fire[t, r] = diff[t, r] <= -bernstein_delta_from_sq(k[lo + t, 0], q, class_size)
 
 
-def _rademacher_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, L, outcomes, origins, cache) -> None:
+def _rademacher_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, read, cache) -> None:
     """Settle the randomized gate at the steps ``fire`` marks, in place.
 
     ``fire`` marks where the difference clears the gap at R-bar = 0, a
     lower bound of the gap.  Only the rows with a mark read their R-bar:
-    they read it at every step of the block in one ``_rbars`` call, step
-    k's signs at half offset k (k - 1) / 2 from each row's origin, and
-    ``cache`` keeps it, keyed by the row of the (B, n) ``outcomes`` that
-    ``live`` maps the block's row to, for the rescans of the block.
-    Arguments follow ``_scan_gate`` and ``_gate_block``; ``S`` is not read,
-    and ``origins`` holds the rows' origins (``rng.read_signs``).
+    they read it at every step of the block in one ``read`` call (the
+    gate's readback, ``_gate``), and ``cache`` keeps it, keyed by the row
+    of the outcome block that ``live`` maps the block's row to, for the
+    rescans of the block.  Arguments follow ``_scan_gate`` and
+    ``_gate_block``; ``S`` is not read.
     """
     t, r = np.nonzero(fire)
     if not t.size:
@@ -350,9 +352,7 @@ def _rademacher_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, L, outcomes
     k0 = int(ks[0])
     new = [i for i in ids if cache.get(i, (0,))[0] != k0]
     if new:
-        base_seed, streams, half = origins
-        read = _rbars(L, outcomes[new], (base_seed, streams[new], half), ks, ks * (ks - 1) // 2)
-        cache.update((i, (k0, v)) for i, v in zip(new, read))
+        cache.update((i, (k0, v)) for i, v in zip(new, read(ks, new).T))
     rbar = np.stack([cache[i][1] for i in ids])[inv, lo + t]
     fire[t, r] = diff[t, r] <= -delta_uniform(k[lo + t, 0], rbar)
 
@@ -416,7 +416,11 @@ def _step_bytes(class_size: int) -> int:
 
 
 class Gate(NamedTuple):
-    """What ``_gate`` builds once per run; ``_gate`` sets out each field."""
+    """What ``_gate`` builds once per run; ``_gate`` sets out each field.
+
+    ``rbars``, the R-bar readback, reads no sign until it is called, so a
+    caller forms only the R-bars its results depend on.
+    """
 
     gaps: np.ndarray | None
     lag_needed: np.ndarray | None
@@ -448,14 +452,19 @@ def _gate(algo: AlgorithmSpec, L: np.ndarray, n: int, signs=None) -> Gate:
     running sums that ``_step_block`` and the exact oracle step: its H
     losses, then, for the Bernstein gap alone, whose settle reads the
     outcome counts, its indicator among the m outcomes.  ``initial`` is
-    the incumbent before step 1, and ``rbars`` maps an increasing int
-    array of steps to the R-bar there: (len(grid), B) for the randomized
-    gap, the schedule's (len(grid), 1) for Massart and constant, and None
-    for the other learners.
+    the incumbent before step 1.
+
+    ``rbars`` is the R-bar readback: ``rbars(steps, rows)`` maps an
+    increasing int array of steps and an index of the outcome block's rows
+    to the R-bar there.  For the randomized gap it is one ``_rbars`` call
+    on those rows' outcomes and origins, step k's signs at half offset
+    k (k - 1) / 2 from a row's origin, (len(steps), len(rows)); its settle
+    reads through it too.  For Massart and constant it is the schedule's
+    (len(steps), 1), whatever the rows, and for the other learners None.
     """
     H, m = L.shape
     rows = np.ascontiguousarray(L.T)
-    settle, rbars = None, (lambda grid: None)
+    settle, rbars = None, (lambda steps, rows: None)
     if isinstance(algo, PlainErm):
         return Gate(None, None, None, settle, rows, 0, rbars)
     ks = np.arange(1, n + 1)
@@ -463,12 +472,15 @@ def _gate(algo: AlgorithmSpec, L: np.ndarray, n: int, signs=None) -> Gate:
     if schedule is not None:
         gaps, table = schedule
         if table is not None:
-            rbars = lambda grid: table[grid - 1, np.newaxis]
+            rbars = lambda steps, rows: table[steps - 1, np.newaxis]
     elif is_randomized(algo.gap):
         gaps = delta_uniform(ks, 0.0)
-        outcomes, origins = signs
-        settle = functools.partial(_rademacher_gate, L=L, outcomes=outcomes, origins=origins, cache={})
-        rbars = lambda grid: _rbars(L, outcomes, origins, grid, grid * (grid - 1) // 2).T
+        outcomes, (base_seed, streams, half) = signs
+
+        def rbars(steps, rows):
+            return _rbars(L, outcomes[rows], (base_seed, streams[rows], half), steps, steps * (steps - 1) // 2).T
+
+        settle = functools.partial(_rademacher_gate, read=rbars, cache={})
     else:
         gaps = _bernstein_gaps(np.zeros(n), H)
         settle = functools.partial(_bernstein_gate, D2=_sq_diffs(L), class_size=H)
@@ -548,30 +560,33 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
 
     ``origins`` holds the rows' sign origins in ``rng.read_signs``'s form,
     (base_seed, streams, half), when the gap draws signs, and is None
-    otherwise.  Step k's signs lie at half offset k (k - 1) / 2 from a
-    row's origin, as drawing every step's signs in turn places them, but
-    only the steps a decision or the output reads are read: the grid
-    steps, and the blocks in which the randomized settle
-    (``_rademacher_gate``) reads a row's R-bar.  No generator is built or
+    otherwise.  Step k's signs lie at half offset k (k - 1) / 2 from a row's
+    origin, as drawing every step's signs in turn places them, but only the
+    steps a decision or the caller reads are read: the blocks in which the
+    randomized settle (``_rademacher_gate``) reads a row's R-bar, and those
+    the caller asks the returned readback for.  No generator is built or
     moved.  Per block of T steps, every hypothesis's running loss sum at
-    every step comes from the sums carried from the block before, one
-    vector add per step over a step-major (T, B, H) array, so each step is
-    one contiguous slab.  The Bernstein gap also needs each row's outcome
+    every step comes from the sums carried from the block before, one vector
+    add per step over a step-major (T, B, H) array, so each step is one
+    contiguous slab.  The Bernstein gap also needs each row's outcome
     counts; they ride in m more columns, the indicators of the step's
     outcome, so the same take and add carry them.  ``_gate`` picks the
     columns, the first incumbent and the R-bar readback.  Every block goes
-    through ``_gate_block``: plain ERM forms its candidate at the grid
-    steps only, and a gate skips the rows that cannot switch within it.
+    through ``_gate_block``: plain ERM forms its candidate at the grid steps
+    only, and a gate skips the rows that cannot switch within it.
 
     Each (row, step) pair goes through the same float operations whatever
     the block length, which is as many steps as STEP_BLOCK bytes allow, at
     least one and at most n.
 
-    Returns (chosen, rbars) at the steps of the increasing ``grid``, whose
-    entries lie in 1..n: ``chosen`` (len(grid), B) holds the chosen
-    indices.  ``rbars`` holds the Rademacher bounds of a
-    uniform-convergence gap, (len(grid), B) for EmpiricalMcDiarmid and
-    (len(grid), 1) for the other modes, and is None for other learners.
+    Returns (chosen, rbars): ``chosen`` (len(grid), B) holds the chosen
+    indices at the steps of the increasing ``grid``, whose entries lie in
+    1..n, and ``rbars`` is the gate's R-bar readback (``_gate``).  No
+    R-bar beyond those the gate read is formed until the caller calls
+    ``rbars(steps, rows)`` for the steps and rows a result depends on: for
+    EmpiricalMcDiarmid it reads their signs then, (len(steps), len(rows));
+    for the other uniform-convergence modes it gives the schedule's
+    (len(steps), 1), and for other learners None.
     """
     loss = problem.loss
     H = loss.class_size
@@ -602,4 +617,4 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
         at = [g - t0 - 1 for g in grid[g0:g1]]
         chosen[g0:g1] = _gate_block(S, sums, ks[t0:t1, np.newaxis], incumbent, at, gate)
         sums = S[-1].copy()
-    return chosen, gate.rbars(np.asarray(grid))
+    return chosen, gate.rbars

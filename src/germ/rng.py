@@ -8,8 +8,8 @@ counter-based generator keyed by the (seed, stream) pair, with
 platform-independent output, so recorded fixtures stay stable across
 machines and across degrees of parallelism.  ``read_words`` reads the
 words at given positions of many streams without building a generator
-per stream: it re-keys one Philox per row, and a test pins its rows to
-``philox_stream``'s.
+per stream: it re-keys the process's one Philox, made on first use, per
+row, and a test pins its rows to ``philox_stream``'s.
 
 Signs come from the same streams.  Being counter-based, Philox makes any
 word of a stream from its key and position alone, so ``read_signs``
@@ -34,10 +34,17 @@ invalidates every stored seed and fixture.
 from __future__ import annotations
 
 import numbers
+import threading
 
 import numpy as np
 
 _UINT64_MAX = 2**64 - 1
+
+# the one Philox that ``read_words`` re-keys, made on its first call, since
+# importing numpy.random takes longer than importing germ; the lock keeps
+# each call's reads whole when threads share it
+_PHILOX = None
+_PHILOX_LOCK = threading.Lock()
 
 
 def check_integer(value, label: str) -> int:
@@ -85,11 +92,13 @@ def read_words(base_seed: int, streams: np.ndarray, spans) -> np.ndarray:
     Row i reads the stream of (base_seed, streams[i]) for an integer array
     ``streams``: for each (first, count) pair of ``spans`` in turn, the
     ``count`` words from word ``first`` on, counted modulo the stream's
-    2**256 blocks of 4.  One Philox is set to each row's key and to the
-    block of each span's first word, and only the span's words are made;
-    the first n words are those that ``random(n)`` of a fresh
+    2**256 blocks of 4.  The process's one Philox is set to each row's key
+    and to the block of each span's first word, key, counter and buffer in
+    full, so no read depends on the one before; only the span's words are
+    made.  The first n words are those that ``random(n)`` of a fresh
     ``philox_stream`` turns into floats.
     """
+    global _PHILOX
     _check_key(base_seed, 0)
     ends = np.cumsum([0] + [int(count) for _, count in spans]).tolist()
     reads = []
@@ -97,16 +106,18 @@ def read_words(base_seed: int, streams: np.ndarray, spans) -> np.ndarray:
         block, pos = divmod(int(first) % 2**258, 4)
         reads.append((_limbs(block), pos, a, b))
     words = np.empty((len(streams), ends[-1]), dtype=np.uint64)
-    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     # lists set a Philox state faster than arrays do; buffer_pos 4 makes the
     # next read generate the block with the state's counter + 1
     state = {"bit_generator": "Philox", "state": {}, "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for row, stream in zip(words, streams.tolist()):
-        state["state"] = {"key": [base_seed, stream]}
-        for counter, pos, a, b in reads:
-            state["state"]["counter"] = counter
-            bits.state = state
-            row[a:b] = bits.random_raw(pos + b - a)[pos:]
+    with _PHILOX_LOCK:
+        if _PHILOX is None:
+            _PHILOX = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        for row, stream in zip(words, streams.tolist()):
+            state["state"] = {"key": [base_seed, stream]}
+            for counter, pos, a, b in reads:
+                state["state"]["counter"] = counter
+                _PHILOX.state = state
+                row[a:b] = _PHILOX.random_raw(pos + b - a)[pos:]
     return words
 
 

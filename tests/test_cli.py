@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import germ
 import germ.cli
 import germ.montecarlo
 from germ.algorithm import GermAlgorithm, PlainErm, _step_block
@@ -346,7 +350,8 @@ def test_trajectory_is_replication_0(tmp_path, gap):
     config = parse_experiment_config(doc, tmp_path)
     outcomes = draw_outcomes(config.problem, seed, 0, 1, n_max)
     origins = seed, np.zeros(1, dtype=np.uint64), 2 * n_max
-    chosen, rbars = _step_block(config.problem, config.algo, outcomes, origins, range(1, n_max + 1))
+    chosen, readback = _step_block(config.problem, config.algo, outcomes, origins, range(1, n_max + 1))
+    rbars = readback(np.arange(1, n_max + 1), [0])
     assert len(steps) == n
     for step in steps:
         k = step["k"]
@@ -866,13 +871,25 @@ def test_non_numeric_config_floats_exit_2(tmp_path, capsys, where, bad):
     assert not (tmp_path / "out").exists()
 
 
+def test_importing_germ_leaves_the_generator_and_the_pool_unloaded():
+    # numpy.random and the process pool load on first use, in a process
+    # that draws or starts workers; the import of germ pays for neither
+    code = (
+        "import sys, germ.cli, germ.oracle, germ.montecarlo, germ.scenarios; "
+        "print(sorted(m for m in ('numpy.random', 'concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(germ.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout == "[]\n"
+
+
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
 def test_run_reproduces_the_golden_artifacts(tmp_path, name):
-    # each golden directory holds a config and the files ``germ run`` wrote
-    # for it before the JSON writer was replaced
+    # each golden directory holds a config and the files an earlier
+    # ``germ run`` wrote for it
     shutil.copy(GOLDEN / name / "config.json", tmp_path)
     assert main(["run", str(tmp_path / "config.json")]) == EXIT_PASS
     want = GOLDEN / name / "out"

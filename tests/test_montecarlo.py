@@ -6,6 +6,7 @@ reference loop (tests/scalar_reference.py) on the same derived generators.  Ever
 exact (==), not approximate.
 """
 
+import concurrent.futures
 import math
 import tracemalloc
 from collections import Counter
@@ -18,6 +19,7 @@ import germ.algorithm
 import germ.montecarlo
 import germ.rademacher
 from germ.algorithm import GermAlgorithm, PlainErm, _step_block, _step_bytes, algo_label
+from germ.analysis import excess_risk_bound
 from germ.errors import ResourceLimitError
 from germ.gap import (
     EmpiricalBernstein,
@@ -41,6 +43,7 @@ from germ.montecarlo import (
     draw_outcomes,
     excess_risk_decay,
     mc_bound_coverage,
+    _excess_counts,
     _sign_origins,
     mc_experiment,
     mc_risk_curve,
@@ -54,6 +57,7 @@ from germ.problem import (
     _outcome_index,
     optimal_risk,
     population_risk,
+    population_risks,
 )
 from germ.rademacher import SIGN_BLOCK, _rbars, _sign_blocks, _sign_sups
 from germ.rng import philox_stream, read_signs
@@ -131,10 +135,11 @@ def scalar_reference_stats(problem, algo, cfg):
 
 
 def lockstep(problem, algo, cfg):
-    """(chosen, rbars) of all cfg.replications as one chunk: the outcome
-    draw, then the stepper."""
+    """(chosen, rbars) of all cfg.replications as one chunk at cfg.grid:
+    the outcome draw, the stepper, then its R-bar readback of every row."""
     outcomes = draw_outcomes(problem, cfg.base_seed, 0, cfg.replications, cfg.n_max)
-    return _step_block(problem, algo, outcomes, _sign_origins(cfg, 0, cfg.replications), cfg.grid)
+    chosen, readback = _step_block(problem, algo, outcomes, _sign_origins(cfg, 0, cfg.replications), cfg.grid)
+    return chosen, readback(np.array(cfg.grid), np.arange(cfg.replications))
 
 
 def test_lockstep_matches_scalar_loop_bitwise():
@@ -362,7 +367,8 @@ def test_randomized_gate_that_fires_matches_scalar_loop(monkeypatch):
     for steps, grid in ((1, cfg.grid), (7, cfg.grid), (cfg.n_max, cfg.grid), (7, cfg.grid[:-1]), (7, every)):
         monkeypatch.setattr(germ.algorithm, "STEP_BLOCK", steps * cfg.replications * _step_bytes(problem.class_size))
         outcomes = draw_outcomes(problem, cfg.base_seed, 0, cfg.replications, cfg.n_max)
-        chosen, rbars = _step_block(problem, algo, outcomes, _sign_origins(cfg, 0, cfg.replications), grid)
+        chosen, readback = _step_block(problem, algo, outcomes, _sign_origins(cfg, 0, cfg.replications), grid)
+        rbars = readback(np.array(grid), np.arange(cfg.replications))
         for r, trajectory in enumerate(trajectories):
             for g, n in enumerate(grid):
                 assert chosen[g][r] == trajectory.steps[n - 1].chosen_index, (steps, r, n)
@@ -432,10 +438,11 @@ def test_sign_reads_of_a_full_chunk_stay_within_the_cap(monkeypatch):
     assert seen[1] == CHUNK * len(_sign_blocks(cfg.grid))
     # a read's temporaries take a few dozen bytes per sign
     assert peak <= rbars.nbytes + 48 * SIGN_BLOCK, peak
-    # the stepper reads the same way, at the grid and wherever its settle reads
+    # the stepper reads the same way, wherever its settle reads and at the
+    # grid through its readback
     seen[:] = 0
-    chosen, stepped = _step_block(problem, algo, outcomes, origins, cfg.grid)
-    assert np.array_equal(stepped, rbars.T)
+    chosen, readback = _step_block(problem, algo, outcomes, origins, cfg.grid)
+    assert np.array_equal(readback(grid, np.arange(CHUNK)), rbars.T)
     assert 0 < seen[0] <= SIGN_BLOCK
 
 
@@ -583,6 +590,84 @@ def test_excess_bound_event_validation():
         ExcessBoundEvent(PlainErm())
 
 
+def _spy_rbars(monkeypatch):
+    """Record (replications, steps) of every ``_rbars`` call the stepper's
+    readback makes, in call order."""
+    calls = []
+    real = germ.algorithm._rbars
+
+    def recorded(loss_array, outcomes, origins, ks, offsets):
+        calls.append((origins[1].tolist(), np.asarray(ks).tolist()))
+        return real(loss_array, outcomes, origins, ks, offsets)
+
+    monkeypatch.setattr(germ.algorithm, "_rbars", recorded)
+    return calls
+
+
+def test_excess_bound_settles_at_the_floor(monkeypatch):
+    # from n = 250 on, the bound at R-bar = 0 falls below h_0's excess of
+    # 0.7 on the biased coin, and the gate moves some replications to h_1
+    # by n = 500: a row within that floor is counted without its R-bar, the
+    # others read theirs
+    problem = load_scenario("biased-coin-massart").problem
+    algo = GermAlgorithm(gap=GapSpec(UniformConvergence(EmpiricalMcDiarmid()), 2))
+    cfg = McConfig(replications=64, n_max=700, base_seed=7, grid=(100, 250, 500, 700))
+    chosen, rbars = lockstep(problem, algo, cfg)
+    excess = population_risks(problem)[chosen] - optimal_risk(problem)[0]
+    # the reference reads every row's R-bar
+    want = [int(np.count_nonzero(e <= excess_risk_bound(n, r))) for n, e, r in zip(cfg.grid, excess, rbars)]
+    above = [np.flatnonzero(e > excess_risk_bound(n, 0.0)).tolist() for n, e in zip(cfg.grid, excess)]
+    assert [len(rows) for rows in above] == [0, 64, 45, 1]
+    calls = _spy_rbars(monkeypatch)
+    mc_risk_curve(problem, algo, cfg)
+    stepper = list(calls)
+    calls.clear()
+    result = mc_bound_coverage(problem, ExcessBoundEvent(algo), cfg)
+    assert [round(c * cfg.replications) for c in result.coverages] == want
+    # the same stepper reads, then one read per grid n of the rows above the floor
+    assert calls[: len(stepper)] == stepper
+    assert calls[len(stepper) :] == [(rows, [n]) for n, rows in zip(cfg.grid, above) if rows]
+
+
+def test_excess_counts_read_only_rows_above_the_floor():
+    # R-bars small enough that some rows above the floor fall outside the
+    # bound, and zeros among them, which sit exactly on the floor
+    problem = load_scenario("biased-coin-massart").problem
+    pop = population_risks(problem)
+    cfg = McConfig(replications=200, n_max=700, base_seed=0, grid=(100, 250, 500, 700))
+    rng = np.random.default_rng(3)
+    chosen = rng.integers(0, 2, size=(4, 200))
+    table = rng.uniform(0.0, 0.04, size=(4, 200))
+    table[:, ::7] = 0.0
+    reads = []
+
+    def readback(steps, rows):
+        reads.append((steps.tolist(), rows.tolist()))
+        return table[np.searchsorted(cfg.grid, steps)][:, rows]
+
+    counts = _excess_counts(problem, cfg, pop, chosen, readback)
+    excess = pop[chosen] - optimal_risk(problem)[0]
+    assert counts == [int(np.count_nonzero(e <= excess_risk_bound(n, r))) for n, e, r in zip(cfg.grid, excess, table)]
+    assert 0 < counts[2] - np.count_nonzero(chosen[2] == 1) < np.count_nonzero(chosen[2] == 0)
+    assert reads == [([n], np.flatnonzero(c == 0).tolist()) for n, c in zip(cfg.grid[1:], chosen[1:])]
+
+
+def test_randomized_runs_within_the_floor_read_no_rbar(monkeypatch):
+    # on three-outcome-misspecified to n = 200 no gate fires at R-bar = 0 and
+    # every replication stays within the floor, so neither the curve nor
+    # the excess-bound event reads an R-bar
+    problem = load_scenario("three-outcome-misspecified").problem
+    algo = GermAlgorithm(gap=GapSpec(UniformConvergence(EmpiricalMcDiarmid()), 3))
+    cfg = McConfig(replications=128, n_max=200, base_seed=3, grid=(10, 20, 50, 100, 200))
+    calls = _spy_rbars(monkeypatch)
+    curve = mc_risk_curve(problem, algo, cfg)
+    _, (coverage,) = mc_experiment(problem, algo, cfg, (ExcessBoundEvent(algo),))
+    assert calls == []
+    # every replication stays at h_0
+    assert curve.stderrs == (0.0,) * 5
+    assert coverage.coverages == (1.0,) * 5
+
+
 def test_estimator_deviation_matches_scalar_supremum():
     problem = three_outcome_problem()
     cfg = McConfig(replications=300, n_max=6, base_seed=77, grid=(2, 4, 6))
@@ -704,7 +789,8 @@ def test_no_more_processes_than_chunks(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(germ.montecarlo, "ProcessPoolExecutor", InlinePool)
+    # the pool is imported from concurrent.futures where it is first needed
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(germ.montecarlo, "CHUNK", 10)
     problem = skewed_two_point()
     # 25 replications in chunks of 10: three chunks

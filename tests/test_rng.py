@@ -1,5 +1,8 @@
 """Stream-layout tests for the counter-based generators."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -49,6 +52,63 @@ def test_read_words_matches_philox_stream(n):
         for row, stream in zip(out, streams.tolist()):
             words = philox_stream(9, stream).bit_generator.random_raw(4 * n + 7)
             assert np.array_equal(row, np.concatenate([words[a : a + count] for a, count in spans])), spans
+
+
+def _fresh_words(base_seed, streams, spans):
+    """The words of ``spans`` of each stream, from a fresh generator per row."""
+    out = []
+    for stream in streams:
+        words = philox_stream(base_seed, stream).bit_generator.random_raw(max(a + count for a, count in spans))
+        out.append(np.concatenate([words[a : a + count] for a, count in spans]))
+    return np.array(out, dtype=np.uint64)
+
+
+# keys, spans that end inside a block and start at its middle, and a
+# repeat of the first call, which must not see where the others left off
+_INTERLEAVED = [
+    (7, [0, 1], [(0, 5)]),
+    (2**64 - 1, [2**64 - 1], [(3, 2), (25, 7)]),
+    (9, [5, 6, 7], [(1, 1)]),
+    (7, [1], [(5, 3)]),
+    (0, [2**63], [(0, 4), (4, 1)]),
+    (7, [0, 1], [(0, 5)]),
+]
+
+
+def test_interleaved_reads_match_fresh_generators():
+    # every call re-keys the process's one Philox in full
+    for base_seed, streams, spans in _INTERLEAVED:
+        out = read_words(base_seed, np.array(streams, dtype=np.uint64), spans)
+        assert np.array_equal(out, _fresh_words(base_seed, streams, spans)), (base_seed, streams, spans)
+
+
+def test_reads_from_several_threads_match_fresh_generators():
+    # threads share the one Philox; a read that another thread re-keys
+    # midway returns words of the wrong stream
+    want = [_fresh_words(*call) for call in _INTERLEAVED]
+    bad = []
+    done = []
+
+    def reads():
+        for _ in range(30):
+            for (base_seed, streams, spans), words in zip(_INTERLEAVED, want):
+                if not np.array_equal(read_words(base_seed, np.array(streams, dtype=np.uint64), spans), words):
+                    bad.append((base_seed, streams, spans))
+        done.append(True)
+
+    threads = [threading.Thread(target=reads) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(done) == 4
+    assert bad == []
 
 
 def test_read_words_rejects_streams_past_64_bits():
