@@ -31,11 +31,13 @@ each layer of its states through ``_gate_block`` as a one-step block.
 
 The kernels read running sums step-major, indexed [step, row, hypothesis],
 so that one step of every row is one contiguous slab.  Per block, only
-the rows whose incumbent can fall k * floor(k) behind the minimum sum
+the rows whose incumbent can fall k * floor(k, inc) behind the minimum sum
 within the block go through the candidate and gate kernels, where
-floor(k) is a lower bound of the gap at step k; the bound and its float
-headroom are set out in ``_gate_block``.  The others provably keep their
-incumbent, and no result depends on which rows were skipped.
+floor(k, inc) is a lower bound of the gap wherever incumbent inc's gate
+fires at step k; the bound and its float headroom are set out in
+``_gate_block`` and, for the Bernstein gap, ``_bernstein_floors``.  The
+others provably keep their incumbent, and no result depends on which rows
+were skipped.
 """
 
 from __future__ import annotations
@@ -303,6 +305,57 @@ def _bernstein_gaps(sq: np.ndarray, class_size: int) -> np.ndarray:
     return gaps
 
 
+def _bernstein_floors(L: np.ndarray, n: int) -> np.ndarray:
+    """A lower bound of the Bernstein gap at steps 1..n wherever the gate
+    fires, (n, H), one column per incumbent; +inf at k = 1.
+
+    Each floor is at least delta_0(k), the gap with no variance term.  For
+    candidate c against incumbent i let d_z = L[i, z] - L[c, z] and w the
+    outcome frequencies at step k.  A fire needs the mean lag
+    mu = sum_z w_z d_z to reach the gap, so mu >= delta_0(k), and then
+    q / k = sum_z w_z d_z**2 is at least phi(mu), the lower convex envelope
+    of the points (d_z, d_z**2).  They lie on the parabola, so phi is the
+    polyline through them in ascending d, the largest of its chords' lines
+    and of the parabola itself; it is least at the d nearest 0, so over
+    mu >= delta_0(k) it is least at mu = max(delta_0(k), that d).  The
+    floor is the gap at q = k * min_c phi, +inf where no candidate has a
+    d_z > 0.  Steps where delta_0(k) exceeds every d_z, so that no pair can
+    fire, keep delta_0(k).
+
+    Headroom: the float lag of a fire lies within 2.3e-16 * k of the exact
+    one (running sums of k losses in [0, 1], and a difference and
+    division), and the float q / k within (m + 8) eps of k phi / k (the
+    settle's m products and sums, and the envelope's few operations on
+    values in [-1, 1]); 1e-9 more covers the rest.  The gap rounds
+    monotonically in q, so every fire's float gap is at least the floor.
+    """
+    H, m = L.shape
+    ks = np.arange(1, n + 1)
+    floors = np.empty((n, H))
+    floors[:] = _bernstein_gaps(np.zeros(n), H)[:, np.newaxis]
+    mu = floors[:, 0] - (1e-9 + 2.3e-16 * ks)
+    steps = (mu <= (L - L.min(axis=0)).max()).nonzero()[0]
+    if not steps.size:
+        return floors
+    mu, ks = mu[steps], ks[steps]
+    # d[c, i] holds candidate c's lags behind incumbent i in ascending order
+    d = np.sort(L[np.newaxis] - L[:, np.newaxis], axis=-1)
+    nearest = np.take_along_axis(d, np.abs(d).argmin(axis=-1)[..., np.newaxis], axis=-1)
+    least = np.full((H, len(ks)), math.inf)
+    for lags, near in zip(d, nearest):
+        x = np.maximum(mu, near)
+        phi = x * x
+        for a, b in zip(lags.T, lags.T[1:]):
+            chord = (a + b)[:, np.newaxis] * x
+            chord -= (a * b)[:, np.newaxis]
+            np.maximum(phi, chord, out=phi)
+        phi[lags[:, -1] <= 0.0] = math.inf
+        np.minimum(least, phi, out=least)
+    q = ks * np.fmax(least - (1e-9 + 2.3e-16 * m), 0.0)
+    floors[steps] = bernstein_delta_from_sq(ks, q, H).T
+    return floors
+
+
 def _accumulate_steps(X: np.ndarray) -> None:
     """Running sums along axis 0, in place and in step order.
 
@@ -318,12 +371,13 @@ def _accumulate_steps(X: np.ndarray) -> None:
 def _bernstein_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, D2, class_size) -> None:
     """Settle the Bernstein gate at the steps ``fire`` marks, in place.
 
-    ``fire`` marks where the difference clears the gap with no variance
-    term, a lower bound of the gap.  Only there are the squared-difference
-    sum (``_sq_sums``) and the gap formed.  Arguments follow ``_scan_gate``
-    and ``_gate_block``; the outcome counts ride in ``S``'s columns past the
-    ``class_size`` loss sums, ``live`` is not read, and ``D2`` holds the
-    squared loss differences indexed [candidate, incumbent, outcome].
+    ``fire`` marks where the difference clears the incumbent's floor
+    (``_bernstein_floors``), a lower bound of the gap wherever it fires.
+    Only there are the squared-difference sum (``_sq_sums``) and the gap
+    formed.  Arguments follow ``_scan_gate`` and ``_gate_block``; the
+    outcome counts ride in ``S``'s columns past the ``class_size`` loss
+    sums, ``live`` is not read, and ``D2`` holds the squared loss
+    differences indexed [candidate, incumbent, outcome].
     """
     t, r = np.nonzero(fire)
     if not t.size:
@@ -332,18 +386,31 @@ def _bernstein_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, D2, class_si
     fire[t, r] = diff[t, r] <= -bernstein_delta_from_sq(k[lo + t, 0], q, class_size)
 
 
-def _rademacher_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, read, cache) -> None:
+def _rademacher_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, read, cache, radius) -> None:
     """Settle the randomized gate at the steps ``fire`` marks, in place.
 
     ``fire`` marks where the difference clears the gap at R-bar = 0, a
-    lower bound of the gap.  Only the rows with a mark read their R-bar:
-    they read it at every step of the block in one ``read`` call (the
-    gate's readback, ``_gate``), and ``cache`` keeps it, keyed by the row
-    of the outcome block that ``live`` maps the block's row to, for the
-    rescans of the block.  Arguments follow ``_scan_gate`` and
-    ``_gate_block``; ``S`` is not read.
+    lower bound of the gap.  R-bar is max(0, sup + r_k), and whatever the
+    signs the supremum is at least -min_h S_h / k, the candidate's sum
+    over k, since a sign of -1 on every step gives that for each h.  So
+    first the marks whose difference does not clear the gap at that lower
+    R-bar drop, where ``radius`` holds r_k less the headroom that covers
+    the rounding of both sides (the supremum's m-term sums, the running
+    sums' k adds: 1e-9 + 2.3e-16 (k + m)).  Only the rows with a mark left
+    read their R-bar: they read it at every step of the block in one
+    ``read`` call (the gate's readback, ``_gate``), and ``cache`` keeps
+    it, keyed by the row of the outcome block that ``live`` maps the
+    block's row to, for the rescans of the block.  Arguments follow
+    ``_scan_gate`` and ``_gate_block``.
     """
     t, r = np.nonzero(fire)
+    if not t.size:
+        return
+    ks = k[lo + t, 0]
+    low = np.fmax(radius[ks - 1] - S[lo + t, rows[r], cand[t, r]] / ks, 0.0)
+    clear = diff[t, r] <= -delta_uniform(ks, low)
+    fire[t[~clear], r[~clear]] = False
+    t, r = t[clear], r[clear]
     if not t.size:
         return
     uniq, inv = np.unique(r, return_inverse=True)
@@ -362,7 +429,8 @@ def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
 
     ``S`` (T, B, H) holds the running loss sums, ``cand`` and ``best`` (T, B)
     the ERM candidate and its sum, ``k`` (T, 1) the step indices and ``gap``
-    (T, B) the gap, or a lower bound of it that ``settle`` (see
+    (T, H) the gap per incumbent, which each scan reads at every row's
+    current incumbent, or a lower bound of it that ``settle`` (see
     ``_bernstein_gate`` and ``_rademacher_gate``) turns into the gate's
     decision.  The gate fires
     where (sum(cand) - sum(incumbent)) / k <= -gap; a fire where the
@@ -382,7 +450,7 @@ def _scan_gate(S, cand, best, k, gap, incumbent, at, settle=None):
         inc = incumbent[rows]
         c = cand[lo:, cols]
         diff = (best[lo:, cols] - S[lo:, rows, inc]) / k[lo:]
-        fire = diff <= -gap[lo:, cols]
+        fire = diff <= -gap[lo:, inc]
         fire &= c != inc
         # a rescan starts at lo >= 1, and each row from its step after the switch
         if lo:
@@ -437,22 +505,25 @@ def _gate(algo: AlgorithmSpec, L: np.ndarray, n: int, signs=None) -> Gate:
     apart.  ``signs`` is (outcomes, origins), which only the randomized gap
     reads: the (B, n) outcome block and the origin of each row's signs.
 
-    ``gaps`` holds the gap the scan compares at each step: the schedule
-    (``step_schedule``) for the fixed, Massart and constant gaps; for
-    Bernstein, the gap with no variance term, and for the randomized gap,
-    the gap at R-bar = 0, each a lower bound of the gap that ``settle``
-    (``_bernstein_gate``, ``_rademacher_gate``) turns into the gate's
-    decision.  The randomized gap is 4 R-bar + r_k + 2/k with R-bar >= 0,
-    and rounding is monotone, so in floats too it is at least its value at
-    R-bar = 0.  Its settle reads only the signs of the blocks whose R-bar
-    it reads; other steps' words are never made.  ``lag_needed`` holds
-    k * floor(k) and ``reach`` the largest lag growth per step of each
-    incumbent; ``_gate_block`` sets them out.  Plain ERM has no gap: these
-    four are None.  ``rows`` (m, columns) holds each outcome's row of the
-    running sums that ``_step_block`` and the exact oracle step: its H
-    losses, then, for the Bernstein gap alone, whose settle reads the
-    outcome counts, its indicator among the m outcomes.  ``initial`` is
-    the incumbent before step 1.
+    ``gaps`` (n, H) holds the gap the scan compares at each step, one
+    column per incumbent: the schedule (``step_schedule``) for the fixed,
+    Massart and constant gaps and the gap at R-bar = 0 for the randomized
+    gap, the same in every column, and for Bernstein the floor of each
+    incumbent (``_bernstein_floors``), the least gap at which that
+    incumbent's gate can fire given the variance its candidates' loss
+    differences force.  The last two are lower bounds of the gap that
+    ``settle`` (``_bernstein_gate``, ``_rademacher_gate``) turns into the
+    gate's decision.  The randomized gap is 4 R-bar + r_k + 2/k with
+    R-bar >= 0, and rounding is monotone, so in floats too it is at least
+    its value at R-bar = 0.  Its settle reads only the signs of the blocks
+    whose R-bar it reads; other steps' words are never made.
+    ``lag_needed`` (n, H) holds k * floor(k, inc) and ``reach`` the largest
+    lag growth per step of each incumbent; ``_gate_block`` sets them out.
+    Plain ERM has no gap: these four are None.  ``rows`` (m, columns)
+    holds each outcome's row of the running sums that ``_step_block`` and
+    the exact oracle step: its H losses, then, for the Bernstein gap
+    alone, whose settle reads the outcome counts, its indicator among the
+    m outcomes.  ``initial`` is the incumbent before step 1.
 
     ``rbars`` is the R-bar readback: ``rbars(steps, rows)`` maps an
     increasing int array of steps and an index of the outcome block's rows
@@ -480,12 +551,17 @@ def _gate(algo: AlgorithmSpec, L: np.ndarray, n: int, signs=None) -> Gate:
         def rbars(steps, rows):
             return _rbars(L, outcomes[rows], (base_seed, streams[rows], half), steps, steps * (steps - 1) // 2).T
 
-        settle = functools.partial(_rademacher_gate, read=rbars, cache={})
+        # r_k, read back from the gap at R-bar = 0, r_k + 2/k, within 1e-15
+        radius = gaps - 2.0 / ks - (1e-9 + 2.3e-16 * (ks + m))
+        settle = functools.partial(_rademacher_gate, read=rbars, cache={}, radius=radius)
     else:
-        gaps = _bernstein_gaps(np.zeros(n), H)
+        gaps = _bernstein_floors(L, n)
         settle = functools.partial(_bernstein_gate, D2=_sq_diffs(L), class_size=H)
         rows = np.hstack([L.T, np.eye(m)])
-    return Gate(gaps, ks * np.fmax(gaps, 0.0), (L - L.min(axis=0)).max(axis=1), settle, rows, algo.initial_index, rbars)
+    # a gap that depends on k alone serves every incumbent
+    floors = np.empty((n, H))
+    floors[:] = gaps.reshape(n, -1)
+    return Gate(floors, ks[:, np.newaxis] * np.fmax(floors, 0.0), (L - L.min(axis=0)).max(axis=1), settle, rows, algo.initial_index, rbars)
 
 
 def _gate_block(S, sums, k, incumbent, at, gate):
@@ -505,20 +581,22 @@ def _gate_block(S, sums, k, incumbent, at, gate):
 
     A row is live when its incumbent can fall far enough behind within the
     block for the gate to fire, and only live rows go through
-    ``_erm_candidates`` and ``_scan_gate``.  The gap at step k is at least
-    a floor that depends on k alone: the schedule itself for the fixed,
-    Massart and constant gaps, the gap with no variance term for
-    Bernstein, and the gap at R-bar = 0 for the randomized gap, which are
-    ``gate``'s gaps; a NaN floor counts as 0.  The gate fires only where
-    the lag S_inc - min_h S_h is at least k * floor(k), and the lag grows
-    by at most reach[inc] = max_z (L[inc, z] - min_h L[h, z]) per step.  So a row whose lag at
-    the block start plus T * reach[inc] is below the least k * floor(k)
-    over the block keeps its incumbent through the block.  The test grants
-    1e-9 * t1 of headroom, t1 the block's last step: sums of losses in
-    [0, 1] stay below t1, so each rounding moves the float lag by at most
-    eps * t1, and a block of T < 2**14 steps (the STEP_BLOCK cap) adds up
-    about (T + 4) * eps * t1 < 4e-12 * t1 of them.  Each live row goes
-    through the same float operations whichever rows are live.
+    ``_erm_candidates`` and ``_scan_gate``.  Wherever incumbent inc's gate
+    fires at step k, the gap is at least a floor that depends on k and inc
+    alone: the schedule itself for the fixed, Massart and constant gaps,
+    the gap at R-bar = 0 for the randomized gap, and the incumbent's floor
+    for Bernstein (``_bernstein_floors``), which are ``gate``'s gaps; a NaN
+    floor counts as 0.  The gate fires only where the lag
+    S_inc - min_h S_h is at least k * floor(k, inc), and the lag grows by
+    at most reach[inc] = max_z (L[inc, z] - min_h L[h, z]) per step.  So a
+    row whose lag at the block start plus T * reach[inc] is below the least
+    k * floor(k, inc) over the block keeps its incumbent through the
+    block.  The test grants 1e-9 * t1 of headroom, t1 the block's last
+    step: sums of losses in [0, 1] stay below t1, so each rounding moves
+    the float lag by at most eps * t1, and a block of T < 2**14 steps (the
+    STEP_BLOCK cap) adds up about (T + 4) * eps * t1 < 4e-12 * t1 of them.
+    Each live row goes through the same float operations whichever rows
+    are live.
 
     Before any row's lag is formed, one test bounds them all: a lag is a
     function of the sums alone, and each of the t0 = t1 - T steps before
@@ -528,8 +606,10 @@ def _gate_block(S, sums, k, incumbent, at, gate):
     two sums below t1 and one of their difference, each at most
     eps * t1 / 2), and the other roundings of the test stay far below
     1e-9 * t1.  So when t1 * max(reach) falls short of the least
-    k * floor(k) by 2e-9 * t1 + 2.3e-16 * t1**2 (2.3e-16 > eps), no row is
-    live, and the block returns what the row test returns then.
+    k * floor(k, inc) over the block and every incumbent by
+    2e-9 * t1 + 2.3e-16 * t1**2 (2.3e-16 > eps), no row is live, and the
+    block returns what the row test returns then; this test reads no
+    row's incumbent.
     """
     if gate.gaps is None:
         # ``at`` ascends, so a block read at every step is ``S`` itself, not a copy
@@ -537,19 +617,18 @@ def _gate_block(S, sums, k, incumbent, at, gate):
     H = len(gate.reach)
     T, t1 = len(k), int(k[-1, 0])
     picked = incumbent[np.newaxis].repeat(len(at), axis=0)
-    need = gate.lag_needed[t1 - T : t1].min()
-    if t1 * gate.reach.max() < need - t1 * (2e-9 + 2.3e-16 * t1):
+    need = gate.lag_needed[t1 - T : t1]
+    if t1 * gate.reach.max() < need.min() - t1 * (2e-9 + 2.3e-16 * t1):
         return picked
     lag = sums[np.arange(len(incumbent)), incumbent] - functools.reduce(np.minimum, sums[:, :H].T)
-    live = (lag + T * gate.reach[incumbent] >= need - 1e-9 * t1).nonzero()[0]
+    live = (lag + T * gate.reach[incumbent] >= need.min(axis=0)[incumbent] - 1e-9 * t1).nonzero()[0]
     if live.size:
         # every row live reads the block without a copy
         sel = slice(None) if live.size == len(incumbent) else live
         S_live, inc = S[:, sel], incumbent[sel]
         cand, best = _erm_candidates(S_live[..., :H])
-        gap = np.broadcast_to(gate.gaps[t1 - T : t1, np.newaxis], cand.shape)
         block_settle = gate.settle and functools.partial(gate.settle, S=S_live, live=live, k=k)
-        picked[:, sel] = _scan_gate(S_live, cand, best, k, gap, inc, at, block_settle)
+        picked[:, sel] = _scan_gate(S_live, cand, best, k, gate.gaps[t1 - T : t1], inc, at, block_settle)
         incumbent[sel] = inc
     return picked
 

@@ -1,21 +1,25 @@
 """Gate pruning in the step kernel: rows that cannot switch within a block.
 
 ``algorithm._gate_block`` sends a row through the candidate and gate
-kernels only when its incumbent can fall k * floor(k) behind the minimum
-within the block.  These tests hold the pruned stepper to the scalar
-reference loop on gaps at the edges of that bound, and check that the
-pruning is engaged where the learner has settled, in the stepper and in
-the exact oracle's layers.
+kernels only when its incumbent can fall k * floor(k, inc) behind the
+minimum within the block.  These tests hold the pruned stepper to the
+scalar reference loop on gaps at the edges of that bound, check that the
+Bernstein floor (``algorithm._bernstein_floors``) lies below the gap of
+every count vector that can fire, and check that the pruning is engaged
+where the learner has settled, in the stepper and in the exact oracle's
+layers.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import germ.algorithm
 import germ.oracle
-from germ.algorithm import GermAlgorithm, _step_block, _step_bytes
+from germ.algorithm import GermAlgorithm, _gate, _sq_diffs, _sq_sums, _step_block, _step_bytes
 from germ.gap import (
     EmpiricalBernstein,
     FixedDelta,
@@ -23,12 +27,13 @@ from germ.gap import (
     MassartDeterministic,
     UniformConvergence,
     UserConstant,
+    bernstein_delta_from_sq,
     delta_uniform,
     step_schedule,
 )
 from germ.montecarlo import McConfig, draw_outcomes, mc_risk_curve
 from germ.oracle import exact_risk_curve
-from germ.problem import DiscreteDistribution, LearningProblem, LossTable, Sample
+from germ.problem import DiscreteDistribution, LearningProblem, LossTable, Sample, _count_vector_blocks
 from germ.rng import philox_stream
 from germ.scenarios import load_scenario
 from scalar_reference import draw_sample, scalar_run_germ
@@ -46,6 +51,20 @@ def gate_rows(monkeypatch):
         return scan(S, cand, best, *args)
 
     monkeypatch.setattr(germ.algorithm, "_scan_gate", counted)
+    return seen
+
+
+@pytest.fixture
+def settled_cells(monkeypatch):
+    """Cells at which the Bernstein settle forms the gap, counted as they happen."""
+    seen = {"cells": 0}
+    settle = germ.algorithm._bernstein_gate
+
+    def counted(rows, lo, inc, cand, diff, fire, **kw):
+        seen["cells"] += int(np.count_nonzero(fire))
+        return settle(rows, lo, inc, cand, diff, fire, **kw)
+
+    monkeypatch.setattr(germ.algorithm, "_bernstein_gate", counted)
     return seen
 
 
@@ -81,6 +100,67 @@ def test_pruning_is_engaged_once_the_bernstein_learner_settles(gate_rows):
     assert 0.0 < share < 0.10, share
     # the gate still moves the learner off the bad initial hypothesis
     assert curve.values[-1] < curve.values[0]
+
+
+@pytest.mark.parametrize(("scenario", "most"), [("margin-free-ladder", 50_000), ("biased-coin-massart", 15_000)])
+def test_the_bernstein_floor_leaves_few_cells_to_settle(settled_cells, scenario, most):
+    # the floor of each incumbent counts the variance its candidates' loss
+    # differences force; it leaves about 34,300 and 5,400 cells for the
+    # settle, where the gap with no variance term leaves 97,083 and 66,553
+    problem = load_scenario(scenario).problem
+    algo = GermAlgorithm(GapSpec(EmpiricalBernstein(), problem.class_size))
+    cfg = McConfig(replications=1024, n_max=2000, base_seed=107, grid=(50, 200, 2000))
+    mc_risk_curve(problem, algo, cfg, workers=1)
+    assert 0 < settled_cells["cells"] < most
+
+
+@st.composite
+def floor_cases(draw):
+    """A loss table on the 1/20 grid, half its entries 0 or 1, an ordered
+    pair (candidate, incumbent) and a step k at which gates can fire."""
+    H = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 4))
+    entry = st.one_of(st.sampled_from([0, 20]), st.integers(0, 20))
+    L = np.array([[draw(entry) / 20 for _ in range(m)] for _ in range(H)])
+    c, i = draw(st.permutations(range(H)))[:2]
+    return L, c, i, draw(st.integers(40, 120))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(floor_cases())
+def test_every_count_vector_whose_lag_clears_the_zero_variance_gap_has_a_gap_above_the_floor(case):
+    # a fire of c against i needs the mean lag to reach the gap with no
+    # variance term; every count vector of k outcomes that gets there has
+    # a squared-difference sum whose gap is at least i's floor at step k
+    L, c, i, k = case
+    H, m = L.shape
+    counts = np.concatenate(list(_count_vector_blocks(k, m)))
+    cand, inc = (_sq_sums(counts, np.broadcast_to(L[h], counts.shape)) for h in (c, i))
+    clears = (cand - inc) / k <= -bernstein_delta_from_sq(k, 0.0, H)
+    q = _sq_sums(counts[clears], np.broadcast_to(_sq_diffs(L)[c, i], (np.count_nonzero(clears), m)))
+    floor = _gate(GermAlgorithm(GapSpec(EmpiricalBernstein(), H)), L, k).gaps[k - 1, i]
+    assert (bernstein_delta_from_sq(k, q, H) >= floor).all()
+
+
+@pytest.mark.parametrize("steps", [1, 100])
+def test_headroom_admits_a_bernstein_fire_whose_gap_the_floor_meets(monkeypatch, steps):
+    # h0 trails h1 by a on the one outcome, so every step's lag, and its
+    # squared-difference sum k a**2, are what the floor assumes: the floor
+    # is the gap less its headroom.  a is the least float at which the gate
+    # fires at step 100, where the lag is within an ulp of the gap
+    a = 0.567029110729063
+    gap = GapSpec(EmpiricalBernstein(), 2)
+    z = Sample((0,) * 100)
+    below = LearningProblem("floor-edge", DiscreteDistribution((1.0,)), LossTable(((math.nextafter(a, 0.0),), (0.0,))))
+    assert not any(s.updated for s in scalar_run_germ(below, z, gap).steps)
+    problem = LearningProblem("floor-edge", DiscreteDistribution((1.0,)), LossTable(((a,), (0.0,))))
+    expected = scalar_run_germ(problem, z, gap)
+    assert [s.k for s in expected.steps if s.updated] == [100]
+    floor = _gate(GermAlgorithm(gap), problem.loss.as_array(), 100).gaps[99, 0]
+    assert 0.0 < expected.steps[99].delta - floor < 1e-9
+    monkeypatch.setattr(germ.algorithm, "STEP_BLOCK", steps * _step_bytes(problem.class_size))
+    chosen, _ = _step_block(problem, GermAlgorithm(gap), np.array([z.outcomes]), None, tuple(range(1, 101)))
+    assert chosen[:, 0].tolist() == list(expected.indices())
 
 
 def test_pruned_bernstein_steps_equal_the_scalar_loop_at_a_long_horizon(monkeypatch, gate_rows):

@@ -668,6 +668,33 @@ def test_randomized_runs_within_the_floor_read_no_rbar(monkeypatch):
     assert coverage.coverages == (1.0,) * 5
 
 
+def test_randomized_settle_reads_only_rows_whose_lower_rbar_clears(monkeypatch):
+    # whatever the signs, R-bar >= max(0, r_k - min_h S_h / k), so a row
+    # whose lag does not clear the gap at that R-bar reads none.  On the
+    # biased coin no replication switches before step 330, yet all 64
+    # clear the gap at R-bar = 0 within the first block (steps 1-170); 19
+    # clear it at the lower R-bar.  The choices and the grid R-bars are
+    # those of the settle without the lower R-bar, which reads all 64
+    problem = load_scenario("biased-coin-massart").problem
+    algo = GermAlgorithm(gap=GapSpec(UniformConvergence(EmpiricalMcDiarmid()), 2))
+    cfg = McConfig(replications=64, n_max=700, base_seed=7, grid=(100, 250, 500, 700))
+    calls = _spy_rbars(monkeypatch)
+    chosen, rbars = lockstep(problem, algo, cfg)
+    lower = list(calls)
+    calls.clear()
+    settle = germ.algorithm._rademacher_gate
+
+    def without_the_lower_rbar(*args, radius, **kwargs):
+        settle(*args, radius=np.full_like(radius, -np.inf), **kwargs)
+
+    monkeypatch.setattr(germ.algorithm, "_rademacher_gate", without_the_lower_rbar)
+    want_chosen, want_rbars = lockstep(problem, algo, cfg)
+    assert np.array_equal(chosen, want_chosen) and np.array_equal(rbars, want_rbars)
+    assert [len(rows) for rows, _ in (lower[0], calls[0])] == [19, 64]
+    assert lower[0][1] == calls[0][1] == list(range(1, 171))
+    assert sum(len(rows) for rows, _ in lower) < sum(len(rows) for rows, _ in calls)
+
+
 def test_estimator_deviation_matches_scalar_supremum():
     problem = three_outcome_problem()
     cfg = McConfig(replications=300, n_max=6, base_seed=77, grid=(2, 4, 6))
