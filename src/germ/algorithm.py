@@ -16,11 +16,12 @@ montecarlo modules, never asserted per run.
 in lockstep, a block of steps at a time, through ``_gate_block``, the one
 gate, which ``_gate`` sets up once per run and which runs the array
 kernels ``_erm_candidates``, ``_scan_gate`` and the settles
-``_bernstein_gate`` and ``_rademacher_gate``; only ``_gate`` tells the
-learners apart.  The randomized gap's R-bar
-(the rademacher module's ``_rbars``) is read only in the blocks where a
-row's gate can fire at R-bar = 0, and at the steps and rows a caller
-asks the gate's readback for.  Each row's signs
+``_bernstein_gate`` and ``_rademacher_gate``.  Only ``_gate`` tells the
+learners apart: it checks the algorithm, and its readout gives what a
+step compared, from which ``run_germ`` writes its records.  The
+randomized gap's R-bar (the rademacher module's ``_rbars``) is read only
+in the blocks where a row's gate can fire at R-bar = 0, and at the steps
+and rows a caller reads back.  Each row's signs
 are addressed by its origin in its Philox stream (``rng.read_signs``):
 step k's signs lie at half offset k (k - 1) / 2 from it, so a read makes
 only the words of the steps it needs, and every sign read is the one that
@@ -96,12 +97,13 @@ AlgorithmSpec = GermAlgorithm | PlainErm
 
 
 def algo_label(algo: AlgorithmSpec) -> str:
-    """Compact, filesystem- and CSV-safe label for an algorithm spec."""
+    """Compact, filesystem- and CSV-safe label for an algorithm spec; a
+    label is an algorithm spec that ``cli.parse_algo_spec`` reads back."""
     if isinstance(algo, PlainErm):
         return "erm"
     gap = algo.gap
     if isinstance(gap, FixedDelta):
-        code = "fixed"
+        code = f"fixed={float(gap.value)!r}"
     elif isinstance(gap.variant, EmpiricalBernstein):
         code = "bernstein"
     else:
@@ -207,35 +209,29 @@ def run_germ(
         (base_seed, stream, half), integers: the signs are read from the
         32-bit half ``half`` of the Philox stream of (base_seed, stream)
         on (``rng.read_signs``), step k's k signs k (k - 1) / 2 halves
-        after it.  Required exactly when the gap draws random signs
-        (UniformConvergence with EmpiricalMcDiarmid), ignored otherwise.
-        The Monte Carlo engine's replication r reads its signs from
-        (base_seed, r, 2 n_max), after its sample of n_max words.
+        after it.  Checked whatever the gap, required exactly when the
+        gap draws random signs (UniformConvergence with
+        EmpiricalMcDiarmid), and read by no other gap.  The Monte Carlo
+        engine's replication r reads its signs from (base_seed, r,
+        2 n_max), after its sample of n_max words.
 
     Returns
     -------
     Trajectory
         One record per step; deterministic given inputs and seed.
 
-    The choices come from one row of ``_step_block``, and the records'
-    R-bars from the readback it returns, read at every step.  The records'
-    sums come from ``np.cumsum``, which adds in step order as the stepper
-    does, and their candidates and gaps from the kernels it steps through.
+    The choices come from one row of ``_step_block``, and the rest of
+    each record from the readout of the gate it returns (``_gate``), read
+    once over every step: the candidate, its sum, the gap and the R-bar.
+    The records' sums come from ``np.cumsum`` of the gate's rows, which
+    adds in step order as the stepper does.
     """
-    loss = problem.loss
     n = len(sample.outcomes)
-    H = loss.class_size
     if n == 0:
         raise ValueError("cannot run on an empty sample")
-    _check_outcomes(sample, loss.outcome_count)
-    algo = GermAlgorithm(gap, initial_index=initial)
-    check_algorithm(algo, H, n)
-    schedule = step_schedule(gap, n)
-    randomized = is_randomized(gap)
+    _check_outcomes(sample, problem.loss.outcome_count)
     origins = None
-    if randomized:
-        if origin is None:
-            raise ValueError("the EmpiricalMcDiarmid mode reads random signs; pass origin")
+    if origin is not None:
         base_seed, stream, half = origin
         _check_key(base_seed, stream)
         if check_integer(half, "the origin's half") < 0:
@@ -244,23 +240,13 @@ def run_germ(
 
     z = np.array(sample.outcomes)
     ks = np.arange(1, n + 1)
-    chosen, readback = _step_block(problem, algo, z[np.newaxis], origins, ks)
+    chosen, gate = _step_block(problem, GermAlgorithm(gap, initial_index=initial), z[np.newaxis], origins, ks)
     chosen = chosen[:, 0]
-    rbars = readback(ks, [0])
-    L = loss.as_array()
-    S = np.cumsum(L.T[z], axis=0)
-    cand, best = _erm_candidates(S)
     inc = np.concatenate(([initial], chosen[:-1]))
-    inc_sums = S[ks - 1, inc]
-    if schedule is not None:
-        deltas = schedule[0]
-    elif randomized:
-        deltas = delta_uniform(ks, rbars[:, 0])
-    else:
-        C = np.cumsum(z[:, np.newaxis] == np.arange(loss.outcome_count), axis=0)
-        deltas = _bernstein_gaps(_sq_sums(C, _sq_diffs(L)[cand, inc]), H)
-    rbar = [None] * n if rbars is None else rbars[:, 0].tolist()
-    losses = (best / ks).tolist(), (inc_sums / ks).tolist()
+    S = np.cumsum(gate.rows[z], axis=0)
+    cand, best, deltas, rbar = gate.readout(S, ks, inc)
+    rbar = [None] * n if rbar is None else rbar.tolist()
+    losses = (best / ks).tolist(), (S[ks - 1, inc] / ks).tolist()
     records = zip(ks.tolist(), cand.tolist(), chosen.tolist(), deltas.tolist(), *losses, (chosen != inc).tolist(), rbar)
     return Trajectory(initial_index=initial, steps=tuple(TrajectoryStep(*r) for r in records))
 
@@ -296,13 +282,10 @@ def _sq_sums(counts: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return q
 
 
-def _bernstein_gaps(sq: np.ndarray, class_size: int) -> np.ndarray:
-    """The Bernstein gap at steps 1..len(sq) from their squared-difference
+def _bernstein_gaps(ks: np.ndarray, sq, class_size: int) -> np.ndarray:
+    """The Bernstein gap at the steps ``ks`` from their squared-difference
     sums ``sq``; +inf at k = 1, which freezes the incumbent at step 1."""
-    gaps = np.full(len(sq), math.inf)
-    if len(sq) > 1:
-        gaps[1:] = bernstein_delta_from_sq(np.arange(2, len(sq) + 1), sq[1:], class_size)
-    return gaps
+    return np.where(ks > 1, bernstein_delta_from_sq(np.maximum(ks, 2), sq, class_size), math.inf)
 
 
 def _bernstein_floors(L: np.ndarray, n: int) -> np.ndarray:
@@ -331,8 +314,7 @@ def _bernstein_floors(L: np.ndarray, n: int) -> np.ndarray:
     """
     H, m = L.shape
     ks = np.arange(1, n + 1)
-    floors = np.empty((n, H))
-    floors[:] = _bernstein_gaps(np.zeros(n), H)[:, np.newaxis]
+    floors = _bernstein_gaps(ks, 0.0, H)[:, np.newaxis].repeat(H, axis=1)
     mu = floors[:, 0] - (1e-9 + 2.3e-16 * ks)
     steps = (mu <= (L - L.min(axis=0)).max()).nonzero()[0]
     if not steps.size:
@@ -374,16 +356,16 @@ def _bernstein_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, D2, class_si
     ``fire`` marks where the difference clears the incumbent's floor
     (``_bernstein_floors``), a lower bound of the gap wherever it fires.
     Only there are the squared-difference sum (``_sq_sums``) and the gap
-    formed.  Arguments follow ``_scan_gate`` and ``_gate_block``; the
-    outcome counts ride in ``S``'s columns past the ``class_size`` loss
-    sums, ``live`` is not read, and ``D2`` holds the squared loss
-    differences indexed [candidate, incumbent, outcome].
+    (``_bernstein_gaps``) formed.  Arguments follow ``_scan_gate`` and
+    ``_gate_block``; the outcome counts ride in ``S``'s columns past the
+    ``class_size`` loss sums, ``live`` is not read, and ``D2`` holds the
+    squared loss differences indexed [candidate, incumbent, outcome].
     """
     t, r = np.nonzero(fire)
     if not t.size:
         return
     q = _sq_sums(S[lo + t, rows[r], class_size:], D2[cand[t, r], inc[r]])
-    fire[t, r] = diff[t, r] <= -bernstein_delta_from_sq(k[lo + t, 0], q, class_size)
+    fire[t, r] = diff[t, r] <= -_bernstein_gaps(k[lo + t, 0], q, class_size)
 
 
 def _rademacher_gate(rows, lo, inc, cand, diff, fire, *, S, live, k, read, cache, radius) -> None:
@@ -497,13 +479,15 @@ class Gate(NamedTuple):
     rows: np.ndarray
     initial: int
     rbars: Callable
+    readout: Callable | None
 
 
 def _gate(algo: AlgorithmSpec, L: np.ndarray, n: int, signs=None) -> Gate:
     """The gate of ``algo`` over steps 1..n on loss array ``L``, built once
     per run for ``_gate_block``: the one place that tells the learners
-    apart.  ``signs`` is (outcomes, origins), which only the randomized gap
-    reads: the (B, n) outcome block and the origin of each row's signs.
+    apart.  It checks ``algo`` (``check_algorithm``).  ``signs`` is
+    (outcomes, origins), which only the randomized gap reads, and which it
+    needs: the (B, n) outcome block and the origin of each row's signs.
 
     ``gaps`` (n, H) holds the gap the scan compares at each step, one
     column per incumbent: the schedule (``step_schedule``) for the fixed,
@@ -519,11 +503,12 @@ def _gate(algo: AlgorithmSpec, L: np.ndarray, n: int, signs=None) -> Gate:
     whose R-bar it reads; other steps' words are never made.
     ``lag_needed`` (n, H) holds k * floor(k, inc) and ``reach`` the largest
     lag growth per step of each incumbent; ``_gate_block`` sets them out.
-    Plain ERM has no gap: these four are None.  ``rows`` (m, columns)
-    holds each outcome's row of the running sums that ``_step_block`` and
-    the exact oracle step: its H losses, then, for the Bernstein gap
-    alone, whose settle reads the outcome counts, its indicator among the
-    m outcomes.  ``initial`` is the incumbent before step 1.
+    Plain ERM has no gap: these four are None, and so is ``readout``.
+    ``rows`` (m, columns) holds each outcome's row of the running sums
+    that ``_step_block`` and the exact oracle step: its H losses, then,
+    for the Bernstein gap alone, whose settle reads the outcome counts,
+    its indicator among the m outcomes.  ``initial`` is the incumbent
+    before step 1.
 
     ``rbars`` is the R-bar readback: ``rbars(steps, rows)`` maps an
     increasing int array of steps and an index of the outcome block's rows
@@ -532,19 +517,31 @@ def _gate(algo: AlgorithmSpec, L: np.ndarray, n: int, signs=None) -> Gate:
     k (k - 1) / 2 from a row's origin, (len(steps), len(rows)); its settle
     reads through it too.  For Massart and constant it is the schedule's
     (len(steps), 1), whatever the rows, and for the other learners None.
+
+    ``readout(S, steps, inc)`` maps the outcome block's first row's
+    running sums ``S`` at the increasing ``steps`` and its incumbents
+    before them to the ERM candidate, its sum, the exact gap and the R-bar
+    read once through ``rbars``.  The exact gap is the schedule,
+    ``delta_uniform`` of the R-bar, or, as the Bernstein settle forms it,
+    ``_bernstein_gaps`` of the squared-difference sums of the counts in
+    ``S``.
     """
     H, m = L.shape
+    check_algorithm(algo, H, n)
     rows = np.ascontiguousarray(L.T)
     settle, rbars = None, (lambda steps, rows: None)
     if isinstance(algo, PlainErm):
-        return Gate(None, None, None, settle, rows, 0, rbars)
+        return Gate(None, None, None, settle, rows, 0, rbars, None)
     ks = np.arange(1, n + 1)
     schedule = step_schedule(algo.gap, n)
     if schedule is not None:
         gaps, table = schedule
         if table is not None:
             rbars = lambda steps, rows: table[steps - 1, np.newaxis]
+        exact = lambda counts, steps, cand, inc, rbar: gaps[steps - 1]
     elif is_randomized(algo.gap):
+        if signs is None or signs[1] is None:
+            raise ValueError("the EmpiricalMcDiarmid mode reads random signs: a run needs their origin, and exact enumeration has none")
         gaps = delta_uniform(ks, 0.0)
         outcomes, (base_seed, streams, half) = signs
 
@@ -554,14 +551,24 @@ def _gate(algo: AlgorithmSpec, L: np.ndarray, n: int, signs=None) -> Gate:
         # r_k, read back from the gap at R-bar = 0, r_k + 2/k, within 1e-15
         radius = gaps - 2.0 / ks - (1e-9 + 2.3e-16 * (ks + m))
         settle = functools.partial(_rademacher_gate, read=rbars, cache={}, radius=radius)
+        exact = lambda counts, steps, cand, inc, rbar: delta_uniform(steps, rbar)
     else:
         gaps = _bernstein_floors(L, n)
-        settle = functools.partial(_bernstein_gate, D2=_sq_diffs(L), class_size=H)
+        D2 = _sq_diffs(L)
+        exact = lambda counts, steps, cand, inc, rbar: _bernstein_gaps(steps, _sq_sums(counts, D2[cand, inc]), H)
+        settle = functools.partial(_bernstein_gate, D2=D2, class_size=H)
         rows = np.hstack([L.T, np.eye(m)])
+
+    def readout(S, steps, inc):
+        cand, best = _erm_candidates(S[:, :H])
+        rbar = rbars(steps, [0])
+        rbar = None if rbar is None else rbar[:, 0]
+        return cand, best, exact(S[:, H:], steps, cand, inc, rbar), rbar
+
     # a gap that depends on k alone serves every incumbent
     floors = np.empty((n, H))
     floors[:] = gaps.reshape(n, -1)
-    return Gate(floors, ks[:, np.newaxis] * np.fmax(floors, 0.0), (L - L.min(axis=0)).max(axis=1), settle, rows, algo.initial_index, rbars)
+    return Gate(floors, ks[:, np.newaxis] * np.fmax(floors, 0.0), (L - L.min(axis=0)).max(axis=1), settle, rows, algo.initial_index, rbars, readout)
 
 
 def _gate_block(S, sums, k, incumbent, at, gate):
@@ -649,28 +656,26 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
     add per step over a step-major (T, B, H) array, so each step is one
     contiguous slab.  The Bernstein gap also needs each row's outcome
     counts; they ride in m more columns, the indicators of the step's
-    outcome, so the same take and add carry them.  ``_gate`` picks the
-    columns, the first incumbent and the R-bar readback.  Every block goes
-    through ``_gate_block``: plain ERM forms its candidate at the grid steps
-    only, and a gate skips the rows that cannot switch within it.
+    outcome, so the same take and add carry them.  ``_gate`` checks
+    ``algo`` and picks the columns, the first incumbent and the R-bar
+    readback.  Every block goes through ``_gate_block``: plain ERM forms
+    its candidate at the grid steps only, and a gate skips the rows that
+    cannot switch within it.
 
     Each (row, step) pair goes through the same float operations whatever
     the block length, which is as many steps as STEP_BLOCK bytes allow, at
     least one and at most n.
 
-    Returns (chosen, rbars): ``chosen`` (len(grid), B) holds the chosen
+    Returns (chosen, gate): ``chosen`` (len(grid), B) holds the chosen
     indices at the steps of the increasing ``grid``, whose entries lie in
-    1..n, and ``rbars`` is the gate's R-bar readback (``_gate``).  No
-    R-bar beyond those the gate read is formed until the caller calls
-    ``rbars(steps, rows)`` for the steps and rows a result depends on: for
-    EmpiricalMcDiarmid it reads their signs then, (len(steps), len(rows));
-    for the other uniform-convergence modes it gives the schedule's
-    (len(steps), 1), and for other learners None.
+    1..n, and ``gate`` is the ``Gate`` the rows stepped through
+    (``_gate``).  No R-bar beyond those the gate read is formed until the
+    caller reads back, through ``gate.rbars`` or ``gate.readout``, the
+    steps and rows a result depends on.
     """
     loss = problem.loss
     H = loss.class_size
     B, n = outcomes.shape
-    check_algorithm(algo, H, n)
     gate = _gate(algo, loss.as_array(), n, (outcomes, origins))
     ks = np.arange(1, n + 1)
     sums = np.zeros((B, gate.rows.shape[1]))
@@ -696,4 +701,4 @@ def _step_block(problem: LearningProblem, algo: AlgorithmSpec, outcomes: np.ndar
         at = [g - t0 - 1 for g in grid[g0:g1]]
         chosen[g0:g1] = _gate_block(S, sums, ks[t0:t1, np.newaxis], incumbent, at, gate)
         sums = S[-1].copy()
-    return chosen, gate.rbars
+    return chosen, gate

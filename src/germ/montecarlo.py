@@ -250,16 +250,16 @@ def _experiment_chunk(problem: LearningProblem, algo: AlgorithmSpec | None, cfg:
     it at each grid n.
     """
     pop = population_risks(problem)
-    chosen = rbars = stats = None
+    chosen = gate = stats = None
     outcomes = draw_outcomes(problem, cfg.base_seed, start, stop, cfg.n_max)
     origins = _sign_origins(cfg, start, stop)
     if algo is not None:
-        chosen, rbars = _step_block(problem, algo, outcomes, origins, cfg.grid)
+        chosen, gate = _step_block(problem, algo, outcomes, origins, cfg.grid)
         stats = [(float(v.sum()), float((v * v).sum()), float(v.min()), float(v.max())) for v in pop[chosen]]
     counts = []
     for event in events:
         if isinstance(event, ExcessBoundEvent):
-            counts.append(_excess_counts(problem, cfg, pop, chosen, rbars))
+            counts.append(_excess_counts(problem, cfg, pop, chosen, gate.rbars))
         elif isinstance(event, PairwiseBernsteinEvent):
             counts.append(_pairwise_counts(problem, event, cfg, pop, outcomes))
         else:

@@ -28,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithm import AlgorithmSpec, GermAlgorithm, PlainErm, algo_label, check_algorithm
+from .algorithm import AlgorithmSpec, GermAlgorithm, PlainErm, algo_label
 from .algorithm import _gate, _gate_block
 from .analysis import _pairwise_covered
 from .errors import ResourceLimitError
-from .gap import is_randomized
 from .problem import (
     ENUMERATION_BUDGET,
     DiscreteDistribution,
@@ -252,17 +251,10 @@ def exact_risk_curve(
         raise ResourceLimitError(
             f"enumerating {m}^{n_max} sequences of possible outcomes exceeds the budget of {ENUMERATION_BUDGET}"
         )
-    check_algorithm(algo, problem.class_size, n_max)
-    germ = isinstance(algo, GermAlgorithm)
-    if germ and is_randomized(algo.gap):
-        raise ValueError(
-            "exact enumeration requires a deterministic gap; "
-            "the EmpiricalMcDiarmid mode draws random signs"
-        )
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     totals = _state_walk(problem, algo, n_max)
-    if germ:
+    if isinstance(algo, GermAlgorithm):
         ns = tuple(range(0, n_max + 1))
         initial_value = population_risk(problem, algo.initial_index)
         values = (initial_value, *totals[1:])

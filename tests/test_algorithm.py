@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from germ.algorithm import (
     run_germ,
     _gate,
     _step_block,
+    _step_bytes,
 )
 from germ.cli import _write_json
 from germ.gap import (
@@ -273,7 +276,7 @@ def test_run_germ_equals_the_scalar_reference():
             assert repr(got) == repr(want), gap
             if any(s.chosen_index != initial for s in got.steps):
                 fired.add(algo_label(GermAlgorithm(gap)))
-    assert {"germ:uniform-massart:init0", "germ:bernstein:init0", "germ:fixed:init0"} <= fired
+    assert {"germ:uniform-massart:init0", "germ:bernstein:init0", "germ:fixed=0.3:init0"} <= fired
 
 
 def test_empirical_mode_is_deterministic_per_stream():
@@ -312,11 +315,71 @@ def test_empirical_mode_requires_rng():
     problem = two_point_problem()
     with pytest.raises(ValueError):
         run_germ(problem, Sample((0, 1)), empirical_gap(2))
-    # a seed and stream fit in 64 bits, and a half is a nonnegative integer
-    for origin in ((-1, 0, 0), (0, 2**64, 0), (0.5, 0, 0), (0, 0, -1), (0, 0, 1.0), (0, 0, True)):
-        with pytest.raises(ValueError):
-            run_germ(problem, Sample((0, 1)), empirical_gap(2), origin=origin)
-    run_germ(problem, Sample((0, 1)), empirical_gap(2), origin=(2**64 - 1, 2**64 - 1, 2**70))
+    # a seed and stream fit in 64 bits, and a half is a nonnegative integer,
+    # whichever gap is given the origin
+    for gap in (empirical_gap(2), massart_gap(2), bernstein_gap(2), FixedDelta(0.1)):
+        for origin in ((-1, 0, 0), (0, 2**64, 0), (0.5, 0, 0), (0, 0, -1), (0, 0, 1.0), (0, 0, True)):
+            with pytest.raises(ValueError):
+                run_germ(problem, Sample((0, 1)), gap, origin=origin)
+        run_germ(problem, Sample((0, 1)), gap, origin=(2**64 - 1, 2**64 - 1, 2**70))
+
+
+def test_a_randomized_gap_without_sign_origins_is_one_error():
+    # the gate raises it for the single run and the exact oracle alike
+    problem = two_point_problem()
+    with pytest.raises(ValueError, match="EmpiricalMcDiarmid") as run:
+        run_germ(problem, Sample((0, 1)), empirical_gap(2))
+    with pytest.raises(ValueError, match="EmpiricalMcDiarmid") as exact:
+        exact_risk_curve(problem, GermAlgorithm(empirical_gap(2)), 2)
+    assert str(run.value) == str(exact.value)
+
+
+def test_a_randomized_run_reads_rbar_once_beyond_its_settle(monkeypatch):
+    # h1 trails h0 by 0.5 at every step, so from step 40 on the gate at the
+    # settle's lower R-bar fires in every block, and the settle reads R-bar
+    # there; the exact gap stays above 0.5, and the records read every step
+    # once more, in one call
+    problem = LearningProblem("half-lag", DiscreteDistribution((0.5, 0.5)), LossTable(((0.5, 0.5), (1.0, 1.0))))
+    n = 600
+    z = tuple(k % 2 for k in range(n))
+    monkeypatch.setattr(germ.algorithm, "STEP_BLOCK", 100 * _step_bytes(2))
+    calls = []
+    real = germ.algorithm._rbars
+
+    def recorded(loss_array, outcomes, origins, ks, offsets):
+        calls.append(np.asarray(ks).tolist())
+        return real(loss_array, outcomes, origins, ks, offsets)
+
+    monkeypatch.setattr(germ.algorithm, "_rbars", recorded)
+    algo = GermAlgorithm(empirical_gap(2), initial_index=1)
+    _step_block(problem, algo, np.array([z]), (7, np.array([3], dtype=np.uint64), 0), [n])
+    settle = len(calls)
+    calls.clear()
+    trajectory = run_germ(problem, Sample(z), empirical_gap(2), initial=1, origin=(7, 3, 0))
+    assert trajectory.final_index == 1
+    assert settle == 6 and len(calls) == settle + 1
+    assert calls[-1] == list(range(1, n + 1))
+
+
+def _callers(name):
+    """(module, top-level definition) of every call of ``name`` in ``src/germ``."""
+    found = set()
+    for path in sorted(Path(germ.algorithm.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                        found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_only_the_gate_tells_the_gaps_apart():
+    # the schedule and the randomized test are read where the gate is
+    # built, and the algorithm is checked there and before a Monte Carlo
+    # pool starts
+    assert _callers("step_schedule") == _callers("is_randomized") == {("algorithm", "_gate")}
+    assert _callers("check_algorithm") == {("algorithm", "_gate"), ("montecarlo", "mc_experiment")}
 
 
 def test_massart_and_bernstein_ignore_rng():
@@ -410,7 +473,7 @@ def test_algo_label_forms():
         == "germ:uniform-empirical:init3"
     )
     assert algo_label(GermAlgorithm(gap=bernstein_gap(2))) == "germ:bernstein:init0"
-    assert algo_label(GermAlgorithm(gap=FixedDelta(0.1))) == "germ:fixed:init0"
+    assert algo_label(GermAlgorithm(gap=FixedDelta(0.1))) == "germ:fixed=0.1:init0"
     user = GapSpec(UniformConvergence(UserConstant(values=(0.1,))), 2)
     assert algo_label(GermAlgorithm(gap=user)) == "germ:uniform-constant:init0"
 

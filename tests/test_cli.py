@@ -350,8 +350,8 @@ def test_trajectory_is_replication_0(tmp_path, gap):
     config = parse_experiment_config(doc, tmp_path)
     outcomes = draw_outcomes(config.problem, seed, 0, 1, n_max)
     origins = seed, np.zeros(1, dtype=np.uint64), 2 * n_max
-    chosen, readback = _step_block(config.problem, config.algo, outcomes, origins, range(1, n_max + 1))
-    rbars = readback(np.arange(1, n_max + 1), [0])
+    chosen, gate = _step_block(config.problem, config.algo, outcomes, origins, range(1, n_max + 1))
+    rbars = gate.rbars(np.arange(1, n_max + 1), [0])
     assert len(steps) == n
     for step in steps:
         k = step["k"]

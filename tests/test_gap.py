@@ -63,7 +63,7 @@ def test_delta_bernstein_examples():
     diffs = bernstein_delta_from_sq(3, sq_sum((1.0, 0.0, 0.5), (0.0, 1.0, 0.5)), 2)
     expected = math.sqrt(2.0 * 2.0 * math.log(24.0)) / 2.0 + 5.0 * math.log(24.0) / 2.0 + 2.0 / 3.0
     assert diffs == pytest.approx(expected)
-    assert _bernstein_gaps(np.array([0.25]), 5)[0] == math.inf
+    assert _bernstein_gaps(np.array([1]), np.array([0.25]), 5)[0] == math.inf
 
 
 def test_delta_bernstein_floor_and_identical_sequences():
@@ -88,8 +88,8 @@ def test_bernstein_kernel_matches_sequence_form():
     sq = sum((a - b) ** 2 for a, b in zip(seq_a, seq_b))
     assert delta_bernstein(5, seq_a, seq_b, 3) == pytest.approx(bernstein_delta_from_sq(5, sq, 3))
     # the kernel starts at k = 2; the stepper pins step 1 to +inf
-    assert _bernstein_gaps(np.array([0.7, 0.7]), 3)[0] == math.inf
-    assert _bernstein_gaps(np.array([0.7, 0.7]), 3)[1] == bernstein_delta_from_sq(2, 0.7, 3)
+    assert _bernstein_gaps(np.array([1, 2]), np.array([0.7, 0.7]), 3)[0] == math.inf
+    assert _bernstein_gaps(np.array([1, 2]), np.array([0.7, 0.7]), 3)[1] == bernstein_delta_from_sq(2, 0.7, 3)
 
 
 def test_spec_type_validation():

@@ -138,8 +138,8 @@ def lockstep(problem, algo, cfg):
     """(chosen, rbars) of all cfg.replications as one chunk at cfg.grid:
     the outcome draw, the stepper, then its R-bar readback of every row."""
     outcomes = draw_outcomes(problem, cfg.base_seed, 0, cfg.replications, cfg.n_max)
-    chosen, readback = _step_block(problem, algo, outcomes, _sign_origins(cfg, 0, cfg.replications), cfg.grid)
-    return chosen, readback(np.array(cfg.grid), np.arange(cfg.replications))
+    chosen, gate = _step_block(problem, algo, outcomes, _sign_origins(cfg, 0, cfg.replications), cfg.grid)
+    return chosen, gate.rbars(np.array(cfg.grid), np.arange(cfg.replications))
 
 
 def test_lockstep_matches_scalar_loop_bitwise():
@@ -367,8 +367,8 @@ def test_randomized_gate_that_fires_matches_scalar_loop(monkeypatch):
     for steps, grid in ((1, cfg.grid), (7, cfg.grid), (cfg.n_max, cfg.grid), (7, cfg.grid[:-1]), (7, every)):
         monkeypatch.setattr(germ.algorithm, "STEP_BLOCK", steps * cfg.replications * _step_bytes(problem.class_size))
         outcomes = draw_outcomes(problem, cfg.base_seed, 0, cfg.replications, cfg.n_max)
-        chosen, readback = _step_block(problem, algo, outcomes, _sign_origins(cfg, 0, cfg.replications), grid)
-        rbars = readback(np.array(grid), np.arange(cfg.replications))
+        chosen, gate = _step_block(problem, algo, outcomes, _sign_origins(cfg, 0, cfg.replications), grid)
+        rbars = gate.rbars(np.array(grid), np.arange(cfg.replications))
         for r, trajectory in enumerate(trajectories):
             for g, n in enumerate(grid):
                 assert chosen[g][r] == trajectory.steps[n - 1].chosen_index, (steps, r, n)
@@ -441,8 +441,8 @@ def test_sign_reads_of_a_full_chunk_stay_within_the_cap(monkeypatch):
     # the stepper reads the same way, wherever its settle reads and at the
     # grid through its readback
     seen[:] = 0
-    chosen, readback = _step_block(problem, algo, outcomes, origins, cfg.grid)
-    assert np.array_equal(readback(grid, np.arange(CHUNK)), rbars.T)
+    chosen, gate = _step_block(problem, algo, outcomes, origins, cfg.grid)
+    assert np.array_equal(gate.rbars(grid, np.arange(CHUNK)), rbars.T)
     assert 0 < seen[0] <= SIGN_BLOCK
 
 
@@ -967,7 +967,7 @@ def test_decay_fit_validation():
         stderrs=(0.0, 0.0),
         kind="mc",
         problem=problem.name,
-        algo="germ:fixed:init0",
+        algo="germ:fixed=0.1:init0",
         seed=0,
         replications=10,
     )
