@@ -52,11 +52,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .gap import (
-    EmpiricalBernstein,
-    EmpiricalMcDiarmid,
+    GAP_CODES,
     FixedDelta,
     GapSpec,
-    MassartDeterministic,
     UserConstant,
     bernstein_delta_from_sq,
     delta_uniform,
@@ -97,23 +95,19 @@ AlgorithmSpec = GermAlgorithm | PlainErm
 
 
 def algo_label(algo: AlgorithmSpec) -> str:
-    """Compact, filesystem- and CSV-safe label for an algorithm spec; a
-    label is an algorithm spec that ``cli.parse_algo_spec`` reads back."""
+    """Compact, filesystem- and CSV-safe label for an algorithm spec.
+
+    A label is an algorithm spec that ``cli.parse_algo_spec`` reads back,
+    except a constant schedule's ``germ:uniform-constant:init<i>``, which
+    omits its values, and an infinite fixed gap's, which no spec writes.
+    """
     if isinstance(algo, PlainErm):
         return "erm"
     gap = algo.gap
     if isinstance(gap, FixedDelta):
         code = f"fixed={float(gap.value)!r}"
-    elif isinstance(gap.variant, EmpiricalBernstein):
-        code = "bernstein"
     else:
-        mode = gap.variant.mode
-        if isinstance(mode, EmpiricalMcDiarmid):
-            code = "uniform-empirical"
-        elif isinstance(mode, MassartDeterministic):
-            code = "uniform-massart"
-        else:
-            code = "uniform-constant"
+        code = next((code for code, variant in GAP_CODES.items() if variant == gap.variant), "uniform-constant")
     return f"germ:{code}:init{algo.initial_index}"
 
 

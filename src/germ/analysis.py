@@ -131,7 +131,13 @@ def pairwise_rhs_from_sq(sq_sum, n: int, class_size: int, delta: float):
         raise ValueError(f"class size must be >= 1, got {class_size}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {delta}")
-    log_term = math.log(2.0 * class_size * class_size / delta)
+    return _bernstein_slack(sq_sum, n, math.log(2.0 * class_size * class_size / delta))
+
+
+def _bernstein_slack(sq_sum, n, log_term):
+    """The two slack terms of the pairwise empirical Bernstein inequality
+    over n observations from its confidence term ``log_term``, which
+    ``gap.bernstein_delta_from_sq`` reads from its own table."""
     return np.sqrt(2.0 * sq_sum * log_term) / (n - 1) + 5.0 * log_term / (n - 1)
 
 

@@ -39,15 +39,7 @@ from .algorithm import (
 )
 from .analysis import bernstein_certificate
 from .errors import ResourceLimitError
-from .gap import (
-    EmpiricalBernstein,
-    EmpiricalMcDiarmid,
-    FixedDelta,
-    GapSpec,
-    MassartDeterministic,
-    UniformConvergence,
-    UserConstant,
-)
+from .gap import GAP_CODES, FixedDelta, GapSpec, UniformConvergence, UserConstant
 from .montecarlo import (
     BoundEvent,
     EstimatorDeviationEvent,
@@ -61,7 +53,7 @@ from .montecarlo import (
     mc_risk_curve,
 )
 from .oracle import check_monotone, exact_risk_curve, read_curve, write_curve
-from .problem import LearningProblem, Sample, load_problem
+from .problem import LearningProblem, Sample, check_fields, load_problem
 from .rademacher import _rbars, exact_rademacher, rbar_massart
 from .scenarios import builtin_scenarios, load_scenario
 
@@ -214,10 +206,11 @@ def _option_float(text: str) -> float:
 def parse_algo_spec(text: str, class_size: int) -> AlgorithmSpec:
     """Parse a colon-separated algorithm label into an algorithm spec.
 
-    Grammar: ``erm`` or ``germ:<gap>[:init<i>]`` with gap one of
-    uniform-empirical, uniform-massart, bernstein, or fixed=<x>.  ``<i>``
-    is ASCII decimal digits and ``<x>`` a decimal number in ASCII digits
-    such as 0.05 or 5e-2, with no sign, space or underscore.  The
+    Grammar: ``erm`` or ``germ:<gap>[:init<i>]`` with gap a code of
+    ``gap.GAP_CODES`` (uniform-empirical, uniform-massart, bernstein) or
+    fixed=<x>.  ``<i>`` is ASCII decimal digits and ``<x>`` a decimal
+    number in ASCII digits such as 0.05 or 5e-2, with no sign, space or
+    underscore.  The
     uniform-constant mode needs a value sequence, so it is reachable only
     through config files.
     """
@@ -232,12 +225,8 @@ def parse_algo_spec(text: str, class_size: int) -> AlgorithmSpec:
             raise ValueError(f"cannot parse algorithm spec {text!r}")
         initial = _digits(parts[2][len("init"):], "the initial index")
     gap_text = parts[1]
-    if gap_text == "uniform-empirical":
-        gap = GapSpec(UniformConvergence(EmpiricalMcDiarmid()), class_size)
-    elif gap_text == "uniform-massart":
-        gap = GapSpec(UniformConvergence(MassartDeterministic()), class_size)
-    elif gap_text == "bernstein":
-        gap = GapSpec(EmpiricalBernstein(), class_size)
+    if gap_text in GAP_CODES:
+        gap = GapSpec(GAP_CODES[gap_text], class_size)
     elif gap_text.startswith("fixed="):
         gap = FixedDelta(_decimal(gap_text[len("fixed="):], "the fixed gap"))
     else:
@@ -257,6 +246,14 @@ def _config_int(value, field: str) -> int:
     return int(value)
 
 
+def _config_str(value, field: str) -> str:
+    """A string config value; null, numbers, booleans, lists and objects
+    are errors."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 def _config_float(value, field: str) -> float:
     """A finite real config value; booleans, strings, null, lists, integers
     too large for a float, inf and nan are errors."""
@@ -271,49 +268,46 @@ def _config_float(value, field: str) -> float:
     return value
 
 
+def _gap_from_config(doc: dict, class_size: int) -> GapSpec | FixedDelta:
+    """The gap that a config's gap object names.  It takes exactly the
+    fields its gap reads: a uniform gap's code is uniform-<mode>, and any
+    other gap's its variant."""
+    if not isinstance(doc, dict):
+        raise ValueError("a germ algorithm needs a gap object")
+    variant, mode = doc.get("variant"), doc.get("mode")
+    if variant == "fixed":
+        if "value" not in check_fields(doc, {"variant", "value"}, "fixed gap"):
+            raise ValueError("the fixed gap needs a value")
+        return FixedDelta(_config_float(doc["value"], "algorithm.gap.value"))
+    if variant == "uniform" and mode == "constant":
+        values = check_fields(doc, {"variant", "mode", "values"}, "constant gap").get("values")
+        if not isinstance(values, list):
+            raise ValueError("the constant mode needs a values list")
+        mode = UserConstant(tuple(_config_float(v, "algorithm.gap.values entry") for v in values))
+        return GapSpec(UniformConvergence(mode), class_size)
+    if variant == "uniform":
+        code, fields = f"uniform-{mode}", {"variant", "mode"}
+        if code not in GAP_CODES:
+            raise ValueError(f"unknown uniform mode {mode!r}")
+    else:
+        code, fields = variant, {"variant"}
+        if not isinstance(code, str) or "-" in code or code not in GAP_CODES:
+            raise ValueError(f"unknown gap variant {variant!r}")
+    check_fields(doc, fields, f"{code} gap")
+    return GapSpec(GAP_CODES[code], class_size)
+
+
 def _algo_from_config(doc: dict, class_size: int) -> AlgorithmSpec:
-    unknown = set(doc) - {"kind", "gap", "initial_index", "learner"}
-    if unknown:
-        raise ValueError(f"unknown algorithm fields {sorted(unknown)}")
-    kind = doc.get("kind")
+    kind = check_fields(doc, {"kind", "gap", "initial_index", "learner"}, "algorithm").get("kind")
     if kind == "erm":
-        if set(doc) - {"kind"}:
-            raise ValueError("the erm algorithm takes no further fields")
+        check_fields(doc, {"kind"}, "erm algorithm")
         return PlainErm()
     if kind != "germ":
         raise ValueError(f"algorithm kind must be erm or germ, got {kind!r}")
     learner = doc.get("learner", "erm-lowest")
     if learner != "erm-lowest":
         raise ValueError(f"the only config learner is erm-lowest, got {learner!r}")
-    gap_doc = doc.get("gap")
-    if not isinstance(gap_doc, dict):
-        raise ValueError("a germ algorithm needs a gap object")
-    unknown = set(gap_doc) - {"variant", "mode", "values", "value"}
-    if unknown:
-        raise ValueError(f"unknown gap fields {sorted(unknown)}")
-    variant = gap_doc.get("variant")
-    if variant == "uniform":
-        mode_name = gap_doc.get("mode")
-        if mode_name == "empirical":
-            mode = EmpiricalMcDiarmid()
-        elif mode_name == "massart":
-            mode = MassartDeterministic()
-        elif mode_name == "constant":
-            values = gap_doc.get("values")
-            if not isinstance(values, list):
-                raise ValueError("the constant mode needs a values list")
-            mode = UserConstant(tuple(_config_float(v, "algorithm.gap.values entry") for v in values))
-        else:
-            raise ValueError(f"unknown uniform mode {mode_name!r}")
-        gap = GapSpec(UniformConvergence(mode), class_size)
-    elif variant == "bernstein":
-        gap = GapSpec(EmpiricalBernstein(), class_size)
-    elif variant == "fixed":
-        if "value" not in gap_doc:
-            raise ValueError("the fixed gap needs a value")
-        gap = FixedDelta(_config_float(gap_doc["value"], "algorithm.gap.value"))
-    else:
-        raise ValueError(f"unknown gap variant {variant!r}")
+    gap = _gap_from_config(doc.get("gap"), class_size)
     return GermAlgorithm(gap=gap, initial_index=_config_int(doc.get("initial_index", 0), "algorithm.initial_index"))
 
 
@@ -325,18 +319,12 @@ def _check_from_config(doc: dict, algo: AlgorithmSpec) -> Check:
         raise ValueError(f"each check needs a 'check' field, got {doc!r}")
     kind = doc["check"]
     if kind == "monotone":
-        unknown = set(doc) - {"check", "tolerance"}
-        if unknown:
-            raise ValueError(f"unknown monotone fields {sorted(unknown)}")
-        tol = doc.get("tolerance")
+        tol = check_fields(doc, {"check", "tolerance"}, "monotone").get("tolerance")
         return MonotoneCheck(tolerance=None if tol is None else _config_float(tol, "monotone tolerance"))
     if kind == "coverage":
-        unknown = set(doc) - {"check", "event", "delta", "level"}
-        if unknown:
-            raise ValueError(f"unknown coverage fields {sorted(unknown)}")
-        if "event" not in doc or "level" not in doc:
+        if not {"event", "level"} <= check_fields(doc, {"check", "event", "delta", "level"}, "coverage").keys():
             raise ValueError("coverage checks need event and level")
-        name = str(doc["event"])
+        name = _config_str(doc["event"], "coverage event")
         if name not in _EVENTS:
             raise ValueError(f"unknown coverage event {name!r}")
         level = _config_float(doc["level"], "coverage level")
@@ -347,10 +335,7 @@ def _check_from_config(doc: dict, algo: AlgorithmSpec) -> Check:
             return CoverageCheck(ExcessBoundEvent(algo), level)
         return CoverageCheck(_EVENTS[name](_config_float(delta, "coverage delta")), level)
     if kind == "decay":
-        unknown = set(doc) - {"check", "beta"}
-        if unknown:
-            raise ValueError(f"unknown decay fields {sorted(unknown)}")
-        if "beta" not in doc:
+        if "beta" not in check_fields(doc, {"check", "beta"}, "decay"):
             raise ValueError("decay checks need beta")
         return DecayCheck(beta=_config_float(doc["beta"], "decay beta"))
     raise ValueError(f"unknown check kind {kind!r}")
@@ -358,25 +343,19 @@ def _check_from_config(doc: dict, algo: AlgorithmSpec) -> Check:
 
 def parse_experiment_config(doc: dict, config_dir: Path) -> ExperimentConfig:
     """Validate a config document; unknown fields anywhere are errors."""
-    if not isinstance(doc, dict):
-        raise ValueError("the config document must be a JSON object")
-    allowed = {"scenario", "problem_file", "algorithm", "engine", "seed", "checks", "out_dir", "trajectory"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"unknown config fields {sorted(unknown)}")
+    check_fields(doc, {"scenario", "problem_file", "algorithm", "engine", "seed", "checks", "out_dir", "trajectory"}, "config")
     has_scenario = "scenario" in doc
     has_file = "problem_file" in doc
     if has_scenario == has_file:
         raise ValueError("exactly one of scenario or problem_file is required")
     if has_scenario:
-        problem = load_scenario(str(doc["scenario"])).problem
-        source = f"scenario:{doc['scenario']}"
+        name = _config_str(doc["scenario"], "scenario")
+        problem = load_scenario(name).problem
+        source = f"scenario:{name}"
     else:
-        path = Path(str(doc["problem_file"]))
-        if not path.is_absolute():
-            path = config_dir / path
-        problem = load_problem(path)
-        source = f"file:{doc['problem_file']}"
+        name = _config_str(doc["problem_file"], "problem_file")
+        problem = load_problem(config_dir / name)
+        source = f"file:{name}"
 
     seed = doc.get("seed")
     if seed is not None:
@@ -388,9 +367,7 @@ def parse_experiment_config(doc: dict, config_dir: Path) -> ExperimentConfig:
     kind = engine_doc["kind"]
     if kind not in ("exact", "mc"):
         raise ValueError(f"engine kind must be exact or mc, got {kind!r}")
-    unknown = set(engine_doc) - {"kind", "n_max"} - ({"replications", "grid"} if kind == "mc" else set())
-    if unknown:
-        raise ValueError(f"unknown {kind}-engine fields {sorted(unknown)}")
+    check_fields(engine_doc, {"kind", "n_max"} | ({"replications", "grid"} if kind == "mc" else set()), f"{kind}-engine")
     n_max = _config_int(engine_doc["n_max"], "engine.n_max") if "n_max" in engine_doc else None
     replications = _config_int(engine_doc["replications"], "engine.replications") if "replications" in engine_doc else None
     grid = engine_doc.get("grid")
@@ -415,14 +392,10 @@ def parse_experiment_config(doc: dict, config_dir: Path) -> ExperimentConfig:
 
     trajectory = None
     if "trajectory" in doc:
-        traj_doc = doc["trajectory"]
-        if not isinstance(traj_doc, dict) or set(traj_doc) - {"n"}:
-            raise ValueError("the trajectory request takes exactly the field n")
-        trajectory = _config_int(traj_doc.get("n", n_max), "trajectory.n")
+        n = check_fields(doc["trajectory"], {"n"}, "trajectory").get("n", n_max)
+        trajectory = _config_int(n, "trajectory.n")
 
-    out_dir = Path(str(doc.get("out_dir", "results")))
-    if not out_dir.is_absolute():
-        out_dir = config_dir / out_dir
+    out_dir = config_dir / _config_str(doc.get("out_dir", "results"), "out_dir")
 
     return ExperimentConfig(
         source=source,
@@ -638,9 +611,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_scenarios(args) -> int:
-    if args.action != "list":
-        print(f"error: unknown scenarios action {args.action!r}", file=sys.stderr)
-        return EXIT_CONFIG
     for scenario in builtin_scenarios():
         tags = ",".join(sorted(scenario.tags))
         print(

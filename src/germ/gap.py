@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _bernstein_slack
 from .rademacher import mcdiarmid_radius, rbar_massart
 
 
@@ -77,6 +78,16 @@ class EmpiricalBernstein:
 
 
 GapVariant = UniformConvergence | EmpiricalBernstein
+
+# The one name of each gap that carries no values: ``algo`` specs and
+# labels write germ:<code>, and a config writes the code as its gap's
+# variant, a uniform gap's split at the dash into variant and mode.  The
+# constant and fixed gaps carry values, so they are read apart.
+GAP_CODES = {
+    "uniform-empirical": UniformConvergence(EmpiricalMcDiarmid()),
+    "uniform-massart": UniformConvergence(MassartDeterministic()),
+    "bernstein": EmpiricalBernstein(),
+}
 
 
 @dataclass(frozen=True)
@@ -172,8 +183,10 @@ def bernstein_delta_from_sq(k, sq_sum, class_size: int):
     ``k`` is a step index or an integer array of steps, broadcast against
     ``sq_sum``, the sum over the sample of (l(cand, z_i) - l(inc, z_i))^2.
     The gap is undefined at k = 1, where the gated step pins it to
-    +infinity (``algorithm._bernstein_gaps``).  The log terms come from a
-    cached table.  Since the square-root term is >= 0 and rounding is
+    +infinity (``algorithm._bernstein_gaps``).  It is the pairwise slack of
+    ``analysis.pairwise_rhs_from_sq`` at delta = 1/k plus 2/k, since
+    ln(2k |H|^2) = ln(2 |H|^2 / delta); the log terms come from a cached
+    table.  Since the square-root term is >= 0 and rounding is
     monotone, the gap at ``sq_sum = 0.0`` is a lower bound of the gap at
     any sum.
     """
@@ -181,4 +194,4 @@ def bernstein_delta_from_sq(k, sq_sum, class_size: int):
     if k.min() < 2:
         raise ValueError(f"the Bernstein gap is defined from k = 2, got k = {k.min()}")
     log_term = _bernstein_log_table(1 << int(k.max()).bit_length(), class_size)[k]
-    return np.sqrt(2.0 * sq_sum * log_term) / (k - 1) + 5.0 * log_term / (k - 1) + 2.0 / k
+    return _bernstein_slack(sq_sum, k, log_term) + 2.0 / k

@@ -275,10 +275,20 @@ def problem_to_dict(problem: LearningProblem) -> dict:
     }
 
 
-def problem_from_dict(doc: dict) -> LearningProblem:
+def check_fields(doc: dict, allowed: set[str], what: str) -> dict:
+    """``doc``, checked to be a JSON object whose fields all lie in
+    ``allowed``; the one rule for every JSON object germ reads."""
     if not isinstance(doc, dict):
-        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-    missing = {"name", "probs", "losses"} - set(doc)
+        raise ValueError(f"the {what} must be a JSON object, got {type(doc).__name__}")
+    unknown = doc.keys() - allowed
+    if unknown:
+        raise ValueError(f"unknown {what} fields {sorted(unknown)}")
+    return doc
+
+
+def problem_from_dict(doc: dict) -> LearningProblem:
+    fields = {"name", "probs", "losses"}
+    missing = fields - check_fields(doc, fields, "problem").keys()
     if missing:
         raise ValueError(f"problem document is missing fields: {sorted(missing)}")
     name, probs, losses = doc["name"], doc["probs"], doc["losses"]

@@ -21,7 +21,7 @@ from pathlib import Path
 from .algorithm import PlainErm
 from .analysis import bernstein_certificate
 from .oracle import check_monotone, exact_risk_curve, find_erm_nonmonotone
-from .problem import LearningProblem, optimal_risk, problem_from_dict
+from .problem import LearningProblem, check_fields, optimal_risk, problem_from_dict
 from .rng import check_integer, philox_stream
 
 SCENARIO_TAGS = frozenset(
@@ -121,8 +121,9 @@ def scenario_dir():
 
 
 def _witness_from_dict(doc: dict) -> WitnessRecord:
-    curve = doc["erm_curve"]
     fields = ("outcome_count", "class_size", "n_probe", "search_budget", "base_seed", "stream")
+    check_fields(doc, {*fields, "erm_curve"}, "witness")
+    curve = check_fields(doc["erm_curve"], {"ns", "values"}, "witness erm_curve")
     return WitnessRecord(
         **{field: check_integer(doc[field], f"witness {field}") for field in fields},
         curve_ns=tuple(check_integer(n, "witness curve n") for n in curve["ns"]),
@@ -131,9 +132,7 @@ def _witness_from_dict(doc: dict) -> WitnessRecord:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    unknown = set(doc) - {"problem", "tags", "note", "witness"}
-    if unknown:
-        raise ValueError(f"unknown scenario fields {sorted(unknown)}")
+    check_fields(doc, {"problem", "tags", "note", "witness"}, "scenario")
     for field in ("problem", "tags", "note"):
         if field not in doc:
             raise ValueError(f"scenario document is missing {field!r}")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import germ
 import germ.cli
 import germ.montecarlo
-from germ.algorithm import GermAlgorithm, PlainErm, _step_block
+from germ.algorithm import GermAlgorithm, PlainErm, _step_block, algo_label
 from germ.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -31,7 +31,15 @@ from germ.cli import (
     parse_algo_spec,
     parse_experiment_config,
 )
-from germ.gap import EmpiricalBernstein, EmpiricalMcDiarmid, FixedDelta, MassartDeterministic, UniformConvergence
+from germ.gap import (
+    GAP_CODES,
+    EmpiricalBernstein,
+    EmpiricalMcDiarmid,
+    FixedDelta,
+    GapSpec,
+    MassartDeterministic,
+    UniformConvergence,
+)
 from germ.montecarlo import (
     ExcessBoundEvent,
     McConfig,
@@ -43,7 +51,8 @@ from germ.montecarlo import (
 )
 from germ.oracle import curve_to_csv
 from germ.rng import philox_stream
-from germ.scenarios import load_scenario
+from germ.problem import problem_to_dict
+from germ.scenarios import load_scenario, scenario_dir
 from scalar_reference import draw_sample, draw_signs, json_text, rbar_from_signs, scalar_run_germ
 
 
@@ -629,6 +638,99 @@ def test_parse_algo_spec():
     for bad in ("germ", "germ:unknown", "erm:extra", "germ:uniform-massart:k2", "germ:uniform-massart:init1:more"):
         with pytest.raises(ValueError):
             parse_algo_spec(bad, 2)
+
+
+def test_every_label_but_a_constant_schedules_reads_back():
+    # a constant schedule's label omits its values
+    gaps = [FixedDelta(x) for x in (0.0, 0.05, 0.3, 1e-05, 5e-324, 1.0)]
+    for H in (1, 3):
+        algos = [PlainErm()] + [
+            GermAlgorithm(gap=gap, initial_index=i)
+            for gap in gaps + [GapSpec(variant, H) for variant in GAP_CODES.values()]
+            for i in range(H)
+        ]
+        for algo in algos:
+            assert parse_algo_spec(algo_label(algo), H) == algo
+
+
+def _gap(gap):
+    def change(doc, tmp_path, monkeypatch):
+        doc["algorithm"]["gap"] = gap
+    return change
+
+
+def _out_dir(value):
+    def change(doc, tmp_path, monkeypatch):
+        doc["out_dir"] = value
+    return change
+
+
+def _problem_file_with_a_source(doc, tmp_path, monkeypatch):
+    problem = problem_to_dict(load_scenario("symmetric-coin").problem)
+    (tmp_path / "problem.json").write_text(json.dumps({**problem, "source": "by hand"}), encoding="utf-8")
+    del doc["scenario"]
+    doc["problem_file"] = "problem.json"
+
+
+def _witness_copy(extend):
+    # a copy of the witness scenario, loaded from GERM_DATA_DIR, with one
+    # more field in its witness or erm_curve
+    def change(doc, tmp_path, monkeypatch):
+        scenario = json.loads((scenario_dir() / "erm-dip-witness.json").read_text(encoding="utf-8"))
+        extend(scenario["witness"])
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "erm-dip-witness.json").write_text(json.dumps(scenario), encoding="utf-8")
+        monkeypatch.setenv("GERM_DATA_DIR", str(tmp_path / "data"))
+        doc["scenario"] = "erm-dip-witness"
+    return change
+
+
+def _refused_config_file(doc, tmp_path, monkeypatch):
+    # the config that CI's run of the installed germ script must refuse
+    doc.clear()
+    doc.update(json.loads((Path(__file__).parent / "data" / "refused" / "bernstein-mode.json").read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        _gap({"variant": "bernstein", "mode": "massart"}),
+        _gap({"variant": "bernstein", "value": 0.3}),
+        _gap({"variant": "bernstein", "values": [9]}),
+        _gap({"variant": "fixed", "value": 0.3, "mode": "massart"}),
+        _gap({"variant": "uniform", "mode": "massart", "values": [9]}),
+        _problem_file_with_a_source,
+        _witness_copy(lambda witness: witness.update(found_by="search")),
+        _witness_copy(lambda witness: witness["erm_curve"].update(stderr=[0.0] * 6)),
+        _out_dir(None),
+        _out_dir(7),
+        _out_dir(["a", 1]),
+        _refused_config_file,
+    ],
+    ids=[
+        "bernstein-mode",
+        "bernstein-value",
+        "bernstein-values",
+        "fixed-mode",
+        "massart-values",
+        "problem-file-field",
+        "witness-field",
+        "erm-curve-field",
+        "out-dir-null",
+        "out-dir-number",
+        "out-dir-list",
+        "refused-config-file",
+    ],
+)
+def test_a_document_with_a_field_it_cannot_take_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, change):
+    monkeypatch.delenv("GERM_DATA_DIR", raising=False)
+    doc = exact_config(tmp_path, scenario="symmetric-coin", engine={"kind": "exact", "n_max": 4})
+    change(doc, tmp_path, monkeypatch)
+    path = write_config(tmp_path, doc)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_config_defaults_echoed(tmp_path):

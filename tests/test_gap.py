@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from germ.algorithm import _bernstein_gaps
+import germ.gap
 from germ.gap import (
+    GAP_CODES,
     EmpiricalBernstein,
     EmpiricalMcDiarmid,
     FixedDelta,
@@ -147,3 +151,31 @@ def test_per_step_array_validation():
         delta_uniform(np.arange(0, 3), 0.1)
     with pytest.raises(ValueError, match="rbar"):
         delta_uniform(np.arange(1, 4), np.array([0.1, -0.1, 0.2]))
+
+
+def _code_strings(tree):
+    """(string constant, enclosing top-level statement) of every string in
+    ``tree`` but docstrings, other bare string statements and subcommand
+    names (``germ bernstein`` names a command, not a gap)."""
+    for top in tree.body:
+        skip = {id(node.value) for node in ast.walk(top) if isinstance(node, ast.Expr)}
+        skip |= {
+            id(node.args[0])
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_parser"
+        }
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip:
+                yield node.value, top
+
+
+def test_each_gap_code_is_spelled_once_in_the_table():
+    # parse_algo_spec, the config parser and algo_label all read GAP_CODES
+    names = {"uniform-empirical", "uniform-massart", "bernstein"}
+    assert set(GAP_CODES) == names
+    found = []
+    for path in sorted(Path(germ.gap.__file__).parent.glob("*.py")):
+        for text, top in _code_strings(ast.parse(path.read_text())):
+            if text in names:
+                found.append((text, path.stem, ast.unparse(top.targets[0]) if isinstance(top, ast.Assign) else None))
+    assert sorted(found) == sorted((name, "gap", "GAP_CODES") for name in names)

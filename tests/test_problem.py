@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
+from pathlib import Path
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ import germ.problem
 from germ.errors import ResourceLimitError
 from germ.problem import (
     DiscreteDistribution,
+    check_fields,
     LearningProblem,
     LossTable,
     Sample,
@@ -263,6 +266,35 @@ def test_json_rejects_malformed_documents():
         problem_from_json('{"name": "x", "probs": [1.0], "losses": [0.5]}')
     with pytest.raises(ValueError):
         problem_from_json('[1, 2]')
+
+
+def test_check_fields():
+    doc = {"name": "x", "probs": [1.0]}
+    assert check_fields(doc, {"name", "probs", "losses"}, "problem") is doc
+    with pytest.raises(ValueError, match=r"unknown problem fields \['note', 'source'\]"):
+        check_fields({**doc, "source": 1, "note": 2}, {"name", "probs"}, "problem")
+    for bad in ([1, 2], None, "x"):
+        with pytest.raises(ValueError, match="the problem must be a JSON object"):
+            check_fields(bad, {"name"}, "problem")
+    with pytest.raises(ValueError, match=r"unknown problem fields \['source'\]"):
+        problem_from_json('{"name": "x", "probs": [1.0], "losses": [[0.5]], "source": "by hand"}')
+
+
+def test_only_check_fields_refuses_unknown_fields():
+    # every JSON object germ reads is checked by the one rule
+    raisers = set()
+    for path in sorted(Path(germ.problem.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.JoinedStr):
+                    text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    text = node.value
+                else:
+                    continue
+                if text.startswith("unknown") and " fields" in text:
+                    raisers.add((path.stem, getattr(top, "name", None)))
+    assert raisers == {("problem", "check_fields")}
 
 
 def test_philox_stream_validation():
